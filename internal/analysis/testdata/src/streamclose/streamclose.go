@@ -3,6 +3,8 @@
 package streamclose
 
 import (
+	"context"
+
 	"cohera/internal/admission"
 	"cohera/internal/plan"
 	"cohera/internal/storage"
@@ -95,6 +97,33 @@ func closedFusedDefer() error {
 func escapesFusedReturn() storage.RowStream {
 	st := plan.FuseStream(open(), plan.FuseSpec{Limit: -1}) // negative: returned, caller owns it
 	return st
+}
+
+// The scan kernel is the stream every site-side read starts from; it
+// arrives beside an error, and the open-time bind may fail.
+
+func leakScan(ctx context.Context, t *storage.Table) error {
+	st, err := plan.ScanTable(ctx, t.Cursor(), plan.ScanSpec{Limit: -1}) // want `row stream st is never closed`
+	if err != nil {
+		return err
+	}
+	lastCols = st.Columns()
+	return nil
+}
+
+func closedScanDefer(ctx context.Context, t *storage.Table) error {
+	st, err := plan.ScanTable(ctx, t.Cursor(), plan.ScanSpec{Limit: -1}) // negative: closed on the deferred path
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	_, err = st.Next()
+	return err
+}
+
+func escapesScanReturn(ctx context.Context, t *storage.Table) (*plan.TableScan, error) {
+	st, err := plan.ScanTable(ctx, t.Cursor(), plan.ScanSpec{Limit: -1}) // negative: returned, caller owns it
+	return st, err
 }
 
 // The admission decorator wraps a stream to release its slot when the

@@ -8,8 +8,8 @@
 package exec
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -351,63 +351,40 @@ func (db *Database) execDelete(s sqlparse.DeleteStmt, a *wal.Appender) (int, err
 }
 
 // matchingIDs returns ids of rows satisfying the predicate (all rows when
-// nil), using an index access path when one applies.
+// nil), ascending: the scan kernel projecting nothing but the row id.
 func (db *Database) matchingIDs(t *storage.Table, alias string, where sqlparse.Expr, ev *plan.Evaluator) ([]int64, error) {
-	def := t.Def()
-	candidates, usedIndex, residual, err := db.accessPath(t, where)
+	rows, err := db.scanAll(t, alias, where, ev, []sqlparse.Expr{sqlparse.ColumnRef{Column: "_rowid"}})
 	if err != nil {
 		return nil, err
 	}
-	var out []int64
-	// One reusable environment: names are fixed for the whole scan, only
-	// the row (plus trailing _rowid) changes.
-	names := make([]string, 0, len(def.Columns)+1)
-	lalias := strings.ToLower(alias)
-	for _, c := range def.Columns {
-		names = append(names, lalias+"."+strings.ToLower(c.Name))
+	ids := make([]int64, len(rows))
+	for i, r := range rows {
+		ids[i] = r[0].Int()
 	}
-	names = append(names, lalias+"._rowid")
-	env := plan.NewRowEnvRaw(names, nil)
-	check := func(id int64, row storage.Row) (bool, error) {
-		if residual == nil {
-			return true, nil
-		}
-		env.Values = append(row, value.NewInt(id))
-		v, err := ev.Eval(residual, env)
-		if err != nil {
-			return false, err
-		}
-		return v.Truthy(), nil
+	return ids, nil
+}
+
+// scanAll drains a kernel scan for the statement paths that take no
+// context (Select, UPDATE, DELETE). project nil keeps the stored columns.
+func (db *Database) scanAll(t *storage.Table, alias string, where sqlparse.Expr, ev *plan.Evaluator, project []sqlparse.Expr) ([]storage.Row, error) {
+	//lint:ignore ctxleak Exec/Select keep their context-free signatures; their scans were never cancellable
+	scan, err := db.openScan(context.TODO(), t, where, plan.ScanSpec{Alias: alias, Project: project, Eval: ev, Limit: -1})
+	if err != nil {
+		return nil, err
 	}
+	return storage.CollectRows(scan)
+}
+
+// openScan opens the scan kernel for a single-table predicate, over the
+// index access path when one applies and the whole heap otherwise. It
+// fills in spec.Where with what the access path left to check.
+func (db *Database) openScan(ctx context.Context, t *storage.Table, where sqlparse.Expr, spec plan.ScanSpec) (*plan.TableScan, error) {
+	ids, usedIndex, residual := db.accessPath(t, where)
+	spec.Where = residual
 	if usedIndex {
-		for _, id := range candidates {
-			row, err := t.Get(id)
-			if err != nil {
-				continue
-			}
-			ok, err := check(id, row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, id)
-			}
-		}
-		return out, nil
+		return plan.ScanTable(ctx, t.CursorOver(ids), spec)
 	}
-	var scanErr error
-	t.Scan(func(id int64, row storage.Row) bool {
-		ok, err := check(id, row)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			out = append(out, id)
-		}
-		return true
-	})
-	return out, scanErr
+	return plan.ScanTable(ctx, t.Cursor(), spec)
 }
 
 // rowEnv builds an evaluation environment exposing both qualified
@@ -420,15 +397,16 @@ func rowEnv(alias string, def *schema.Table, row storage.Row) *plan.RowEnv {
 	return plan.NewRowEnv(names, row)
 }
 
-// evaluator builds a plan.Evaluator whose text-match hook resolves against
-// the given tables (alias→table). Text predicates evaluate by consulting
-// the row's id against a lazily computed hit set.
+// evaluator builds a plan.Evaluator whose text hook resolves against the
+// given tables (alias→table): a text predicate becomes the hit set of
+// one inverted-index search, computed on first use and kept for the
+// evaluator's lifetime.
 func (db *Database) evaluator(tables map[string]*storage.Table) *plan.Evaluator {
 	hitSets := make(map[string]map[int64]bool)
 	return &plan.Evaluator{
-		Text: func(tm sqlparse.TextMatch, env plan.Env) (bool, error) {
+		Text: func(tm sqlparse.TextMatch) (map[int64]bool, error) {
 			if tables == nil {
-				return false, fmt.Errorf("exec: text predicate outside table scope")
+				return nil, fmt.Errorf("exec: text predicate outside table scope")
 			}
 			// Resolve the table owning the column.
 			var tbl *storage.Table
@@ -441,18 +419,18 @@ func (db *Database) evaluator(tables map[string]*storage.Table) *plan.Evaluator 
 				}
 			}
 			if tbl == nil {
-				return false, fmt.Errorf("exec: cannot resolve text column %s", tm.Col)
+				return nil, fmt.Errorf("exec: cannot resolve text column %s", tm.Col)
 			}
 			qv, ok := tm.Query.(sqlparse.Literal)
 			if !ok || qv.Value.Kind() != value.KindString {
-				return false, fmt.Errorf("exec: text predicate query must be a string literal")
+				return nil, fmt.Errorf("exec: text predicate query must be a string literal")
 			}
 			key := alias + "\x00" + tm.Col.Column + "\x00" + tm.Mode.String() + "\x00" + qv.Value.Str()
 			set, ok := hitSets[key]
 			if !ok {
 				hits, err := tbl.TextSearch(tm.Col.Column, qv.Value.Str(), searchOptions(tm.Mode, db.synonyms))
 				if err != nil {
-					return false, err
+					return nil, err
 				}
 				set = make(map[int64]bool, len(hits))
 				for _, h := range hits {
@@ -460,15 +438,7 @@ func (db *Database) evaluator(tables map[string]*storage.Table) *plan.Evaluator 
 				}
 				hitSets[key] = set
 			}
-			idv, err := env.Resolve(sqlparse.ColumnRef{Table: tm.Col.Table, Column: "_rowid"})
-			if err != nil {
-				// Fall back to bare _rowid (single-table scope).
-				idv, err = env.Resolve(sqlparse.ColumnRef{Column: "_rowid"})
-				if err != nil {
-					return false, fmt.Errorf("exec: text predicate needs row identity: %w", err)
-				}
-			}
-			return set[idv.Int()], nil
+			return set, nil
 		},
 	}
 }
@@ -491,50 +461,75 @@ func searchOptions(mode sqlparse.TextMatchMode, syn *ir.Synonyms) ir.SearchOptio
 // It returns (candidateIDs, usedIndex, residualPredicate); usedIndex
 // false means full scan. The distinction matters because an index range
 // can legitimately match zero rows — a nil candidate list alone would be
-// ambiguous. The residual must still be evaluated per row (it includes
-// every conjunct except a consumed sargable one, to stay correct with
-// duplicate-key indexes).
-func (db *Database) accessPath(t *storage.Table, where sqlparse.Expr) ([]int64, bool, sqlparse.Expr, error) {
-	if where == nil {
-		return nil, false, nil, nil
-	}
+// ambiguous.
+//
+// Every sargable conjunct on the chosen column is intersected into the
+// one range the index is asked for, so `a >= x AND a < y` reads the rows
+// between x and y rather than everything from x up. A point range is
+// preferred to a wider one. The residual keeps every conjunct the index
+// lookup does not already guarantee: the ones on other columns, and
+// those with an exclusive bound, which the inclusive LookupRange cannot
+// honor.
+func (db *Database) accessPath(t *storage.Table, where sqlparse.Expr) ([]int64, bool, sqlparse.Expr) {
 	conjuncts := plan.Conjuncts(where)
-	// Prefer an equality on an indexed column; else a range.
-	bestIdx := -1
-	var bestRange plan.Range
+	// The conjuncts an index can serve: sargable, on an indexed column,
+	// with bounds of a kind the column's keys can be ordered against.
+	def := t.Def()
+	ranges := make([]plan.Range, len(conjuncts))
+	served := make([]bool, len(conjuncts))
 	for i, c := range conjuncts {
 		r, ok := plan.Sargable(c)
 		if !ok || !t.HasIndex(r.Column) {
 			continue
 		}
-		isEq := !r.Lo.IsNull() && !r.Hi.IsNull() && r.Lo.Equal(r.Hi) && !r.LoExclusive && !r.HiExclusive
-		if bestIdx == -1 || isEq {
-			bestIdx, bestRange = i, r
-			if isEq {
-				break
-			}
+		kind := def.Columns[def.ColumnIndex(r.Column)].Kind
+		if (r.Lo.IsNull() || value.Comparable(kind, r.Lo.Kind())) && (r.Hi.IsNull() || value.Comparable(kind, r.Hi.Kind())) {
+			ranges[i], served[i] = r, true
 		}
 	}
-	if bestIdx == -1 {
-		return nil, false, where, nil
+	// merged folds every served conjunct on col into one range.
+	merged := func(col string) (m plan.Range) {
+		for i, r := range ranges {
+			switch {
+			case !served[i] || r.Column != col:
+			case m.Column == "":
+				m = r
+			default:
+				m, _ = m.Intersect(r)
+			}
+		}
+		return m
 	}
-	ids, err := t.LookupRange(bestRange.Column, bestRange.Lo, bestRange.Hi)
-	if err != nil {
-		return nil, false, where, nil // index vanished; fall back to scan
+	best := ""
+	for i, r := range ranges {
+		if !served[i] {
+			continue
+		}
+		if best == "" {
+			best = r.Column
+		}
+		if merged(r.Column).Point() {
+			best = r.Column
+			break
+		}
 	}
-	// Exclusive bounds need the residual to re-check, so keep the consumed
-	// conjunct when exclusive; otherwise drop it.
+	if best == "" {
+		return nil, false, where
+	}
+	rng := merged(best)
+	var ids []int64
+	if !rng.Empty() {
+		var err error
+		if ids, err = t.LookupRange(best, rng.Lo, rng.Hi); err != nil {
+			return nil, false, where // index vanished; fall back to scan
+		}
+	}
 	residual := make([]sqlparse.Expr, 0, len(conjuncts))
 	for i, c := range conjuncts {
-		if i == bestIdx && !bestRange.LoExclusive && !bestRange.HiExclusive {
+		if r := ranges[i]; served[i] && r.Column == best && !r.LoExclusive && !r.HiExclusive && r.Contains(rng) {
 			continue
 		}
 		residual = append(residual, c)
 	}
-	return ids, true, plan.AndExprs(residual), nil
-}
-
-// sortIDs sorts ids ascending for deterministic results.
-func sortIDs(ids []int64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids, true, plan.AndExprs(residual)
 }

@@ -175,30 +175,24 @@ func (db *Database) Select(s sqlparse.SelectStmt) (*Result, error) {
 // readable above.
 func t2(t *storage.Table) *storage.Table { return t }
 
-// scanSource produces the binding for one table: qualified column names
-// plus a trailing alias._rowid column.
+// sourceNames lists the binding names of one table's rows: qualified
+// column names plus a trailing alias._rowid.
+func sourceNames(alias string, t *storage.Table) []string {
+	return plan.NewScope(t.Def(), alias).Names
+}
+
+// scanSource produces the binding for one table: the rows its pushed
+// predicate keeps, each with its row id appended, in id order.
 func (db *Database) scanSource(alias string, t *storage.Table, pred sqlparse.Expr, ev *plan.Evaluator) (*binding, error) {
-	def := t.Def()
-	names := make([]string, 0, len(def.Columns)+1)
-	for _, c := range def.Columns {
-		names = append(names, alias+"."+strings.ToLower(c.Name))
+	var project []sqlparse.Expr
+	for _, c := range append(t.Def().ColumnNames(), "_rowid") {
+		project = append(project, sqlparse.ColumnRef{Column: c})
 	}
-	names = append(names, alias+"._rowid")
-	b := &binding{names: names}
-	ids, err := db.matchingIDs(t, alias, pred, ev)
+	rows, err := db.scanAll(t, alias, pred, ev, project)
 	if err != nil {
 		return nil, err
 	}
-	sortIDs(ids)
-	for _, id := range ids {
-		row, err := t.Get(id)
-		if err != nil {
-			continue
-		}
-		row = append(row, value.NewInt(id))
-		b.rows = append(b.rows, row)
-	}
-	return b, nil
+	return &binding{names: sourceNames(alias, t), rows: rows}, nil
 }
 
 // joinBindings joins two bindings. Equi-join keys found in the ON clause

@@ -3,14 +3,12 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 
 	"cohera/internal/obs"
 	"cohera/internal/plan"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
-	"cohera/internal/value"
 )
 
 // Streamable reports whether a SELECT can run on the true row-at-a-time
@@ -27,12 +25,14 @@ func Streamable(s sqlparse.SelectStmt) bool {
 }
 
 // SelectStream executes a SELECT as a pull-based row stream. Streamable
-// statements iterate the table scan (or index access path) lazily —
-// peak memory is one row plus the id snapshot, and LIMIT terminates the
-// scan early. Non-streamable statements run through the materialized
-// executor and stream the finished result, so callers program against
-// one interface. The stream honors ctx: cancellation surfaces from the
-// next Next call. The caller must Close the returned stream.
+// statements run on the scan kernel (plan.TableScan) over the heap or an
+// index access path — peak memory is one batch of surviving rows, LIMIT
+// terminates the scan early, and a column the statement names that the
+// table lacks fails the open, not the first row. Non-streamable
+// statements run through the materialized executor and stream the
+// finished result, so callers program against one interface. The stream
+// honors ctx: cancellation surfaces from the next Next call. The caller
+// must Close the returned stream.
 func (db *Database) SelectStream(ctx context.Context, s sqlparse.SelectStmt) (storage.RowStream, error) {
 	if !Streamable(s) {
 		res, err := db.Select(s)
@@ -47,47 +47,29 @@ func (db *Database) SelectStream(ctx context.Context, s sqlparse.SelectStmt) (st
 	if err != nil {
 		return nil, err
 	}
-	ev := db.evaluator(map[string]*storage.Table{alias: t})
-	def := t.Def()
-	names := make([]string, 0, len(def.Columns)+1)
-	for _, c := range def.Columns {
-		names = append(names, alias+"."+strings.ToLower(c.Name))
-	}
-	names = append(names, alias+"._rowid")
-	items, err := expandStars(s.Items, names)
+	items, err := expandStars(s.Items, sourceNames(alias, t))
 	if err != nil {
 		return nil, err
 	}
-	candidates, usedIndex, residual, err := db.accessPath(t, s.Where)
+	project := make([]sqlparse.Expr, len(items))
+	for i, it := range items {
+		project[i] = it.Expr
+	}
+	scan, err := db.openScan(ctx, t, s.Where, plan.ScanSpec{
+		Alias:   alias,
+		Project: project,
+		Columns: itemNames(items),
+		Eval:    db.evaluator(map[string]*storage.Table{alias: t}),
+		Offset:  s.Offset,
+		Limit:   s.Limit,
+	})
 	if err != nil {
 		return nil, err
-	}
-	var ids []int64
-	if usedIndex {
-		ids = candidates
-		sortIDs(ids)
-	} else {
-		ids = t.IDs()
-	}
-	remain := -1
-	if s.Limit >= 0 {
-		remain = s.Limit
 	}
 	// The scan stage is a leaf: nothing below it opens stages, so the
 	// updated context stays local.
 	_, stage := obs.StartStage(ctx, "scan", strings.ToLower(s.From.Name))
-	return storage.InstrumentStream(&selectRowStream{
-		ctx:      ctx,
-		t:        t,
-		ev:       ev,
-		env:      plan.NewRowEnvRaw(names, nil),
-		items:    items,
-		cols:     itemNames(items),
-		residual: residual,
-		ids:      ids,
-		skip:     s.Offset,
-		remain:   remain,
-	}, stage, storage.TimingSample), nil
+	return storage.InstrumentStream(scan, stage, storage.TimingSample), nil
 }
 
 // QueryStream parses and executes one SELECT statement as a stream.
@@ -101,84 +83,4 @@ func (db *Database) QueryStream(ctx context.Context, sql string) (storage.RowStr
 		return nil, fmt.Errorf("exec: only SELECT streams, got %T", stmt)
 	}
 	return db.SelectStream(ctx, sel)
-}
-
-// selectRowStream is the streaming single-table executor: it walks an
-// id snapshot, fetches each row under the table's lock, evaluates the
-// residual predicate and projects the select items — one row in flight
-// at a time.
-type selectRowStream struct {
-	ctx      context.Context
-	t        *storage.Table
-	ev       *plan.Evaluator
-	env      *plan.RowEnv
-	items    []sqlparse.SelectItem
-	cols     []string
-	residual sqlparse.Expr
-	ids      []int64
-	pos      int
-	skip     int
-	remain   int // -1 = unlimited
-	closed   bool
-}
-
-// Columns implements storage.RowStream.
-func (s *selectRowStream) Columns() []string { return s.cols }
-
-// Next implements storage.RowStream.
-func (s *selectRowStream) Next() (storage.Row, error) {
-	if s.closed {
-		return nil, storage.ErrStreamClosed
-	}
-	if s.remain == 0 {
-		return nil, io.EOF
-	}
-	for s.pos < len(s.ids) {
-		if s.ctx.Err() != nil {
-			// Cause preserves a typed cancellation (an operator kill via
-			// obs.ActiveQueries reports obs.ErrQueryCanceled) where Err
-			// flattens everything to context.Canceled.
-			return nil, fmt.Errorf("exec: stream cancelled: %w", context.Cause(s.ctx))
-		}
-		id := s.ids[s.pos]
-		s.pos++
-		row, err := s.t.Get(id)
-		if err != nil {
-			continue // deleted since the snapshot
-		}
-		s.env.Values = append(row, value.NewInt(id))
-		if s.residual != nil {
-			v, err := s.ev.Eval(s.residual, s.env)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		if s.skip > 0 {
-			s.skip--
-			continue
-		}
-		out := make(storage.Row, len(s.items))
-		for i, it := range s.items {
-			v, err := s.ev.Eval(it.Expr, s.env)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		if s.remain > 0 {
-			s.remain--
-		}
-		return out, nil
-	}
-	return nil, io.EOF
-}
-
-// Close implements storage.RowStream.
-func (s *selectRowStream) Close() error {
-	s.closed = true
-	s.ids = nil
-	return nil
 }

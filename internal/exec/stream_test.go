@@ -140,10 +140,12 @@ func TestSelectStreamCloseThenNext(t *testing.T) {
 }
 
 // TestSelectStreamEarlyTermination asserts LIMIT stops the scan without
-// touching remaining ids.
+// touching the remaining rows: the predicate divides by zero on the
+// second row (qty 1), which only an unlimited scan reaches.
 func TestSelectStreamEarlyTermination(t *testing.T) {
 	db := streamDB(t)
-	st, err := db.SelectStream(context.Background(), mustParseSelect(t, "SELECT sku FROM items LIMIT 1"))
+	const sql = "SELECT sku FROM items WHERE 10 / (qty - 1) < 100"
+	st, err := db.SelectStream(context.Background(), mustParseSelect(t, sql+" LIMIT 1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +156,11 @@ func TestSelectStreamEarlyTermination(t *testing.T) {
 	if _, err := st.Next(); err != io.EOF {
 		t.Fatalf("post-limit Next = %v, want io.EOF", err)
 	}
-	ss := st.(*selectRowStream)
-	if ss.pos >= len(ss.ids) {
-		t.Fatalf("limit 1 consumed %d of %d ids — no early termination", ss.pos, len(ss.ids))
+	all, err := db.SelectStream(context.Background(), mustParseSelect(t, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := storage.CollectRows(all); err == nil || len(rows) != 1 {
+		t.Fatalf("unlimited scan = %d rows, %v; want the first row, then the division error", len(rows), err)
 	}
 }

@@ -1072,45 +1072,19 @@ func estimateRows(frag *Fragment, table string) int {
 }
 
 // disjoint reports whether a fragment predicate and a query predicate
-// provably exclude each other — the fragment-pruning test. Only
-// single-column sargable ranges are compared; anything else conservatively
-// reports false (not disjoint).
+// provably exclude each other — the fragment-pruning test. Each side's
+// sargable conjuncts are intersected per column (so `k >= a AND k < b`
+// bounds k on both ends, as BETWEEN does), and the predicates exclude
+// each other when some column's two ranges have no value in common.
+// Anything not sargable conservatively reports false (not disjoint).
 func disjoint(fragPred, queryPred sqlparse.Expr) bool {
-	fragRanges := make(map[string]plan.Range)
-	for _, c := range plan.Conjuncts(fragPred) {
-		if r, ok := plan.Sargable(c); ok {
-			fragRanges[r.Column] = r
-		}
-	}
-	for _, c := range plan.Conjuncts(queryPred) {
-		qr, ok := plan.Sargable(c)
-		if !ok {
-			continue
-		}
-		fr, ok := fragRanges[qr.Column]
-		if !ok {
-			continue
-		}
-		if rangesDisjoint(fr, qr) {
-			return true
-		}
-	}
-	return false
-}
-
-func rangesDisjoint(a, b plan.Range) bool {
-	// a entirely below b?
-	if !a.Hi.IsNull() && !b.Lo.IsNull() {
-		if c, err := a.Hi.Compare(b.Lo); err == nil {
-			if c < 0 || (c == 0 && (a.HiExclusive || b.LoExclusive)) {
-				return true
+	fragRanges := plan.ColumnRanges(plan.Conjuncts(fragPred))
+	for _, qr := range plan.ColumnRanges(plan.Conjuncts(queryPred)) {
+		for _, fr := range fragRanges {
+			if fr.Column != qr.Column {
+				continue
 			}
-		}
-	}
-	// a entirely above b?
-	if !a.Lo.IsNull() && !b.Hi.IsNull() {
-		if c, err := a.Lo.Compare(b.Hi); err == nil {
-			if c > 0 || (c == 0 && (a.LoExclusive || b.HiExclusive)) {
+			if both, ok := fr.Intersect(qr); ok && both.Empty() {
 				return true
 			}
 		}

@@ -46,11 +46,13 @@ type Range struct {
 // col = lit, col < lit, col <= lit, col > lit, col >= lit and
 // col BETWEEN lit AND lit from a single conjunct. The column may appear
 // on either side of the comparison. It returns (range, true) on success.
+// A NULL literal is not sargable: a Range reads a NULL bound as "open",
+// while the comparison is true of no row.
 func Sargable(e sqlparse.Expr) (Range, bool) {
 	switch x := e.(type) {
 	case sqlparse.Binary:
 		col, lit, op, ok := colLit(x)
-		if !ok {
+		if !ok || lit.IsNull() {
 			return Range{}, false
 		}
 		r := Range{Column: strings.ToLower(col.Column)}
@@ -76,7 +78,7 @@ func Sargable(e sqlparse.Expr) (Range, bool) {
 		}
 		lo, okLo := x.Lo.(sqlparse.Literal)
 		hi, okHi := x.Hi.(sqlparse.Literal)
-		if !okLo || !okHi {
+		if !okLo || !okHi || lo.Value.IsNull() || hi.Value.IsNull() {
 			return Range{}, false
 		}
 		return Range{
@@ -117,6 +119,77 @@ func flipOp(op sqlparse.BinaryOp) sqlparse.BinaryOp {
 	default:
 		return op
 	}
+}
+
+// Intersect narrows a to the values that also satisfy b, a range on the
+// same column. ok is false, and a returned unchanged, when two bounds
+// that had to be ordered are not comparable.
+func (a Range) Intersect(b Range) (Range, bool) {
+	out := a
+	if !b.Lo.IsNull() {
+		c := 1
+		if !a.Lo.IsNull() {
+			var err error
+			if c, err = b.Lo.Compare(a.Lo); err != nil {
+				return a, false
+			}
+		}
+		if c > 0 || (c == 0 && b.LoExclusive) {
+			out.Lo, out.LoExclusive = b.Lo, b.LoExclusive
+		}
+	}
+	if !b.Hi.IsNull() {
+		c := -1
+		if !a.Hi.IsNull() {
+			var err error
+			if c, err = b.Hi.Compare(a.Hi); err != nil {
+				return a, false
+			}
+		}
+		if c < 0 || (c == 0 && b.HiExclusive) {
+			out.Hi, out.HiExclusive = b.Hi, b.HiExclusive
+		}
+	}
+	return out, true
+}
+
+// Empty reports whether no value can lie inside the range: its bounds
+// cross, or meet with either end exclusive. Bounds that cannot be
+// compared report false.
+func (a Range) Empty() bool {
+	if a.Lo.IsNull() || a.Hi.IsNull() {
+		return false
+	}
+	c, err := a.Lo.Compare(a.Hi)
+	return err == nil && (c > 0 || (c == 0 && (a.LoExclusive || a.HiExclusive)))
+}
+
+// Point reports whether the range admits exactly one value.
+func (a Range) Point() bool {
+	return !a.Lo.IsNull() && !a.LoExclusive && !a.HiExclusive && a.Lo.Equal(a.Hi)
+}
+
+// ColumnRanges folds the sargable conjuncts into one range per column,
+// in order of first appearance: the intersection of every bound the
+// predicate puts on it. A conjunct whose bounds cannot be ordered
+// against the others is left out, which only widens the result.
+func ColumnRanges(conjuncts []sqlparse.Expr) []Range {
+	var out []Range
+next:
+	for _, c := range conjuncts {
+		r, ok := Sargable(c)
+		if !ok {
+			continue
+		}
+		for i := range out {
+			if out[i].Column == r.Column {
+				out[i], _ = out[i].Intersect(r)
+				continue next
+			}
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // Contains reports whether range a contains range b (every value

@@ -28,11 +28,15 @@ type RowEnv struct {
 
 // NewRowEnv builds an environment. Names are normalized to lowercase.
 func NewRowEnv(names []string, values []value.Value) *RowEnv {
+	return &RowEnv{Names: lowerNames(names), Values: values}
+}
+
+func lowerNames(names []string) []string {
 	ln := make([]string, len(names))
 	for i, n := range names {
 		ln[i] = strings.ToLower(n)
 	}
-	return &RowEnv{Names: ln, Values: values}
+	return ln
 }
 
 // NewRowEnvRaw wraps names that are already lowercase without copying.
@@ -51,50 +55,101 @@ var ErrAmbiguousColumn = fmt.Errorf("plan: ambiguous column")
 
 // Resolve implements Env.
 func (e *RowEnv) Resolve(ref sqlparse.ColumnRef) (value.Value, error) {
+	i, err := resolveName(e.Names, ref)
+	if err != nil {
+		return value.Null, err
+	}
+	return e.Values[i], nil
+}
+
+// resolveName finds the binding a column reference names among lowercase
+// (possibly "table.column") names: a qualified reference matches the
+// qualified name; a bare one must match exactly one name's column part.
+// RowEnv.Resolve applies it per row, Bind once per expression.
+func resolveName(names []string, ref sqlparse.ColumnRef) (int, error) {
 	col := strings.ToLower(ref.Column)
 	if ref.Table != "" {
 		want := strings.ToLower(ref.Table) + "." + col
-		for i, n := range e.Names {
+		for i, n := range names {
 			if n == want {
-				return e.Values[i], nil
+				return i, nil
 			}
 		}
-		return value.Null, fmt.Errorf("%w: %s", ErrUnknownColumn, ref)
+		return 0, fmt.Errorf("%w: %s", ErrUnknownColumn, ref)
 	}
 	found := -1
-	for i, n := range e.Names {
+	for i, n := range names {
 		bare := n
 		if dot := strings.LastIndexByte(n, '.'); dot >= 0 {
 			bare = n[dot+1:]
 		}
 		if bare == col {
 			if found >= 0 {
-				return value.Null, fmt.Errorf("%w: %s", ErrAmbiguousColumn, ref)
+				return 0, fmt.Errorf("%w: %s", ErrAmbiguousColumn, ref)
 			}
 			found = i
 		}
 	}
 	if found < 0 {
-		return value.Null, fmt.Errorf("%w: %s", ErrUnknownColumn, ref)
+		return 0, fmt.Errorf("%w: %s", ErrUnknownColumn, ref)
 	}
-	return e.Values[found], nil
+	return found, nil
 }
 
-// TextMatcher evaluates a text-search predicate for the current row.
-// The executor installs one backed by the inverted index; contexts without
-// text support leave it nil and TextMatch expressions fail.
-type TextMatcher func(tm sqlparse.TextMatch, env Env) (bool, error)
+// TextHits resolves a text-search predicate to the ids of the rows it
+// matches. The executor installs one backed by the inverted index;
+// contexts without text support leave it nil and TextMatch expressions
+// fail. The row under evaluation is tested against the set through its
+// _rowid binding, so a predicate is resolved once, not once per row.
+type TextHits func(tm sqlparse.TextMatch) (map[int64]bool, error)
 
 // Evaluator evaluates expressions. The zero value works for expressions
 // without text predicates.
 type Evaluator struct {
-	// Text, when non-nil, handles TextMatch predicates.
-	Text TextMatcher
+	// Text, when non-nil, resolves TextMatch predicates.
+	Text TextHits
 	// Funcs adds or overrides scalar functions by uppercase name.
 	Funcs map[string]func(args []value.Value) (value.Value, error)
 }
 
-// Eval computes the expression under the environment.
+// tri is a SQL truth value. Predicate nodes compute one directly; it
+// becomes a BOOLEAN (or NULL) Value only where a value is asked for.
+type tri int8
+
+const (
+	triFalse tri = iota
+	triTrue
+	triNull
+)
+
+func triOf(b bool) tri {
+	if b {
+		return triTrue
+	}
+	return triFalse
+}
+
+// truth is the truth value an arbitrary operand contributes to AND, OR
+// and NOT: NULL stays unknown, anything else counts by Truthy.
+func truth(v *value.Value) tri {
+	if v.IsNull() {
+		return triNull
+	}
+	return triOf(v.Truthy())
+}
+
+// value renders the truth value as a BOOLEAN, NULL when unknown.
+func (t tri) value() value.Value {
+	if t == triNull {
+		return value.Null
+	}
+	return value.NewBool(t == triTrue)
+}
+
+// Eval computes the expression under the environment. Every node's
+// meaning lives in a helper over already-computed operands (logic,
+// compare, arith, in, between, like, callValues) that Bind's compiled
+// form calls too, so the two cannot drift apart.
 func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 	switch x := e.(type) {
 	case sqlparse.Literal:
@@ -102,34 +157,42 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 	case sqlparse.ColumnRef:
 		return env.Resolve(x)
 	case sqlparse.Binary:
-		return ev.evalBinary(x, env)
+		l, err := ev.Eval(x.Left, env)
+		if err != nil {
+			return value.Null, err
+		}
+		if isLogic(x.Op) {
+			lt := truth(&l)
+			if decides(x.Op, lt) {
+				return lt.value(), nil
+			}
+			r, err := ev.Eval(x.Right, env)
+			if err != nil {
+				return value.Null, err
+			}
+			return logic(x.Op, lt, truth(&r)).value(), nil
+		}
+		r, err := ev.Eval(x.Right, env)
+		if err != nil {
+			return value.Null, err
+		}
+		if isComparison(x.Op) {
+			t, err := compare(x.Op, &l, &r)
+			return t.value(), err
+		}
+		return arith(x.Op, l, r)
 	case sqlparse.Not:
 		v, err := ev.Eval(x.Inner, env)
 		if err != nil {
 			return value.Null, err
 		}
-		if v.IsNull() {
-			return value.Null, nil
-		}
-		return value.NewBool(!v.Truthy()), nil
+		return not(truth(&v)).value(), nil
 	case sqlparse.Neg:
 		v, err := ev.Eval(x.Inner, env)
 		if err != nil {
 			return value.Null, err
 		}
-		switch v.Kind() {
-		case value.KindInt:
-			return value.NewInt(-v.Int()), nil
-		case value.KindFloat:
-			return value.NewFloat(-v.Float()), nil
-		case value.KindNull:
-			return value.Null, nil
-		case value.KindMoney:
-			m, c := v.Money()
-			return value.NewMoney(-m, c), nil
-		default:
-			return value.Null, fmt.Errorf("plan: cannot negate %s", v.Kind())
-		}
+		return negValue(v)
 	case sqlparse.IsNull:
 		v, err := ev.Eval(x.Inner, env)
 		if err != nil {
@@ -137,120 +200,201 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 		}
 		return value.NewBool(v.IsNull() != x.Negate), nil
 	case sqlparse.In:
-		return ev.evalIn(x, env)
-	case sqlparse.Between:
-		return ev.evalBetween(x, env)
-	case sqlparse.Like:
-		return ev.evalLike(x, env)
-	case sqlparse.Call:
-		return ev.evalCall(x, env)
-	case sqlparse.TextMatch:
-		if ev.Text == nil {
-			return value.Null, fmt.Errorf("plan: %s predicate unsupported in this context", x.Mode)
-		}
-		ok, err := ev.Text(x, env)
+		v, err := ev.Eval(x.Inner, env)
 		if err != nil {
 			return value.Null, err
 		}
-		return value.NewBool(ok), nil
-	case sqlparse.Star:
-		return value.Null, fmt.Errorf("plan: * is not a scalar expression")
+		t, err := in(&v, len(x.List), x.Negate, func(i int) (value.Value, error) {
+			return ev.Eval(x.List[i], env)
+		})
+		return t.value(), err
+	case sqlparse.Between:
+		v, err := ev.Eval(x.Inner, env)
+		if err != nil {
+			return value.Null, err
+		}
+		lo, err := ev.Eval(x.Lo, env)
+		if err != nil {
+			return value.Null, err
+		}
+		hi, err := ev.Eval(x.Hi, env)
+		if err != nil {
+			return value.Null, err
+		}
+		t, err := between(&v, &lo, &hi, x.Negate)
+		return t.value(), err
+	case sqlparse.Like:
+		v, err := ev.Eval(x.Inner, env)
+		if err != nil {
+			return value.Null, err
+		}
+		p, err := ev.Eval(x.Pattern, env)
+		if err != nil {
+			return value.Null, err
+		}
+		t, err := like(&v, &p, x.Negate)
+		return t.value(), err
+	case sqlparse.Call:
+		return ev.callValues(x.Name, len(x.Args), func(i int) (value.Value, error) {
+			return ev.Eval(x.Args[i], env)
+		})
+	case sqlparse.TextMatch:
+		hits, err := ev.textHits(x)
+		if err != nil {
+			return value.Null, err
+		}
+		var idv value.Value
+		for _, ref := range rowIDRefs(x) {
+			if idv, err = env.Resolve(ref); err == nil {
+				break
+			}
+		}
+		if err != nil {
+			return value.Null, fmt.Errorf("plan: text predicate needs row identity: %w", err)
+		}
+		return value.NewBool(hits[idv.Int()]), nil
 	default:
-		return value.Null, fmt.Errorf("plan: unsupported expression %T", e)
+		return value.Null, unsupportedExpr(e)
 	}
 }
 
-func (ev *Evaluator) evalBinary(x sqlparse.Binary, env Env) (value.Value, error) {
-	// AND/OR get SQL three-valued logic with short circuit.
-	if x.Op == sqlparse.OpAnd || x.Op == sqlparse.OpOr {
-		l, err := ev.Eval(x.Left, env)
-		if err != nil {
-			return value.Null, err
-		}
-		if x.Op == sqlparse.OpAnd && !l.IsNull() && !l.Truthy() {
-			return value.NewBool(false), nil
-		}
-		if x.Op == sqlparse.OpOr && !l.IsNull() && l.Truthy() {
-			return value.NewBool(true), nil
-		}
-		r, err := ev.Eval(x.Right, env)
-		if err != nil {
-			return value.Null, err
-		}
-		if l.IsNull() || r.IsNull() {
-			// unknown AND true = unknown; unknown OR false = unknown
-			if x.Op == sqlparse.OpAnd && !r.IsNull() && !r.Truthy() {
-				return value.NewBool(false), nil
-			}
-			if x.Op == sqlparse.OpOr && !r.IsNull() && r.Truthy() {
-				return value.NewBool(true), nil
-			}
-			return value.Null, nil
-		}
-		if x.Op == sqlparse.OpAnd {
-			return value.NewBool(l.Truthy() && r.Truthy()), nil
-		}
-		return value.NewBool(l.Truthy() || r.Truthy()), nil
+// unsupportedExpr is the error for a node with no scalar meaning.
+func unsupportedExpr(e sqlparse.Expr) error {
+	if _, ok := e.(sqlparse.Star); ok {
+		return fmt.Errorf("plan: * is not a scalar expression")
 	}
-	l, err := ev.Eval(x.Left, env)
-	if err != nil {
-		return value.Null, err
+	return fmt.Errorf("plan: unsupported expression %T", e)
+}
+
+// textHits resolves a text predicate through the installed hook.
+func (ev *Evaluator) textHits(x sqlparse.TextMatch) (map[int64]bool, error) {
+	if ev.Text == nil {
+		return nil, fmt.Errorf("plan: %s predicate unsupported in this context", x.Mode)
 	}
-	r, err := ev.Eval(x.Right, env)
-	if err != nil {
-		return value.Null, err
+	return ev.Text(x)
+}
+
+// rowIDRefs lists, in preference order, the bindings that can carry the
+// identity of the row a text predicate tests: the _rowid of the
+// predicate's own table qualifier, then a bare _rowid (single-table
+// scope).
+func rowIDRefs(x sqlparse.TextMatch) []sqlparse.ColumnRef {
+	bare := sqlparse.ColumnRef{Column: "_rowid"}
+	if x.Col.Table == "" {
+		return []sqlparse.ColumnRef{bare}
 	}
-	switch x.Op {
+	return []sqlparse.ColumnRef{{Table: x.Col.Table, Column: "_rowid"}, bare}
+}
+
+func isLogic(op sqlparse.BinaryOp) bool { return op == sqlparse.OpAnd || op == sqlparse.OpOr }
+
+func isComparison(op sqlparse.BinaryOp) bool {
+	switch op {
 	case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
-		if l.IsNull() || r.IsNull() {
-			return value.Null, nil
-		}
-		c, err := compareForEval(l, r)
-		if err != nil {
-			return value.Null, err
-		}
-		var out bool
-		switch x.Op {
-		case sqlparse.OpEq:
-			out = c == 0
-		case sqlparse.OpNe:
-			out = c != 0
-		case sqlparse.OpLt:
-			out = c < 0
-		case sqlparse.OpLe:
-			out = c <= 0
-		case sqlparse.OpGt:
-			out = c > 0
-		case sqlparse.OpGe:
-			out = c >= 0
-		}
-		return value.NewBool(out), nil
+		return true
+	}
+	return false
+}
+
+// decides reports whether the left operand alone settles l AND/OR
+// <anything>, so the right operand is never evaluated: a false AND, a
+// true OR. The result is then l itself.
+func decides(op sqlparse.BinaryOp, l tri) bool {
+	return (op == sqlparse.OpAnd && l == triFalse) || (op == sqlparse.OpOr && l == triTrue)
+}
+
+// logic is AND/OR under SQL three-valued logic: unknown AND false is
+// false, unknown OR true is true, anything else with an unknown is
+// unknown.
+func logic(op sqlparse.BinaryOp, l, r tri) tri {
+	if decides(op, l) {
+		return l
+	}
+	if decides(op, r) {
+		return r
+	}
+	if l == triNull || r == triNull {
+		return triNull
+	}
+	// Neither side decides alone: AND of two trues, OR of two falses.
+	return triOf(op == sqlparse.OpAnd)
+}
+
+// not is NOT under three-valued logic.
+func not(t tri) tri {
+	switch t {
+	case triTrue:
+		return triFalse
+	case triFalse:
+		return triTrue
+	}
+	return triNull
+}
+
+// negValue is unary minus.
+func negValue(v value.Value) (value.Value, error) {
+	switch v.Kind() {
+	case value.KindInt:
+		return value.NewInt(-v.Int()), nil
+	case value.KindFloat:
+		return value.NewFloat(-v.Float()), nil
+	case value.KindNull:
+		return value.Null, nil
+	case value.KindMoney:
+		m, c := v.Money()
+		return value.NewMoney(-m, c), nil
 	default:
-		return arith(x.Op, l, r)
+		return value.Null, fmt.Errorf("plan: cannot negate %s", v.Kind())
+	}
+}
+
+// compare applies a comparison operator; a NULL operand makes the
+// result unknown.
+func compare(op sqlparse.BinaryOp, l, r *value.Value) (tri, error) {
+	if l.IsNull() || r.IsNull() {
+		return triNull, nil
+	}
+	c, err := compareForEval(l, r)
+	if err != nil {
+		return triNull, err
+	}
+	switch op {
+	case sqlparse.OpEq:
+		return triOf(c == 0), nil
+	case sqlparse.OpNe:
+		return triOf(c != 0), nil
+	case sqlparse.OpLt:
+		return triOf(c < 0), nil
+	case sqlparse.OpLe:
+		return triOf(c <= 0), nil
+	case sqlparse.OpGt:
+		return triOf(c > 0), nil
+	default:
+		return triOf(c >= 0), nil
 	}
 }
 
 // compareForEval relaxes value.Compare slightly: string-vs-other compares
 // via string coercion failing which it errors. Money and numbers stay
 // strict so currency bugs surface.
-func compareForEval(l, r value.Value) (int, error) {
-	if c, err := l.Compare(r); err == nil {
+func compareForEval(l, r *value.Value) (int, error) {
+	if c, err := l.Compare(*r); err == nil {
 		return c, nil
 	} else if l.Kind() == r.Kind() {
 		return 0, err
 	}
 	// Try coercing one side toward the other for mixed literal/text data.
 	if l.Kind() == value.KindString {
-		if cv, err := value.Coerce(l, r.Kind()); err == nil {
-			return cv.Compare(r)
+		if cv, err := value.Coerce(*l, r.Kind()); err == nil {
+			return cv.Compare(*r)
 		}
 	}
 	if r.Kind() == value.KindString {
-		if cv, err := value.Coerce(r, l.Kind()); err == nil {
+		if cv, err := value.Coerce(*r, l.Kind()); err == nil {
 			return l.Compare(cv)
 		}
 	}
-	return l.Compare(r) // surface the original error
+	return l.Compare(*r) // surface the original error
 }
 
 func arith(op sqlparse.BinaryOp, l, r value.Value) (value.Value, error) {
@@ -336,83 +480,63 @@ func isNumeric(v value.Value) bool {
 	return v.Kind() == value.KindInt || v.Kind() == value.KindFloat
 }
 
-func (ev *Evaluator) evalIn(x sqlparse.In, env Env) (value.Value, error) {
-	v, err := ev.Eval(x.Inner, env)
-	if err != nil {
-		return value.Null, err
-	}
+// in is [NOT] IN over a computed probe and n list items fetched on
+// demand: the first match ends the scan, so later items are never
+// evaluated.
+func in(v *value.Value, n int, negate bool, item func(i int) (value.Value, error)) (tri, error) {
 	if v.IsNull() {
-		return value.Null, nil
+		return triNull, nil
 	}
 	sawNull := false
-	for _, item := range x.List {
-		iv, err := ev.Eval(item, env)
+	for i := 0; i < n; i++ {
+		iv, err := item(i)
 		if err != nil {
-			return value.Null, err
+			return triNull, err
 		}
 		if iv.IsNull() {
 			sawNull = true
 			continue
 		}
-		c, err := compareForEval(v, iv)
+		c, err := compareForEval(v, &iv)
 		if err != nil {
 			continue // incomparable list item can never match
 		}
 		if c == 0 {
-			return value.NewBool(!x.Negate), nil
+			return triOf(!negate), nil
 		}
 	}
 	if sawNull {
-		return value.Null, nil
+		return triNull, nil
 	}
-	return value.NewBool(x.Negate), nil
+	return triOf(negate), nil
 }
 
-func (ev *Evaluator) evalBetween(x sqlparse.Between, env Env) (value.Value, error) {
-	v, err := ev.Eval(x.Inner, env)
-	if err != nil {
-		return value.Null, err
-	}
-	lo, err := ev.Eval(x.Lo, env)
-	if err != nil {
-		return value.Null, err
-	}
-	hi, err := ev.Eval(x.Hi, env)
-	if err != nil {
-		return value.Null, err
-	}
+// between is [NOT] BETWEEN over computed operands.
+func between(v, lo, hi *value.Value, negate bool) (tri, error) {
 	if v.IsNull() || lo.IsNull() || hi.IsNull() {
-		return value.Null, nil
+		return triNull, nil
 	}
 	cl, err := compareForEval(v, lo)
 	if err != nil {
-		return value.Null, err
+		return triNull, err
 	}
 	ch, err := compareForEval(v, hi)
 	if err != nil {
-		return value.Null, err
+		return triNull, err
 	}
-	in := cl >= 0 && ch <= 0
-	return value.NewBool(in != x.Negate), nil
+	return triOf((cl >= 0 && ch <= 0) != negate), nil
 }
 
-func (ev *Evaluator) evalLike(x sqlparse.Like, env Env) (value.Value, error) {
-	v, err := ev.Eval(x.Inner, env)
-	if err != nil {
-		return value.Null, err
-	}
-	p, err := ev.Eval(x.Pattern, env)
-	if err != nil {
-		return value.Null, err
-	}
+// like is [NOT] LIKE over computed operands.
+func like(v, p *value.Value, negate bool) (tri, error) {
 	if v.IsNull() || p.IsNull() {
-		return value.Null, nil
+		return triNull, nil
 	}
 	if v.Kind() != value.KindString || p.Kind() != value.KindString {
-		return value.Null, fmt.Errorf("plan: LIKE requires strings")
+		return triNull, fmt.Errorf("plan: LIKE requires strings")
 	}
 	ok := likeMatch(strings.ToLower(v.Str()), strings.ToLower(p.Str()))
-	return value.NewBool(ok != x.Negate), nil
+	return triOf(ok != negate), nil
 }
 
 // likeMatch implements SQL LIKE (% = any run, _ = any single rune) with

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -242,19 +243,36 @@ func TestCustomFunc(t *testing.T) {
 }
 
 func TestTextMatchHook(t *testing.T) {
-	called := false
-	ev := Evaluator{Text: func(tm sqlparse.TextMatch, env Env) (bool, error) {
-		called = true
-		return tm.Mode == sqlparse.MatchFuzzy, nil
+	calls := 0
+	ev := Evaluator{Text: func(tm sqlparse.TextMatch) (map[int64]bool, error) {
+		calls++
+		if tm.Mode != sqlparse.MatchFuzzy {
+			return nil, nil
+		}
+		return map[int64]bool{7: true}, nil
 	}}
-	x, _ := sqlparse.ParseExpr("FUZZY(name, 'drlls')")
-	v, err := ev.Eval(x, env(t))
-	if err != nil || !v.Truthy() || !called {
-		t.Errorf("TextMatch hook = %v, %v, called=%v", v, err, called)
+	// The row's identity reaches the hit set through its _rowid binding.
+	withID := func(id int64) *RowEnv {
+		e := env(t)
+		return NewRowEnv(append(e.Names, "p._rowid"), append(e.Values, value.NewInt(id)))
+	}
+	x, _ := sqlparse.ParseExpr("FUZZY(p.name, 'drlls')")
+	if v, err := ev.Eval(x, withID(7)); err != nil || !v.Truthy() {
+		t.Errorf("hit row = %v, %v", v, err)
+	}
+	if v, err := ev.Eval(x, withID(8)); err != nil || v.Truthy() {
+		t.Errorf("missed row = %v, %v", v, err)
+	}
+	if calls != 2 {
+		t.Errorf("hook called %d times, want 2", calls)
+	}
+	// A row without identity cannot be tested.
+	if _, err := ev.Eval(x, env(t)); !errors.Is(err, ErrUnknownColumn) {
+		t.Errorf("text predicate without _rowid = %v, want ErrUnknownColumn", err)
 	}
 	// Without a hook, text predicates error.
 	var plain Evaluator
-	if _, err := plain.Eval(x, env(t)); err == nil {
+	if _, err := plain.Eval(x, withID(7)); err == nil {
 		t.Error("TextMatch without hook should fail")
 	}
 }

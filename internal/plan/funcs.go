@@ -37,23 +37,16 @@ func ContainsAggregate(e sqlparse.Expr) bool {
 	return found
 }
 
-func (ev *Evaluator) evalCall(x sqlparse.Call, env Env) (value.Value, error) {
-	if aggregateNames[x.Name] {
-		return value.Null, fmt.Errorf("plan: aggregate %s outside GROUP BY context", x.Name)
+// callValues applies a scalar function to n arguments fetched on demand
+// (COALESCE stops at its first non-NULL argument).
+func (ev *Evaluator) callValues(name string, n int, arg func(i int) (value.Value, error)) (value.Value, error) {
+	if aggregateNames[name] {
+		return value.Null, fmt.Errorf("plan: aggregate %s outside GROUP BY context", name)
 	}
-	if ev.Funcs != nil {
-		if f, ok := ev.Funcs[x.Name]; ok {
-			args, err := ev.evalArgs(x.Args, env)
-			if err != nil {
-				return value.Null, err
-			}
-			return f(args)
-		}
-	}
-	switch x.Name {
-	case "COALESCE":
-		for _, a := range x.Args {
-			v, err := ev.Eval(a, env)
+	custom := ev.Funcs[name]
+	if custom == nil && name == "COALESCE" {
+		for i := 0; i < n; i++ {
+			v, err := arg(i)
 			if err != nil {
 				return value.Null, err
 			}
@@ -63,23 +56,18 @@ func (ev *Evaluator) evalCall(x sqlparse.Call, env Env) (value.Value, error) {
 		}
 		return value.Null, nil
 	}
-	args, err := ev.evalArgs(x.Args, env)
-	if err != nil {
-		return value.Null, err
-	}
-	return callBuiltin(x.Name, args)
-}
-
-func (ev *Evaluator) evalArgs(in []sqlparse.Expr, env Env) ([]value.Value, error) {
-	out := make([]value.Value, len(in))
-	for i, a := range in {
-		v, err := ev.Eval(a, env)
+	args := make([]value.Value, n)
+	for i := range args {
+		v, err := arg(i)
 		if err != nil {
-			return nil, err
+			return value.Null, err
 		}
-		out[i] = v
+		args[i] = v
 	}
-	return out, nil
+	if custom != nil {
+		return custom(args)
+	}
+	return callBuiltin(name, args)
 }
 
 func callBuiltin(name string, args []value.Value) (value.Value, error) {

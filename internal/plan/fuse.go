@@ -24,13 +24,14 @@ import (
 type FuseSpec struct {
 	// Where filters rows: only truthy evaluations pass (NULL drops the
 	// row, per SQL three-valued logic). nil keeps every row. Column
-	// refs resolve against Cols.
+	// refs resolve against Cols, once, when the stage is built; one that
+	// does not resolve fails the stream's first Next.
 	Where sqlparse.Expr
 	// Eval evaluates Where; nil uses a zero Evaluator (no text
 	// predicates, builtin scalar functions only).
 	Eval *Evaluator
 	// Cols names the upstream columns for WHERE resolution. nil uses
-	// inner.Columns(). Names are lowercased once at construction.
+	// inner.Columns().
 	Cols []string
 	// Project lists upstream column indexes to keep, in output order.
 	// nil keeps all columns. Projection happens after filtering, so
@@ -50,9 +51,8 @@ type FuseSpec struct {
 // the site shipped, RowsOut what survived the residual filter.
 type FusedStream struct {
 	inner   storage.RowStream
-	eval    *Evaluator
-	where   sqlparse.Expr
-	env     *RowEnv
+	where   Pred
+	bindErr error    // Where did not bind; reported by the first Next
 	cols    []string // output column names
 	project []int
 	skip    int
@@ -72,10 +72,6 @@ func FuseStream(inner storage.RowStream, spec FuseSpec) *FusedStream {
 	if cols == nil {
 		cols = inner.Columns()
 	}
-	var env *RowEnv
-	if spec.Where != nil {
-		env = NewRowEnv(cols, nil)
-	}
 	out := cols
 	if spec.Project != nil {
 		out = make([]string, len(spec.Project))
@@ -83,19 +79,23 @@ func FuseStream(inner storage.RowStream, spec FuseSpec) *FusedStream {
 			out[i] = cols[idx]
 		}
 	}
-	ev := spec.Eval
-	if ev == nil {
-		ev = &Evaluator{}
-	}
 	remain := spec.Limit
 	if remain < 0 {
 		remain = -1
 	}
-	return &FusedStream{
-		inner: inner, eval: ev, where: spec.Where, env: env,
-		cols: out, project: spec.Project,
+	f := &FusedStream{
+		inner: inner, cols: out, project: spec.Project,
 		skip: spec.Offset, remain: remain, stage: spec.Stage,
 	}
+	if spec.Where != nil {
+		ev := spec.Eval
+		if ev == nil {
+			ev = &Evaluator{}
+		}
+		// Upstream rows carry no identity, so the scope names no RowID.
+		f.where, f.bindErr = ev.BindPred(spec.Where, Scope{Names: lowerNames(cols)})
+	}
+	return f
 }
 
 // Columns implements storage.RowStream.
@@ -115,6 +115,11 @@ func (f *FusedStream) Next() (storage.Row, error) {
 	if f.done {
 		return nil, io.EOF
 	}
+	if f.bindErr != nil {
+		f.done = true
+		f.settle(f.bindErr)
+		return nil, f.bindErr
+	}
 	if f.remain == 0 {
 		f.done = true
 		f.settle(nil)
@@ -131,15 +136,13 @@ func (f *FusedStream) Next() (storage.Row, error) {
 		}
 		f.rowsIn.Add(1)
 		if f.where != nil {
-			f.env.Values = r
-			v, everr := f.eval.Eval(f.where, f.env)
-			f.env.Values = nil
+			ok, everr := f.where(r, 0)
 			if everr != nil {
 				f.done = true
 				f.settle(everr)
 				return nil, everr
 			}
-			if !v.Truthy() {
+			if !ok {
 				continue
 			}
 		}

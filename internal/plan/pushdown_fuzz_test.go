@@ -9,6 +9,27 @@ import (
 	"cohera/internal/value"
 )
 
+// fuzzExprSeeds is the expression corpus the semantic fuzz targets
+// (FuzzPushdownSplit, FuzzBoundEval) start from.
+var fuzzExprSeeds = []string{
+	// Mirrors of the parser fuzz seeds.
+	"a = 1",
+	"NOT a OR b AND c",
+	"price * (1 + tax) >= 100",
+	"x NOT BETWEEN 1 AND 2",
+	"name NOT LIKE '%x%' AND id NOT IN (1,2)",
+	"a IS NULL",
+	"- - -1",
+	// Parser fuzz crashers, carried over as split seeds.
+	"\"\"",
+	"0.0000001",
+	"x NOT IN (1, 2) AND y BETWEEN -1 AND 1e4",
+	"SYNONYM(name, 'black ink') OR price / 0 = 1",
+	// Split-specific shapes: mixed classes across conjuncts.
+	"a = 1 AND b < 2 AND c LIKE 'x%' AND d IS NOT NULL AND (e OR f)",
+	"a = b AND c = 3",
+}
+
 // FuzzPushdownSplit is the pushdown split's semantic oracle: for any
 // parseable WHERE expression and any capability set, the pushable half
 // ANDed with the residual must accept exactly the rows the original
@@ -18,25 +39,7 @@ import (
 // vice versa); rows where any of the three evaluations errors are
 // skipped — the equivalence claim is about rows all plans can judge.
 func FuzzPushdownSplit(f *testing.F) {
-	seeds := []string{
-		// Mirrors of the parser fuzz seeds.
-		"a = 1",
-		"NOT a OR b AND c",
-		"price * (1 + tax) >= 100",
-		"x NOT BETWEEN 1 AND 2",
-		"name NOT LIKE '%x%' AND id NOT IN (1,2)",
-		"a IS NULL",
-		"- - -1",
-		// Parser fuzz crashers, carried over as split seeds.
-		"\"\"",
-		"0.0000001",
-		"x NOT IN (1, 2) AND y BETWEEN -1 AND 1e4",
-		"SYNONYM(name, 'black ink') OR price / 0 = 1",
-		// Split-specific shapes: mixed classes across conjuncts.
-		"a = 1 AND b < 2 AND c LIKE 'x%' AND d IS NOT NULL AND (e OR f)",
-		"a = b AND c = 3",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzExprSeeds {
 		f.Add(s, int64(3), int64(-7), "x", "v0-3")
 	}
 	f.Fuzz(func(t *testing.T, src string, a, b int64, s1, s2 string) {

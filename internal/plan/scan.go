@@ -1,0 +1,205 @@
+package plan
+
+import (
+	"context"
+	"fmt"
+	"io"
+
+	"cohera/internal/sqlparse"
+	"cohera/internal/storage"
+	"cohera/internal/value"
+)
+
+// ScanSpec configures a TableScan. The zero value emits every stored
+// column of every row the cursor visits.
+type ScanSpec struct {
+	// Alias qualifies the table's columns (and _rowid) for Where and
+	// Project; empty leaves them bare.
+	Alias string
+	// Where keeps only rows it evaluates truthy for (NULL drops the row,
+	// per SQL three-valued logic). nil keeps every row.
+	Where sqlparse.Expr
+	// Keep, when non-nil, is a further row test applied before Where. It
+	// runs under the scan latch on the stored row: the latch rule of
+	// storage.Cursor.Next binds it.
+	Keep func(storage.Row) bool
+	// Project lists the output expressions; nil emits the stored columns.
+	Project []sqlparse.Expr
+	// Columns names the output columns. nil with a nil Project names the
+	// stored columns.
+	Columns []string
+	// Eval evaluates Where and Project; nil uses a zero Evaluator (no
+	// text predicates, builtin scalar functions only).
+	Eval *Evaluator
+	// Offset skips that many kept rows before emitting.
+	Offset int
+	// Limit caps emitted rows; negative means unlimited.
+	Limit int
+}
+
+// TableScan is the site-side scan kernel, the one loop behind every
+// single-table read a site serves. Opening it binds the predicate and
+// the output expressions to column slots; running it walks a
+// storage.Cursor a batch at a time, tests each stored row in place under
+// the batch's one read latch, and copies out only the survivors, and of
+// those only the projected columns. It sees the table as of its opening
+// (see storage.Cursor).
+type TableScan struct {
+	ctx    context.Context
+	done   <-chan struct{} // ctx.Done(), polled before every row and batch
+	cur    *storage.Cursor
+	cols   []string
+	where  Pred
+	keep   func(storage.Row) bool
+	slots  []int   // per output column: the stored column to copy, or -1
+	exprs  []Bound // per output column with slots[i] < 0: the expression
+	nstore int     // stored columns per row; slots[i] == nstore is the row id
+	skip   int
+	remain int // rows still allowed out; -1 unlimited
+	out    []storage.Row
+	pos    int
+	more   bool  // the cursor may hold further rows
+	err    error // evaluation error met in the current batch, after out
+	closed bool
+}
+
+// ScanTable opens the kernel over a cursor. Unknown or ambiguous column
+// references in Where or Project fail here, with ErrUnknownColumn /
+// ErrAmbiguousColumn, as does a text predicate the evaluator cannot
+// resolve — before any row is read. The stream honors ctx between
+// rows. The caller must Close the returned stream.
+func ScanTable(ctx context.Context, cur *storage.Cursor, spec ScanSpec) (*TableScan, error) {
+	def := cur.Table().Def()
+	sc := NewScope(def, spec.Alias)
+	ev := spec.Eval
+	if ev == nil {
+		ev = &Evaluator{}
+	}
+	s := &TableScan{
+		ctx: ctx, done: ctx.Done(), cur: cur, cols: spec.Columns, keep: spec.Keep,
+		nstore: len(def.Columns), skip: spec.Offset, remain: spec.Limit,
+		more: spec.Limit != 0,
+	}
+	if s.remain < 0 {
+		s.remain = -1
+	}
+	var err error
+	if spec.Where != nil {
+		if s.where, err = ev.BindPred(spec.Where, sc); err != nil {
+			return nil, err
+		}
+	}
+	if spec.Project == nil {
+		if s.cols == nil {
+			s.cols = def.ColumnNames()
+		}
+		s.slots = make([]int, len(def.Columns))
+		for i := range s.slots {
+			s.slots[i] = i
+		}
+		return s, nil
+	}
+	s.slots = make([]int, len(spec.Project))
+	for i, e := range spec.Project {
+		if ref, ok := e.(sqlparse.ColumnRef); ok {
+			if s.slots[i], err = resolveName(sc.Names, ref); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if s.exprs == nil {
+			s.exprs = make([]Bound, len(spec.Project))
+		}
+		s.slots[i] = -1
+		if s.exprs[i], err = ev.Bind(e, sc); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// Columns implements storage.RowStream.
+func (s *TableScan) Columns() []string { return s.cols }
+
+// Next implements storage.RowStream.
+func (s *TableScan) Next() (storage.Row, error) {
+	if s.closed {
+		return nil, storage.ErrStreamClosed
+	}
+	for {
+		select {
+		case <-s.done:
+			// Cause preserves a typed cancellation (an operator kill via
+			// obs.ActiveQueries reports obs.ErrQueryCanceled) where Err
+			// flattens everything to context.Canceled.
+			return nil, fmt.Errorf("plan: scan cancelled: %w", context.Cause(s.ctx))
+		default:
+		}
+		if s.pos < len(s.out) {
+			r := s.out[s.pos]
+			s.out[s.pos] = nil
+			s.pos++
+			return r, nil
+		}
+		if s.err != nil {
+			return nil, s.err
+		}
+		if !s.more {
+			return nil, io.EOF
+		}
+		s.fill()
+	}
+}
+
+// fill runs one batch of storage.DefaultBatchRows visited rows:
+// everything inside visit happens under the table's read latch.
+func (s *TableScan) fill() {
+	s.out, s.pos = s.out[:0], 0
+	s.more = s.cur.Next(storage.DefaultBatchRows, func(id int64, row storage.Row) bool {
+		if s.keep != nil && !s.keep(row) {
+			return true
+		}
+		if s.where != nil {
+			ok, err := s.where(row, id)
+			if err != nil {
+				s.err = err
+				return false
+			}
+			if !ok {
+				return true
+			}
+		}
+		if s.skip > 0 {
+			s.skip--
+			return true
+		}
+		out := make(storage.Row, len(s.slots))
+		for i, slot := range s.slots {
+			switch {
+			case slot == s.nstore:
+				out[i] = value.NewInt(id)
+			case slot >= 0:
+				out[i] = row[slot]
+			default:
+				v, err := s.exprs[i](row, id)
+				if err != nil {
+					s.err = err
+					return false
+				}
+				out[i] = v
+			}
+		}
+		s.out = append(s.out, out)
+		if s.remain > 0 {
+			s.remain--
+		}
+		return s.remain != 0
+	})
+}
+
+// Close implements storage.RowStream.
+func (s *TableScan) Close() error {
+	s.closed = true
+	s.out = nil
+	return nil
+}

@@ -1,0 +1,183 @@
+package plan
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"cohera/internal/schema"
+	"cohera/internal/sqlparse"
+	"cohera/internal/storage"
+	"cohera/internal/value"
+)
+
+// scanTable is a ten-row table: sku S0..S9, qty 0..9, note NULL on odd
+// rows.
+func scanTable(t *testing.T) *storage.Table {
+	t.Helper()
+	tbl := storage.NewTable(schema.MustTable("parts", []schema.Column{
+		{Name: "sku", Kind: value.KindString, NotNull: true},
+		{Name: "qty", Kind: value.KindInt},
+		{Name: "note", Kind: value.KindString},
+	}, "sku"))
+	for i := 0; i < 10; i++ {
+		note := value.Null
+		if i%2 == 0 {
+			note = value.NewString("even")
+		}
+		if _, err := tbl.Insert(storage.Row{value.NewString(fmt.Sprintf("S%d", i)), value.NewInt(int64(i)), note}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+func mustExpr(t *testing.T, src string) sqlparse.Expr {
+	t.Helper()
+	e, err := sqlparse.ParseExpr(src)
+	if err != nil {
+		t.Fatalf("ParseExpr(%q): %v", src, err)
+	}
+	return e
+}
+
+func scanRows(t *testing.T, tbl *storage.Table, spec ScanSpec) []storage.Row {
+	t.Helper()
+	st, err := ScanTable(context.Background(), tbl.Cursor(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := storage.CollectRows(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func TestTableScanFilterProjectLimit(t *testing.T) {
+	tbl := scanTable(t)
+	// Zero spec but for the limit: every stored column of every row.
+	if rows := scanRows(t, tbl, ScanSpec{Limit: -1}); len(rows) != 10 || len(rows[3]) != 3 || rows[3][1].Int() != 3 {
+		t.Fatalf("plain scan = %v", rows)
+	}
+	// NULL drops the row: note = 'even' is unknown on odd rows, and so
+	// is its negation.
+	if rows := scanRows(t, tbl, ScanSpec{Where: mustExpr(t, "NOT (note = 'even')"), Limit: -1}); len(rows) != 0 {
+		t.Fatalf("NOT over NULL kept %d rows", len(rows))
+	}
+	// Filter, computed and slot projections, the row id, offset, limit.
+	rows := scanRows(t, tbl, ScanSpec{
+		Alias: "p",
+		Where: mustExpr(t, "p.qty >= 2 AND note IS NOT NULL"),
+		Project: []sqlparse.Expr{
+			mustExpr(t, "sku"), mustExpr(t, "qty * 10"), mustExpr(t, "p._rowid"),
+		},
+		Columns: []string{"sku", "tens", "id"},
+		Offset:  1,
+		Limit:   2,
+	})
+	if got := fmt.Sprint(rows); got != "[[S4 40 5] [S6 60 7]]" {
+		t.Fatalf("rows = %s", got)
+	}
+	// Rows are the caller's: writing to one must not reach the table.
+	rows[0][0] = value.NewString("clobbered")
+	if r, _ := tbl.Get(5); r[0].Str() != "S4" {
+		t.Fatalf("stored row changed to %v through a scanned copy", r)
+	}
+}
+
+// TestTableScanBindsAtOpen: a reference that cannot be resolved fails
+// ScanTable, typed, whether or not any row would have reached it.
+func TestTableScanBindsAtOpen(t *testing.T) {
+	tbl := scanTable(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		spec ScanSpec
+		want error
+	}{
+		{"where", ScanSpec{Where: mustExpr(t, "qty < 0 AND nosuch = 1")}, ErrUnknownColumn},
+		{"project", ScanSpec{Project: []sqlparse.Expr{mustExpr(t, "nosuch")}}, ErrUnknownColumn},
+		{"project expr", ScanSpec{Project: []sqlparse.Expr{mustExpr(t, "qty + nosuch")}}, ErrUnknownColumn},
+		{"wrong alias", ScanSpec{Alias: "p", Where: mustExpr(t, "q.qty = 1")}, ErrUnknownColumn},
+	} {
+		if st, err := ScanTable(ctx, tbl.Cursor(), tc.spec); !errors.Is(err, tc.want) {
+			if err == nil {
+				st.Close()
+			}
+			t.Errorf("%s: open err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// A text predicate with no resolver is refused before any row is read.
+	if _, err := ScanTable(ctx, tbl.Cursor(), ScanSpec{Where: mustExpr(t, "MATCHES(note, 'even')")}); err == nil {
+		t.Error("text predicate bound without a resolver")
+	}
+	// Ambiguity needs two names with one column part.
+	ev := &Evaluator{}
+	if _, err := ev.Bind(mustExpr(t, "qty"), Scope{Names: []string{"a.qty", "b.qty"}}); !errors.Is(err, ErrAmbiguousColumn) {
+		t.Errorf("ambiguous bind err = %v", err)
+	}
+}
+
+// TestTableScanRowErrors: an error that depends on the row surfaces
+// after the rows before it, and only if the scan gets that far.
+func TestTableScanRowErrors(t *testing.T) {
+	tbl := scanTable(t)
+	spec := ScanSpec{Where: mustExpr(t, "10 / (qty - 3) < 100"), Limit: -1}
+	st, err := ScanTable(context.Background(), tbl.Cursor(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := storage.CollectRows(st)
+	if err == nil || len(rows) != 3 {
+		t.Fatalf("scan = %d rows, %v; want 3 rows then division by zero", len(rows), err)
+	}
+	spec.Limit = 3
+	if rows := scanRows(t, tbl, spec); len(rows) != 3 {
+		t.Fatalf("limited scan = %d rows", len(rows))
+	}
+}
+
+// TestTableScanStopsAtLimit counts the rows the kernel looks at.
+func TestTableScanStopsAtLimit(t *testing.T) {
+	tbl := scanTable(t)
+	visited := 0
+	spec := ScanSpec{Keep: func(storage.Row) bool { visited++; return true }, Limit: 2}
+	if rows := scanRows(t, tbl, spec); len(rows) != 2 || visited != 2 {
+		t.Fatalf("LIMIT 2 emitted %d rows after visiting %d", len(rows), visited)
+	}
+	spec.Limit = 0
+	if rows := scanRows(t, tbl, spec); len(rows) != 0 || visited != 2 {
+		t.Fatalf("LIMIT 0 emitted %d rows, visited %d more", len(rows), visited-2)
+	}
+}
+
+func TestTableScanCancel(t *testing.T) {
+	tbl := scanTable(t)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	st, err := ScanTable(ctx, tbl.Cursor(), ScanSpec{Limit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Next(); err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("operator kill")
+	cancel(cause)
+	if _, err := st.Next(); !errors.Is(err, cause) {
+		t.Fatalf("Next after cancel = %v, want the cancellation cause", err)
+	}
+}
+
+// TestFuseStreamBindError: FuseStream has no error return, so a WHERE
+// that does not bind fails the first Next.
+func TestFuseStreamBindError(t *testing.T) {
+	inner := storage.NewSliceStream([]string{"a"}, []storage.Row{{value.NewInt(1)}})
+	st := FuseStream(inner, FuseSpec{Where: mustExpr(t, "b = 1"), Limit: -1})
+	defer st.Close()
+	if _, err := st.Next(); !errors.Is(err, ErrUnknownColumn) {
+		t.Fatalf("Next = %v, want ErrUnknownColumn", err)
+	}
+}

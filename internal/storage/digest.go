@@ -54,7 +54,7 @@ func RowHash(row Row) uint64 {
 func (t *Table) Digest() TableDigest {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return TableDigest{Hash: t.digest, Rows: len(t.rows)}
+	return TableDigest{Hash: t.digest, Rows: len(t.rows) - t.dead}
 }
 
 // DigestFunc digests the subset of rows match accepts — the
@@ -66,7 +66,7 @@ func (t *Table) DigestFunc(match func(Row) bool) TableDigest {
 	defer t.mu.RUnlock()
 	var d TableDigest
 	for _, row := range t.rows {
-		if match(row) {
+		if row != nil && match(row) {
 			d.Hash ^= RowHash(row)
 			d.Rows++
 		}

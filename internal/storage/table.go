@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
-
 	"sync"
 
 	"cohera/internal/ir"
@@ -32,11 +30,20 @@ var ErrNoIndex = fmt.Errorf("storage: no index on column")
 
 // Table is a heap of rows with secondary indexes. All methods are safe for
 // concurrent use.
+//
+// The heap is ordered: ids[i] is the row id of rows[i] and ids ascend,
+// which costs nothing to maintain because ids are issued monotonically
+// and an insert appends. A delete leaves a nil tombstone in rows that
+// compaction squeezes out once tombstones outnumber live rows, so a scan
+// (see Cursor) neither collects nor sorts ids. Stored rows are immutable:
+// an update swaps in a new Row, it never writes into the old one.
 type Table struct {
 	def *schema.Table
 
 	mu      sync.RWMutex
-	rows    map[int64]Row
+	ids     []int64 // ascending; parallel to rows
+	rows    []Row   // nil = deleted, awaiting compaction
+	dead    int     // tombstones in rows
 	nextID  int64
 	pk      map[string]int64           // encoded key → row id (when schema has a key)
 	btrees  map[int]*BTree             // column ordinal → ordered index
@@ -51,7 +58,6 @@ type Table struct {
 func NewTable(def *schema.Table) *Table {
 	t := &Table{
 		def:    def,
-		rows:   make(map[int64]Row),
 		nextID: 1,
 		btrees: make(map[int]*BTree),
 		hashes: make(map[int]map[string][]int64),
@@ -83,7 +89,74 @@ func (t *Table) Version() uint64 {
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return len(t.rows) - t.dead
+}
+
+// posLocked returns the heap position of a live row id; the caller holds
+// t.mu. Until a compaction has squeezed out an earlier tombstone a row
+// sits exactly id-ids[0] places in; after one it can only have moved
+// left, so the guess also bounds the binary search.
+func (t *Table) posLocked(id int64) (int, bool) {
+	if len(t.ids) == 0 || id < t.ids[0] {
+		return 0, false
+	}
+	hi := len(t.ids) - 1
+	if guess := id - t.ids[0]; guess < int64(hi) {
+		hi = int(guess)
+	}
+	pos := hi
+	if t.ids[pos] != id {
+		pos = seekID(t.ids[:hi], id)
+		if pos == hi || t.ids[pos] != id {
+			return 0, false
+		}
+	}
+	return pos, t.rows[pos] != nil
+}
+
+// seekID returns the first position in ascending ids holding a value
+// >= id (len(ids) when none does).
+func seekID(ids []int64, id int64) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ids[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// appendLocked stores a new row at the heap's tail under a fresh id.
+func (t *Table) appendLocked(stored Row) int64 {
+	id := t.nextID
+	t.nextID++
+	t.ids = append(t.ids, id)
+	t.rows = append(t.rows, stored)
+	t.indexRowLocked(id, stored)
+	t.version++
+	return id
+}
+
+// minCompact keeps small tables from compacting on every other delete.
+const minCompact = 64
+
+// compactLocked squeezes tombstones out of the heap in place. Safe
+// against open cursors: they hold no position, only the last id seen.
+func (t *Table) compactLocked() {
+	n := 0
+	for i, row := range t.rows {
+		if row != nil {
+			t.ids[n], t.rows[n] = t.ids[i], row
+			n++
+		}
+	}
+	for i := n; i < len(t.rows); i++ {
+		t.rows[i] = nil
+	}
+	t.ids, t.rows, t.dead = t.ids[:n], t.rows[:n], 0
 }
 
 // CreateIndex builds an ordered (B+tree) index on the named column,
@@ -99,9 +172,9 @@ func (t *Table) CreateIndex(column string) error {
 		return nil
 	}
 	bt := NewBTree()
-	for id, row := range t.rows {
-		if !row[ci].IsNull() {
-			bt.Insert(row[ci], id)
+	for i, row := range t.rows {
+		if row != nil && !row[ci].IsNull() {
+			bt.Insert(row[ci], t.ids[i])
 		}
 	}
 	t.btrees[ci] = bt
@@ -120,10 +193,10 @@ func (t *Table) CreateHashIndex(column string) error {
 		return nil
 	}
 	h := make(map[string][]int64)
-	for id, row := range t.rows {
-		if !row[ci].IsNull() {
+	for i, row := range t.rows {
+		if row != nil && !row[ci].IsNull() {
 			k := encodeValue(row[ci])
-			h[k] = append(h[k], id)
+			h[k] = append(h[k], t.ids[i])
 		}
 	}
 	t.hashes[ci] = h
@@ -166,14 +239,9 @@ func (t *Table) Insert(row Row) (int64, error) {
 		if _, exists := t.pk[k]; exists {
 			return 0, fmt.Errorf("%w: table %q key %v", ErrDuplicateKey, t.def.Name, k)
 		}
-		defer func() { t.pk[k] = t.nextID - 1 }()
+		t.pk[k] = t.nextID
 	}
-	id := t.nextID
-	t.nextID++
-	t.rows[id] = stored
-	t.indexRowLocked(id, stored)
-	t.version++
-	return id, nil
+	return t.appendLocked(stored), nil
 }
 
 // Upsert inserts the row or, when the primary key already exists, replaces
@@ -188,21 +256,16 @@ func (t *Table) Upsert(row Row) (int64, error) {
 	if t.pk != nil {
 		k := t.encodeKey(stored)
 		if id, exists := t.pk[k]; exists {
-			old := t.rows[id]
-			t.unindexRowLocked(id, old)
-			t.rows[id] = stored
+			pos, _ := t.posLocked(id)
+			t.unindexRowLocked(id, t.rows[pos])
+			t.rows[pos] = stored
 			t.indexRowLocked(id, stored)
 			t.version++
 			return id, nil
 		}
 		t.pk[k] = t.nextID
 	}
-	id := t.nextID
-	t.nextID++
-	t.rows[id] = stored
-	t.indexRowLocked(id, stored)
-	t.version++
-	return id, nil
+	return t.appendLocked(stored), nil
 }
 
 // indexRowLocked maintains the secondary indexes and the content
@@ -264,7 +327,7 @@ func (t *Table) unindexRowLocked(id int64, row Row) {
 func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows = make(map[int64]Row)
+	t.ids, t.rows, t.dead = nil, nil, 0
 	if t.pk != nil {
 		t.pk = make(map[string]int64)
 	}
@@ -286,11 +349,11 @@ func (t *Table) Truncate() {
 func (t *Table) Get(id int64) (Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := t.rows[id]
+	pos, ok := t.posLocked(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoRow, id)
 	}
-	return row.Clone(), nil
+	return t.rows[pos].Clone(), nil
 }
 
 // Update replaces the row with the given id after validation.
@@ -301,10 +364,11 @@ func (t *Table) Update(id int64, row Row) error {
 	stored := row.Clone()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.rows[id]
+	pos, ok := t.posLocked(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoRow, id)
 	}
+	old := t.rows[pos]
 	if t.pk != nil {
 		oldK, newK := t.encodeKey(old), t.encodeKey(stored)
 		if oldK != newK {
@@ -316,7 +380,7 @@ func (t *Table) Update(id int64, row Row) error {
 		}
 	}
 	t.unindexRowLocked(id, old)
-	t.rows[id] = stored
+	t.rows[pos] = stored
 	t.indexRowLocked(id, stored)
 	t.version++
 	return nil
@@ -326,59 +390,44 @@ func (t *Table) Update(id int64, row Row) error {
 func (t *Table) Delete(id int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row, ok := t.rows[id]
+	pos, ok := t.posLocked(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoRow, id)
 	}
+	row := t.rows[pos]
 	if t.pk != nil {
 		delete(t.pk, t.encodeKey(row))
 	}
 	t.unindexRowLocked(id, row)
-	delete(t.rows, id)
+	t.rows[pos] = nil
+	t.dead++
+	if t.dead >= minCompact && t.dead > len(t.rows)/2 {
+		t.compactLocked()
+	}
 	t.version++
 	return nil
 }
 
-// Scan visits every row (copy) in unspecified order. The visitor returns
-// false to stop early.
+// Scan visits a copy of every row in ascending id order; rows inserted
+// after the call began are not visited. The visitor returns false to
+// stop early, and — since it runs outside the latch, on copies — may
+// call back into the table.
 func (t *Table) Scan(visit func(id int64, row Row) bool) {
-	t.mu.RLock()
-	ids := make([]int64, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		t.mu.RLock()
-		row, ok := t.rows[id]
-		var c Row
-		if ok {
-			c = row.Clone()
-		}
-		t.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if !visit(id, c) {
-			return
+	c := t.Cursor()
+	ids := make([]int64, 0, DefaultBatchRows)
+	rows := make([]Row, 0, DefaultBatchRows)
+	for more := true; more; {
+		ids, rows = ids[:0], rows[:0]
+		more = c.Next(DefaultBatchRows, func(id int64, row Row) bool {
+			ids, rows = append(ids, id), append(rows, row.Clone())
+			return true
+		})
+		for i, row := range rows {
+			if !visit(ids[i], row) {
+				return
+			}
 		}
 	}
-}
-
-// IDs returns a snapshot of every row id, sorted ascending. Streaming
-// scans iterate the snapshot and fetch rows lazily, so a stream holds
-// O(ids) int64s instead of O(rows) materialized tuples; rows deleted
-// after the snapshot are skipped at fetch time.
-func (t *Table) IDs() []int64 {
-	t.mu.RLock()
-	ids := make([]int64, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // LookupEqual returns ids of rows whose column equals v, using the hash or
@@ -469,5 +518,6 @@ func (t *Table) GetByKey(key ...value.Value) (int64, Row, error) {
 	if !ok {
 		return 0, nil, fmt.Errorf("%w: key %v", ErrNoRow, key)
 	}
-	return id, t.rows[id].Clone(), nil
+	pos, _ := t.posLocked(id)
+	return id, t.rows[pos].Clone(), nil
 }

@@ -67,46 +67,13 @@ func (s *ERPSource) Capabilities() Capabilities {
 	return Capabilities{PushdownEq: s.pushEq, Push: plan.FullPushCaps(), Volatile: true}
 }
 
-// Fetch implements Source: pushed equality filters use the table's
-// indexes when present; remaining filters apply locally.
+// Fetch implements Source: FetchStream, drained.
 func (s *ERPSource) Fetch(ctx context.Context, filters []Filter) ([]storage.Row, error) {
-	s.mu.Lock()
-	s.fetches++
-	latency := s.latency
-	s.mu.Unlock()
-	if latency > 0 {
-		select {
-		case <-time.After(latency):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	st, err := s.FetchStream(ctx, filters)
+	if err != nil {
+		return nil, err
 	}
-	caps := s.Capabilities()
-	var pushed *Filter
-	for i := range filters {
-		if caps.CanPush(filters[i].Column) {
-			pushed = &filters[i]
-			break
-		}
-	}
-	var rows []storage.Row
-	if pushed != nil && s.table.HasIndex(pushed.Column) {
-		ids, err := s.table.LookupEqual(pushed.Column, pushed.Value)
-		if err != nil {
-			return nil, fmt.Errorf("wrapper: erp %s: %w", s.name, err)
-		}
-		for _, id := range ids {
-			if r, err := s.table.Get(id); err == nil {
-				rows = append(rows, r)
-			}
-		}
-	} else {
-		s.table.Scan(func(_ int64, r storage.Row) bool {
-			rows = append(rows, r)
-			return true
-		})
-	}
-	return applyFilters(s.table.Def(), rows, filters), nil
+	return storage.CollectRows(st)
 }
 
 // StaticSource serves a fixed row set — the degenerate connector used for

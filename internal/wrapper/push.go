@@ -7,7 +7,6 @@ import (
 
 	"cohera/internal/obs"
 	"cohera/internal/plan"
-	"cohera/internal/schema"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 )
@@ -69,48 +68,59 @@ func OpenPushStream(ctx context.Context, src Source, filters []Filter, push Push
 	return st, Applied{}, err
 }
 
-// projectIndexes maps requested column names to schema indexes.
-func projectIndexes(def *schema.Table, cols []string) ([]int, error) {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		ci := def.ColumnIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("wrapper: pushed projection column %q not in schema %q", c, def.Name)
-		}
-		idx[i] = ci
-	}
-	return idx, nil
-}
-
 // FetchPushStream implements PushStreamingSource: the gateway stands in
-// for a full remote engine, so it evaluates the pushed predicate,
-// projection, and limit at its own scan — rows failing the pushed WHERE
-// never leave the source.
+// for a full remote engine, so the pushed predicate, projection and
+// limit all run inside its scan (plan.TableScan) — a row failing the
+// pushed WHERE is never copied, let alone shipped. A pushed column the
+// table lacks fails the open. The first pushable equality filter picks
+// the rows through an index when its column has one; every filter is
+// then checked per row, as in Fetch.
 func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
-	inner, err := s.FetchStream(ctx, filters)
-	if err != nil {
-		return nil, Applied{}, err
-	}
-	if push.Empty() {
-		return inner, Applied{}, nil
-	}
-	spec := plan.FuseSpec{Where: push.Where, Limit: -1}
-	applied := Applied{Where: push.Where != nil}
-	if push.Cols != nil {
-		idx, err := projectIndexes(s.table.Def(), push.Cols)
-		if err != nil {
-			//lint:ignore errdrop the projection already failed; close is best-effort cleanup
-			_ = inner.Close()
-			return nil, Applied{}, err
+	s.mu.Lock()
+	s.fetches++
+	latency := s.latency
+	s.mu.Unlock()
+	if latency > 0 {
+		select {
+		case <-time.After(latency):
+		case <-ctx.Done():
+			return nil, Applied{}, ctx.Err()
 		}
-		spec.Project = idx
-		applied.Cols = true
+	}
+	def := s.table.Def()
+	var cur *storage.Cursor
+	caps := s.Capabilities()
+	for _, f := range filters {
+		if !caps.CanPush(f.Column) {
+			continue
+		}
+		if s.table.HasIndex(f.Column) {
+			ids, err := s.table.LookupEqual(f.Column, f.Value)
+			if err != nil {
+				return nil, Applied{}, fmt.Errorf("wrapper: erp %s: %w", s.name, err)
+			}
+			cur = s.table.CursorOver(ids)
+		}
+		break
+	}
+	if cur == nil {
+		cur = s.table.Cursor()
+	}
+	spec := plan.ScanSpec{Where: push.Where, Columns: push.Cols, Limit: -1}
+	if len(filters) > 0 {
+		spec.Keep = func(r storage.Row) bool { return matchesFilters(def, r, filters) }
+	}
+	for _, c := range push.Cols {
+		spec.Project = append(spec.Project, sqlparse.ColumnRef{Column: c})
 	}
 	if push.Limit > 0 {
 		spec.Limit = push.Limit
-		applied.Limit = true
 	}
-	return plan.FuseStream(inner, spec), applied, nil
+	scan, err := plan.ScanTable(ctx, cur, spec)
+	if err != nil {
+		return nil, Applied{}, fmt.Errorf("wrapper: erp %s: %w", s.name, err)
+	}
+	return scan, Applied{Where: push.Where != nil, Cols: push.Cols != nil, Limit: push.Limit > 0}, nil
 }
 
 // FetchPushStream implements PushStreamingSource for the instrumented

@@ -109,21 +109,25 @@ func applyFilters(def *schema.Table, rows []storage.Row, filters []Filter) []sto
 	}
 	out := rows[:0]
 	for _, r := range rows {
-		keep := true
-		for _, f := range filters {
-			ci := def.ColumnIndex(f.Column)
-			if ci < 0 {
-				continue
-			}
-			c, err := r[ci].Compare(f.Value)
-			if err != nil || c != 0 {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		if matchesFilters(def, r, filters) {
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// matchesFilters reports whether a row passes every equality filter;
+// filters on columns the schema lacks are ignored.
+func matchesFilters(def *schema.Table, r storage.Row, filters []Filter) bool {
+	for _, f := range filters {
+		ci := def.ColumnIndex(f.Column)
+		if ci < 0 {
+			continue
+		}
+		c, err := r[ci].Compare(f.Value)
+		if err != nil || c != 0 {
+			return false
+		}
+	}
+	return true
 }

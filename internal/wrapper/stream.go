@@ -2,9 +2,6 @@ package wrapper
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"time"
 
 	"cohera/internal/schema"
 	"cohera/internal/storage"
@@ -46,104 +43,11 @@ func ColumnNames(def *schema.Table) []string {
 	return out
 }
 
-// matchesFilters is the per-row form of applyFilters, for streaming
-// paths that never hold a row slice.
-func matchesFilters(def *schema.Table, r storage.Row, filters []Filter) bool {
-	for _, f := range filters {
-		ci := def.ColumnIndex(f.Column)
-		if ci < 0 {
-			continue
-		}
-		c, err := r[ci].Compare(f.Value)
-		if err != nil || c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// FetchStream implements StreamingSource: the gateway walks an id
-// snapshot and fetches rows lazily, so a slow or LIMIT-terminated
-// consumer never forces the whole table into memory. Pushed equality
-// filters use the table's indexes exactly like Fetch.
+// FetchStream implements StreamingSource: the gateway runs the scan
+// kernel over its live table, so a slow or LIMIT-terminated consumer
+// never forces the whole table into memory. Pushed equality filters use
+// the table's indexes exactly like Fetch.
 func (s *ERPSource) FetchStream(ctx context.Context, filters []Filter) (storage.RowStream, error) {
-	s.mu.Lock()
-	s.fetches++
-	latency := s.latency
-	s.mu.Unlock()
-	if latency > 0 {
-		select {
-		case <-time.After(latency):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	caps := s.Capabilities()
-	var pushed *Filter
-	for i := range filters {
-		if caps.CanPush(filters[i].Column) {
-			pushed = &filters[i]
-			break
-		}
-	}
-	var ids []int64
-	if pushed != nil && s.table.HasIndex(pushed.Column) {
-		var err error
-		ids, err = s.table.LookupEqual(pushed.Column, pushed.Value)
-		if err != nil {
-			return nil, fmt.Errorf("wrapper: erp %s: %w", s.name, err)
-		}
-	} else {
-		ids = s.table.IDs()
-	}
-	return &tableStream{
-		ctx: ctx, table: s.table, def: s.table.Def(),
-		cols: ColumnNames(s.table.Def()), filters: filters, ids: ids,
-	}, nil
-}
-
-// tableStream iterates a storage.Table lazily over an id snapshot,
-// applying equality filters row by row.
-type tableStream struct {
-	ctx     context.Context
-	table   *storage.Table
-	def     *schema.Table
-	cols    []string
-	filters []Filter
-	ids     []int64
-	pos     int
-	closed  bool
-}
-
-// Columns implements storage.RowStream.
-func (s *tableStream) Columns() []string { return s.cols }
-
-// Next implements storage.RowStream.
-func (s *tableStream) Next() (storage.Row, error) {
-	if s.closed {
-		return nil, storage.ErrStreamClosed
-	}
-	for s.pos < len(s.ids) {
-		if err := s.ctx.Err(); err != nil {
-			return nil, err
-		}
-		id := s.ids[s.pos]
-		s.pos++
-		r, err := s.table.Get(id)
-		if err != nil {
-			continue // deleted since the snapshot
-		}
-		if !matchesFilters(s.def, r, s.filters) {
-			continue
-		}
-		return r, nil
-	}
-	return nil, io.EOF
-}
-
-// Close implements storage.RowStream.
-func (s *tableStream) Close() error {
-	s.closed = true
-	s.ids = nil
-	return nil
+	st, _, err := s.FetchPushStream(ctx, filters, Pushdown{})
+	return st, err
 }

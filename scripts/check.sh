@@ -31,9 +31,14 @@
 #                                admitted p99 in SLO, no tenant
 #                                starved, shed-free recovery
 #   6. go test -race ./...       full tests under the race detector
+#   6b. benchmark module         benchmark/ is a module of its own that
+#                                compiles against internal/...; the root
+#                                ./... does not reach it, so vet it and
+#                                run its -quick self-test here
 #   7. go test -fuzz ... 10s     fuzz smoke: parser, NDJSON stream
-#                                decoder, WAL replay, and the pushdown
-#                                split oracle each survive a short run
+#                                decoder, WAL replay, the pushdown split
+#                                oracle and the bound-vs-Eval oracle each
+#                                survive a short run
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -65,11 +70,15 @@ go run ./cmd/coherachaos -overload -seed 42
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> benchmark module (go vet + go test)"
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "==> fuzz smoke (10s per target)"
 go test -fuzz 'FuzzParse$' -fuzztime 10s ./internal/sqlparse/
 go test -fuzz FuzzParseExpr -fuzztime 10s ./internal/sqlparse/
 go test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/remote/
 go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
+go test -fuzz FuzzBoundEval -fuzztime 10s ./internal/plan/
 
 echo "check: all gates passed"
