@@ -128,12 +128,12 @@ func (f *Federation) ExecTraced(ctx context.Context, sql string) (*exec.Result, 
 		return nil, dr, trace, err
 	case sqlparse.UpdateStmt:
 		dr, trace, err := f.tracedDML(ctx, "update", s.Table, sql, func(ctx context.Context, trace *QueryTrace) (*DMLResult, error) {
-			return f.execWhereDML(ctx, s.Table, s.Where, s.String(), trace)
+			return f.execWhereDML(ctx, s.Table, s.Where, s, trace)
 		})
 		return nil, dr, trace, err
 	case sqlparse.DeleteStmt:
 		dr, trace, err := f.tracedDML(ctx, "delete", s.Table, sql, func(ctx context.Context, trace *QueryTrace) (*DMLResult, error) {
-			return f.execWhereDML(ctx, s.Table, s.Where, s.String(), trace)
+			return f.execWhereDML(ctx, s.Table, s.Where, s, trace)
 		})
 		return nil, dr, trace, err
 	default:
@@ -364,7 +364,7 @@ type siteWhereOutcome struct {
 // predicate-less fragments co-hosted at one site split an arbitrary
 // residual (the first gets it), and an UPDATE that rewrites a routing
 // column is censused under the pre-image predicate.
-func (f *Federation) execWhereDML(ctx context.Context, table string, where sqlparse.Expr, sql string, trace *QueryTrace) (*DMLResult, error) {
+func (f *Federation) execWhereDML(ctx context.Context, table string, where sqlparse.Expr, stmt sqlparse.Statement, trace *QueryTrace) (*DMLResult, error) {
 	gt, err := f.Table(table)
 	if err != nil {
 		return nil, err
@@ -398,7 +398,7 @@ func (f *Federation) execWhereDML(ctx context.Context, table string, where sqlpa
 		}
 	}
 
-	stmtID := f.nextStmtID()
+	stmtID, sql := f.nextStmtID(), stmt.String()
 	done := make(map[*Site]*siteWhereOutcome)
 	type fragState struct {
 		accepted int
@@ -416,7 +416,7 @@ func (f *Federation) execWhereDML(ctx context.Context, table string, where sqlpa
 		for _, site := range frag.Replicas() {
 			o, seen := done[site]
 			if !seen {
-				o = f.execWhereAtSite(ctx, site, gt.Def, frag, stmtID, sql, push, hostCount[site], hostTargeted[site])
+				o = f.execWhereAtSite(ctx, site, gt.Def, frag, stmtID, stmt, sql, push, hostCount[site], hostTargeted[site])
 				done[site] = o
 			}
 			switch o.out {
@@ -519,12 +519,14 @@ func indexOfFragment(frags []*Fragment, want *Fragment) int {
 }
 
 // execWhereAtSite runs one site's share of a searched UPDATE/DELETE
-// through the journal gate. The intent (one per site per statement) is
-// journaled under the site's first targeted fragment's log; replay
-// re-executes the SQL against the whole local table, which is exactly
-// the direct path's effect.
+// through the journal gate. The direct path executes the coordinator's
+// parsed statement, so a statement is parsed once however many replicas
+// it reaches. The intent (one per site per statement) keeps its SQL
+// text, sql, under the site's first targeted fragment's log; replay
+// re-parses and re-executes it against the whole local table, which is
+// exactly the direct path's effect.
 func (f *Federation) execWhereAtSite(ctx context.Context, site *Site, def *schema.Table, frag *Fragment,
-	stmtID, sql string, push sqlparse.Expr, hostCount int, hosted []*Fragment) *siteWhereOutcome {
+	stmtID string, stmt sqlparse.Statement, sql string, push sqlparse.Expr, hostCount int, hosted []*Fragment) *siteWhereOutcome {
 	o := &siteWhereOutcome{}
 	grp := f.journal.Group(site.Name(), def.Name)
 	it := journal.Intent{
@@ -557,7 +559,7 @@ func (f *Federation) execWhereAtSite(ctx context.Context, site *Site, def *schem
 					o.pre[hf.ID] = n
 				}
 			}
-			res, xerr := site.DB().Exec(sql)
+			res, xerr := site.DB().ExecStmt(stmt)
 			if xerr != nil {
 				if errors.Is(xerr, schema.ErrNoTable) {
 					o.noTable = true

@@ -111,11 +111,16 @@ func JaccardNGrams(a, b string, n int) float64 {
 // FuzzyMatcher finds vocabulary terms approximately matching a query term.
 // It maintains a trigram index over the vocabulary for candidate
 // generation, then ranks candidates by edit similarity.
+//
+// A removed term keeps its id and trigram entries but is marked dead, so
+// Lookup never returns it and adding it again only revives the mark.
 type FuzzyMatcher struct {
 	gramN  int
 	grams  map[string][]int // gram → term ids
 	vocab  []string
-	inSet  map[string]bool
+	live   []bool         // parallel to vocab
+	ids    map[string]int // term → id
+	nLive  int
 	minSim float64
 }
 
@@ -125,7 +130,7 @@ func NewFuzzyMatcher(minSim float64) *FuzzyMatcher {
 	return &FuzzyMatcher{
 		gramN:  3,
 		grams:  make(map[string][]int),
-		inSet:  make(map[string]bool),
+		ids:    make(map[string]int),
 		minSim: minSim,
 	}
 }
@@ -133,19 +138,34 @@ func NewFuzzyMatcher(minSim float64) *FuzzyMatcher {
 // Add inserts a vocabulary term. Duplicates are ignored.
 func (m *FuzzyMatcher) Add(term string) {
 	term = strings.ToLower(term)
-	if m.inSet[term] {
+	if id, ok := m.ids[term]; ok {
+		if !m.live[id] {
+			m.live[id] = true
+			m.nLive++
+		}
 		return
 	}
-	m.inSet[term] = true
 	id := len(m.vocab)
+	m.ids[term] = id
 	m.vocab = append(m.vocab, term)
+	m.live = append(m.live, true)
+	m.nLive++
 	for _, g := range NGrams(term, m.gramN) {
 		m.grams[g] = append(m.grams[g], id)
 	}
 }
 
-// Len returns the vocabulary size.
-func (m *FuzzyMatcher) Len() int { return len(m.vocab) }
+// Remove takes a term out of the vocabulary; Lookup no longer returns
+// it. Removing an unknown or already removed term is a no-op.
+func (m *FuzzyMatcher) Remove(term string) {
+	if id, ok := m.ids[strings.ToLower(term)]; ok && m.live[id] {
+		m.live[id] = false
+		m.nLive--
+	}
+}
+
+// Len returns the vocabulary size: the terms added and not removed.
+func (m *FuzzyMatcher) Len() int { return m.nLive }
 
 // Match holds one fuzzy match and its similarity score.
 type Match struct {
@@ -165,11 +185,11 @@ func (m *FuzzyMatcher) Lookup(q string, limit int) []Match {
 	}
 	var out []Match
 	for id, shared := range counts {
-		term := m.vocab[id]
 		// Cheap lower bound: too few shared grams cannot clear minSim.
-		if shared < 1 {
+		if shared < 1 || !m.live[id] {
 			continue
 		}
+		term := m.vocab[id]
 		sim := EditSimilarity(q, term)
 		if sim >= m.minSim {
 			out = append(out, Match{Term: term, Score: sim})

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -37,59 +39,72 @@ func NewIndex() *Index {
 	}
 }
 
-// Add indexes the text under docID. Adding an existing docID first removes
-// the previous content (upsert semantics).
+// Add indexes the text under docID, which must not be indexed already:
+// to replace a document, Remove it first. The index keeps no forward
+// doc → terms map, so it could not undo the old content itself.
 func (ix *Index) Add(docID int64, text string) {
 	terms := Terms(text)
+	slices.Sort(terms) // equal terms become runs: their length is the TF
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, ok := ix.docLen[docID]; ok {
-		ix.removeLocked(docID)
+		panic(fmt.Sprintf("ir: Add of doc %d, which is already indexed", docID))
 	}
 	if len(terms) == 0 {
 		return
 	}
-	tf := make(map[string]int, len(terms))
-	for _, t := range terms {
-		tf[t]++
-	}
-	for t, n := range tf {
-		ix.postings[t] = insertPosting(ix.postings[t], Posting{DocID: docID, TF: n})
-		ix.fuzzy.Add(t)
+	for i := 0; i < len(terms); {
+		j := i + 1
+		for j < len(terms) && terms[j] == terms[i] {
+			j++
+		}
+		t := terms[i]
+		ps := ix.postings[t]
+		if len(ps) == 0 {
+			ix.fuzzy.Add(t)
+		}
+		ix.postings[t] = insertPosting(ps, Posting{DocID: docID, TF: j - i})
+		i = j
 	}
 	ix.docLen[docID] = len(terms)
 }
 
-// Remove deletes a document from the index. Removing an unknown docID is a
-// no-op.
-func (ix *Index) Remove(docID int64) {
+// Remove deletes a document from the index. text must be what Add
+// indexed under docID: the document is taken out of those terms'
+// postings only, so the cost is the document's terms, not the
+// vocabulary. Removing an unknown docID is a no-op.
+func (ix *Index) Remove(docID int64, text string) {
+	terms := Terms(text)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(docID)
-}
-
-func (ix *Index) removeLocked(docID int64) {
 	if _, ok := ix.docLen[docID]; !ok {
 		return
 	}
-	for t, ps := range ix.postings {
-		i := sort.Search(len(ps), func(i int) bool { return ps[i].DocID >= docID })
-		if i < len(ps) && ps[i].DocID == docID {
-			ix.postings[t] = append(ps[:i], ps[i+1:]...)
-			if len(ix.postings[t]) == 0 {
-				delete(ix.postings, t)
-			}
+	for _, t := range terms {
+		ps := ix.postings[t]
+		i := searchPostings(ps, docID)
+		if i == len(ps) || ps[i].DocID != docID {
+			continue // a repeated term, already removed
 		}
+		if len(ps) == 1 {
+			delete(ix.postings, t)
+			ix.fuzzy.Remove(t)
+			continue
+		}
+		ix.postings[t] = append(ps[:i], ps[i+1:]...)
 	}
 	delete(ix.docLen, docID)
 }
 
+// searchPostings returns the first position in ps holding a DocID >=
+// docID (len(ps) when none does).
+func searchPostings(ps []Posting, docID int64) int {
+	return sort.Search(len(ps), func(i int) bool { return ps[i].DocID >= docID })
+}
+
+// insertPosting adds a posting for a document ps does not hold yet.
 func insertPosting(ps []Posting, p Posting) []Posting {
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].DocID >= p.DocID })
-	if i < len(ps) && ps[i].DocID == p.DocID {
-		ps[i] = p
-		return ps
-	}
+	i := searchPostings(ps, p.DocID)
 	ps = append(ps, Posting{})
 	copy(ps[i+1:], ps[i:])
 	ps[i] = p
@@ -204,7 +219,7 @@ func (ix *Index) Contains(docID int64, query string) bool {
 	defer ix.mu.RUnlock()
 	for _, t := range Terms(query) {
 		ps := ix.postings[t]
-		i := sort.Search(len(ps), func(i int) bool { return ps[i].DocID >= docID })
+		i := searchPostings(ps, docID)
 		if i >= len(ps) || ps[i].DocID != docID {
 			return false
 		}

@@ -252,20 +252,68 @@ func TestIndexSynonymSearch(t *testing.T) {
 func TestIndexUpsertRemove(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(1, "drill")
-	ix.Add(1, "ink") // upsert replaces
+	// Replacing a document is Remove of the indexed text, then Add.
+	ix.Remove(1, "drill")
+	ix.Add(1, "ink")
 	if hits := ix.Search("drill", SearchOptions{}); len(hits) != 0 {
-		t.Errorf("stale postings after upsert: %v", hits)
+		t.Errorf("stale postings after replace: %v", hits)
 	}
 	if hits := ix.Search("ink", SearchOptions{}); len(hits) != 1 {
-		t.Errorf("upserted content missing: %v", hits)
+		t.Errorf("replacing content missing: %v", hits)
 	}
-	ix.Remove(1)
-	if ix.DocCount() != 0 {
-		t.Errorf("DocCount after remove = %d", ix.DocCount())
+	if ix.VocabSize() != 1 {
+		t.Errorf("VocabSize after replace = %d, want 1", ix.VocabSize())
 	}
-	ix.Remove(99) // no-op
+	ix.Remove(1, "ink")
+	if ix.DocCount() != 0 || ix.VocabSize() != 0 {
+		t.Errorf("DocCount, VocabSize after remove = %d, %d", ix.DocCount(), ix.VocabSize())
+	}
+	ix.Remove(99, "ink") // unknown doc: no-op
 	if hits := ix.Search("ink", SearchOptions{}); len(hits) != 0 {
 		t.Errorf("search after remove = %v", hits)
+	}
+	// A repeated term is removed once; the doc's other terms survive in
+	// other docs.
+	ix.Add(2, "ink ink pen")
+	ix.Add(3, "pen")
+	ix.Remove(2, "ink ink pen")
+	if hits := ix.Search("pen", SearchOptions{}); len(hits) != 1 || hits[0].DocID != 3 {
+		t.Errorf("search(pen) after removing doc 2 = %v, want doc 3", hits)
+	}
+	// Adding a doc that is still indexed is a caller bug, not an upsert.
+	defer func() {
+		if recover() == nil {
+			t.Error("Add of an indexed doc should panic")
+		}
+	}()
+	ix.Add(3, "drill")
+}
+
+// A typo whose five nearest vocabulary terms have all been deleted must
+// still reach the live sixth: fuzzy expansion considers only terms that
+// still have postings.
+func TestFuzzySkipsDeadVocabulary(t *testing.T) {
+	ix := NewIndex()
+	dead := []string{"drilla", "drillb", "drillc", "drilld", "drille"}
+	for i, term := range dead {
+		ix.Add(int64(i+1), term)
+	}
+	ix.Add(99, "drillzz")
+	for i, term := range dead {
+		ix.Remove(int64(i+1), term)
+	}
+	// "drillx" is one edit from each dead term and two from the live one.
+	hits := ix.Search("drillx", SearchOptions{Fuzzy: true})
+	if len(hits) != 1 || hits[0].DocID != 99 {
+		t.Errorf("fuzzy search after deletes = %v, want doc 99", hits)
+	}
+	if ix.fuzzy.Len() != 1 {
+		t.Errorf("fuzzy vocabulary = %d live terms, want 1", ix.fuzzy.Len())
+	}
+	// A deleted term that comes back is found again.
+	ix.Add(1, dead[0])
+	if hits := ix.Search("drillx", SearchOptions{Fuzzy: true}); len(hits) != 2 || hits[0].DocID != 1 {
+		t.Errorf("fuzzy search after revival = %v, want doc 1 then 99", hits)
 	}
 }
 
@@ -303,16 +351,18 @@ func TestIndexLivenessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ix := NewIndex()
-		live := make(map[int64]bool)
+		live := make(map[int64]string) // doc → indexed text
 		words := []string{"drill", "ink", "pen", "forklift", "bulb"}
 		for i := 0; i < 50; i++ {
 			id := int64(r.Intn(10))
-			if r.Intn(3) == 0 {
-				ix.Remove(id)
+			if text, ok := live[id]; ok {
+				ix.Remove(id, text) // remove before re-adding, as storage does
 				delete(live, id)
-			} else {
-				ix.Add(id, words[r.Intn(len(words))]+" "+words[r.Intn(len(words))])
-				live[id] = true
+			}
+			if r.Intn(3) != 0 {
+				text := words[r.Intn(len(words))] + " " + words[r.Intn(len(words))]
+				ix.Add(id, text)
+				live[id] = text
 			}
 		}
 		if ix.DocCount() != len(live) {
@@ -320,7 +370,7 @@ func TestIndexLivenessProperty(t *testing.T) {
 		}
 		for _, w := range words {
 			for _, h := range ix.Search(w, SearchOptions{}) {
-				if !live[h.DocID] {
+				if _, ok := live[h.DocID]; !ok {
 					return false
 				}
 			}

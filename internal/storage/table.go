@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"cohera/internal/ir"
@@ -38,7 +39,8 @@ var ErrNoIndex = fmt.Errorf("storage: no index on column")
 // (see Cursor) neither collects nor sorts ids. Stored rows are immutable:
 // an update swaps in a new Row, it never writes into the old one.
 type Table struct {
-	def *schema.Table
+	def     *schema.Table
+	keyCols []int // ordinals of the primary key's columns
 
 	mu      sync.RWMutex
 	ids     []int64 // ascending; parallel to rows
@@ -65,6 +67,7 @@ func NewTable(def *schema.Table) *Table {
 	}
 	if len(def.Key) > 0 {
 		t.pk = make(map[string]int64)
+		t.keyCols = def.KeyIndexes()
 	}
 	for i, c := range def.Columns {
 		if c.FullText {
@@ -135,9 +138,17 @@ func (t *Table) appendLocked(stored Row) int64 {
 	t.nextID++
 	t.ids = append(t.ids, id)
 	t.rows = append(t.rows, stored)
-	t.indexRowLocked(id, stored)
+	t.reindexLocked(id, nil, stored)
 	t.version++
 	return id
+}
+
+// replaceLocked swaps the stored row at heap position pos for a new one
+// under the same id; the caller holds t.mu and has settled the pk map.
+func (t *Table) replaceLocked(pos int, stored Row) {
+	t.reindexLocked(t.ids[pos], t.rows[pos], stored)
+	t.rows[pos] = stored
+	t.version++
 }
 
 // minCompact keeps small tables from compacting on every other delete.
@@ -219,7 +230,7 @@ func encodeValue(v value.Value) string {
 
 func (t *Table) encodeKey(row Row) string {
 	buf := make([]byte, 0, 32)
-	for _, ki := range t.def.KeyIndexes() {
+	for _, ki := range t.keyCols {
 		buf = value.AppendKey(buf, row[ki])
 		buf = append(buf, 0)
 	}
@@ -257,10 +268,7 @@ func (t *Table) Upsert(row Row) (int64, error) {
 		k := t.encodeKey(stored)
 		if id, exists := t.pk[k]; exists {
 			pos, _ := t.posLocked(id)
-			t.unindexRowLocked(id, t.rows[pos])
-			t.rows[pos] = stored
-			t.indexRowLocked(id, stored)
-			t.version++
+			t.replaceLocked(pos, stored)
 			return id, nil
 		}
 		t.pk[k] = t.nextID
@@ -268,56 +276,89 @@ func (t *Table) Upsert(row Row) (int64, error) {
 	return t.appendLocked(stored), nil
 }
 
-// indexRowLocked maintains the secondary indexes and the content
-// digest for a stored row; the caller holds t.mu. Every row addition
-// flows through here and every removal through unindexRowLocked, and
-// XOR is self-inverse, so the digest tracks the live row set exactly.
-func (t *Table) indexRowLocked(id int64, row Row) {
-	t.digest ^= RowHash(row)
+// reindexLocked moves row id from one stored version to the next in the
+// content digest and the secondary indexes; the caller holds t.mu. A
+// nil from is an insert and a nil to a delete. Every mutation flows
+// through here, and XOR is self-inverse, so the digest tracks the live
+// row set exactly.
+//
+// An index moves only when its column's encoded value (value.Key)
+// changed, so `SET qty = …` leaves a B-tree on sku and the inverted
+// index on name alone. Text removal re-analyses the old cell: stored
+// rows are immutable, so from holds exactly the text that was indexed,
+// and the removal costs that document's terms, not the vocabulary.
+func (t *Table) reindexLocked(id int64, from, to Row) {
+	if from != nil {
+		t.digest ^= RowHash(from)
+	}
+	if to != nil {
+		t.digest ^= RowHash(to)
+	}
 	for ci, bt := range t.btrees {
-		if !row[ci].IsNull() {
-			bt.Insert(row[ci], id)
+		if o, n, moved := cellMove(from, to, ci); moved {
+			if !o.IsNull() {
+				bt.Delete(o, id)
+			}
+			if !n.IsNull() {
+				bt.Insert(n, id)
+			}
 		}
 	}
 	for ci, h := range t.hashes {
-		if !row[ci].IsNull() {
-			k := encodeValue(row[ci])
-			h[k] = append(h[k], id)
+		if o, n, moved := cellMove(from, to, ci); moved {
+			if !o.IsNull() {
+				hashRemove(h, encodeValue(o), id)
+			}
+			if !n.IsNull() {
+				k := encodeValue(n)
+				h[k] = append(h[k], id)
+			}
 		}
 	}
 	for ci, ix := range t.texts {
-		if !row[ci].IsNull() && row[ci].Kind() == value.KindString {
-			ix.Add(id, row[ci].Str())
+		if o, n, moved := cellMove(from, to, ci); moved {
+			if o.Kind() == value.KindString {
+				ix.Remove(id, o.Str())
+			}
+			if n.Kind() == value.KindString {
+				ix.Add(id, n.Str())
+			}
 		}
 	}
 }
 
-// unindexRowLocked removes a row from the secondary indexes and the
-// content digest; the caller holds t.mu.
-func (t *Table) unindexRowLocked(id int64, row Row) {
-	t.digest ^= RowHash(row)
-	for ci, bt := range t.btrees {
-		if !row[ci].IsNull() {
-			bt.Delete(row[ci], id)
+// cellMove returns column ci of the from and to rows (NULL for a nil
+// row) and whether an index on it must move: whether value.Key of the
+// two differs. Equal stands in for comparing keys without building
+// them; it differs from key equality only in folding -0.0 into +0.0.
+func cellMove(from, to Row, ci int) (o, n value.Value, moved bool) {
+	o, n = value.Null, value.Null
+	if from != nil {
+		o = from[ci]
+	}
+	if to != nil {
+		n = to[ci]
+	}
+	if !o.Equal(n) {
+		return o, n, true
+	}
+	signFlip := o.Kind() == value.KindFloat && o.Float() == 0 && math.Signbit(o.Float()) != math.Signbit(n.Float())
+	return o, n, signFlip
+}
+
+// hashRemove drops id from hash bucket k, and the bucket once empty.
+func hashRemove(h map[string][]int64, k string, id int64) {
+	ids := h[k]
+	for j, r := range ids {
+		if r == id {
+			ids = append(ids[:j], ids[j+1:]...)
+			break
 		}
 	}
-	for ci, h := range t.hashes {
-		if !row[ci].IsNull() {
-			k := encodeValue(row[ci])
-			ids := h[k]
-			for j, r := range ids {
-				if r == id {
-					h[k] = append(ids[:j], ids[j+1:]...)
-					break
-				}
-			}
-			if len(h[k]) == 0 {
-				delete(h, k)
-			}
-		}
-	}
-	for _, ix := range t.texts {
-		ix.Remove(id)
+	if len(ids) == 0 {
+		delete(h, k)
+	} else {
+		h[k] = ids
 	}
 }
 
@@ -337,8 +378,7 @@ func (t *Table) Truncate() {
 	for ci := range t.hashes {
 		t.hashes[ci] = make(map[string][]int64)
 	}
-	for ci, ix := range t.texts {
-		_ = ix
+	for ci := range t.texts {
 		t.texts[ci] = ir.NewIndex()
 	}
 	t.digest = 0
@@ -368,22 +408,27 @@ func (t *Table) Update(id int64, row Row) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoRow, id)
 	}
-	old := t.rows[pos]
-	if t.pk != nil {
+	if old := t.rows[pos]; t.pk != nil && t.keyMoved(old, stored) {
 		oldK, newK := t.encodeKey(old), t.encodeKey(stored)
-		if oldK != newK {
-			if _, exists := t.pk[newK]; exists {
-				return fmt.Errorf("%w: table %q", ErrDuplicateKey, t.def.Name)
-			}
-			delete(t.pk, oldK)
-			t.pk[newK] = id
+		if _, exists := t.pk[newK]; exists {
+			return fmt.Errorf("%w: table %q", ErrDuplicateKey, t.def.Name)
+		}
+		delete(t.pk, oldK)
+		t.pk[newK] = id
+	}
+	t.replaceLocked(pos, stored)
+	return nil
+}
+
+// keyMoved reports whether the primary key's encoding differs
+// between two versions of a row.
+func (t *Table) keyMoved(from, to Row) bool {
+	for _, ki := range t.keyCols {
+		if _, _, moved := cellMove(from, to, ki); moved {
+			return true
 		}
 	}
-	t.unindexRowLocked(id, old)
-	t.rows[pos] = stored
-	t.indexRowLocked(id, stored)
-	t.version++
-	return nil
+	return false
 }
 
 // Delete removes the row with the given id.
@@ -398,7 +443,7 @@ func (t *Table) Delete(id int64) error {
 	if t.pk != nil {
 		delete(t.pk, t.encodeKey(row))
 	}
-	t.unindexRowLocked(id, row)
+	t.reindexLocked(id, row, nil)
 	t.rows[pos] = nil
 	t.dead++
 	if t.dead >= minCompact && t.dead > len(t.rows)/2 {
@@ -504,7 +549,7 @@ func (t *Table) GetByKey(key ...value.Value) (int64, Row, error) {
 	if t.pk == nil {
 		return 0, nil, fmt.Errorf("storage: table %q has no primary key", t.def.Name)
 	}
-	kis := t.def.KeyIndexes()
+	kis := t.keyCols
 	if len(key) != len(kis) {
 		return 0, nil, fmt.Errorf("storage: table %q key arity %d, got %d", t.def.Name, len(kis), len(key))
 	}

@@ -37,7 +37,8 @@
 #                                run its -quick self-test here
 #   7. go test -fuzz ... 10s     fuzz smoke: parser, NDJSON stream
 #                                decoder, WAL replay, the pushdown split
-#                                oracle and the bound-vs-Eval oracle each
+#                                oracle, the bound-vs-Eval oracle and the
+#                                storage.Table-vs-model op sequences each
 #                                survive a short run
 set -eu
 
@@ -80,5 +81,6 @@ go test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/remote/
 go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzBoundEval -fuzztime 10s ./internal/plan/
+go test -fuzz FuzzTableOps -fuzztime 10s ./internal/storage/
 
 echo "check: all gates passed"
