@@ -362,15 +362,11 @@ func (s *Source) Fetch(ctx context.Context, filters []wrapper.Filter) ([]storage
 		sp.SetErr(err)
 		return nil, err
 	}
-	var resp fetchResponse
-	if err := json.Unmarshal(out, &resp); err != nil {
-		sp.SetErr(err)
-		return nil, fmt.Errorf("remote: decoding /fetch: %w", err)
-	}
-	rows, err := decodeRows(resp.Rows)
+	var dec rowDecoder
+	rows, _, err := dec.decode(out, len(s.def.Columns))
 	if err != nil {
 		sp.SetErr(err)
-		return nil, err
+		return nil, fmt.Errorf("remote: decoding /fetch: %w", err)
 	}
 	sp.Set("rows", strconv.Itoa(len(rows)))
 	// Re-apply all filters locally: the server only handled pushable ones.

@@ -14,11 +14,12 @@ import (
 
 	"cohera/internal/plan"
 	"cohera/internal/schema"
-	"cohera/internal/storage"
 	"cohera/internal/value"
 )
 
-// wireValue is the JSON encoding of one value.Value.
+// wireValue is the JSON encoding of one value.Value in a request
+// filter. Rows use the same shape but go through the hand-written codec
+// in rowcodec.go.
 type wireValue struct {
 	Kind string `json:"k"`
 	// I carries ints, money minor units, unix-nano timestamps and
@@ -78,34 +79,6 @@ func decodeValue(w wireValue) (value.Value, error) {
 	default:
 		return value.Null, fmt.Errorf("remote: unknown value kind %q", w.Kind)
 	}
-}
-
-func encodeRows(rows []storage.Row) [][]wireValue {
-	out := make([][]wireValue, len(rows))
-	for i, r := range rows {
-		wr := make([]wireValue, len(r))
-		for j, v := range r {
-			wr[j] = encodeValue(v)
-		}
-		out[i] = wr
-	}
-	return out
-}
-
-func decodeRows(in [][]wireValue) ([]storage.Row, error) {
-	out := make([]storage.Row, len(in))
-	for i, wr := range in {
-		r := make(storage.Row, len(wr))
-		for j, w := range wr {
-			v, err := decodeValue(w)
-			if err != nil {
-				return nil, err
-			}
-			r[j] = v
-		}
-		out[i] = r
-	}
-	return out, nil
 }
 
 // wireColumn mirrors schema.Column.
@@ -201,7 +174,8 @@ func decodeSchema(ws wireSchema) (*schema.Table, error) {
 	return schema.NewTable(ws.Name, cols, ws.Key...)
 }
 
-// fetchRequest is the body of POST /fetch.
+// fetchRequest is the body of POST /fetch. The response is one
+// {"rows":[...]} object (appendRows).
 type fetchRequest struct {
 	Table   string       `json:"table"`
 	Filters []wireFilter `json:"filters,omitempty"`
@@ -210,11 +184,6 @@ type fetchRequest struct {
 type wireFilter struct {
 	Column string    `json:"column"`
 	Value  wireValue `json:"value"`
-}
-
-// fetchResponse is the body returned by POST /fetch.
-type fetchResponse struct {
-	Rows [][]wireValue `json:"rows"`
 }
 
 // digestRequest is the body of POST /digest.

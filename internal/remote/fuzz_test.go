@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"testing"
 
@@ -21,17 +22,31 @@ import (
 // (never runs forever), the terminal error is sticky, and Close always
 // succeeds.
 func FuzzDecodeStream(f *testing.F) {
-	f.Add([]byte(`{"rows":[[{"k":"INT","i":1},{"k":"TEXT","s":"a"}]]}` + "\n" + `{"eof":true}` + "\n"))
-	f.Add([]byte(`{"rows":[[{"k":"INT","i":1},{"k":"TEXT","s":"a"}]]}` + "\n")) // missing terminator
-	f.Add([]byte(`{"error":"disk on fire"}` + "\n"))
-	f.Add([]byte(`{"eof":true}` + "\n"))
-	f.Add([]byte(""))
+	// Seeds are what a server writes, so the fuzzer starts from bodies
+	// that yield rows.
+	line := func(rows ...storage.Row) string { return string(appendRows(nil, rows)) + "\n" }
+	meta := func(c streamChunk) string {
+		b, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	r1 := storage.Row{value.NewInt(1), value.NewString("a")}
+	r2 := storage.Row{value.NewInt(-7), value.NewString("<&> é\n")}
+	r3 := storage.Row{value.NewInt(3), value.Null}
+	eof := meta(streamChunk{EOF: true})
+	f.Add([]byte(line(r1, r2) + line(r3) + line(r1) + eof))                                             // multi-chunk
+	f.Add([]byte(meta(streamChunk{Pushed: &wirePushedAck{Where: true, Limit: true}}) + line(r2) + eof)) // ack first
+	f.Add([]byte(line(r1) + meta(streamChunk{Error: "disk on fire"})))                                  // error line
+	f.Add([]byte(line(r3) + `{"eof":true,"trailer":{"stages":[{"name":"scan","rows":1}]}}` + "\n"))     // eof with an unknown member
+	f.Add([]byte(line(r1, r2)))                                                                         // missing terminator
+	f.Add([]byte(line(r1)[:20]))                                                                        // cut mid-chunk
+	f.Add([]byte(`{"rows":[[{"k":"int","i":1}]]}` + "\n" + eof))                                        // short row
+	f.Add([]byte(`{"rows":[[{"k":"nosuchkind"},{"k":"string","s":"a"}]]}` + "\n" + eof))
 	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{"rows":[[{"k":"INT","i":1}]]}` + "\n" + `{"eof":true}` + "\n")) // short row
-	f.Add([]byte(`{"rows":[[{"k":"MONEY","i":100,"s":"USD"},{"k":"TEXT","s":"x"},{"k":"BOOL","b":true}]]}` + "\n"))
-	f.Add([]byte(`{"rows":`)) // cut mid-chunk
+	f.Add([]byte(""))
 	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"rows":[[{"k":"NOSUCHKIND"} ,{"k":"TEXT","s":"a"}]]}` + "\n" + `{"eof":true}` + "\n"))
 
 	def := schema.MustTable("fuzzed", []schema.Column{
 		{Name: "id", Kind: value.KindInt, NotNull: true},

@@ -273,9 +273,8 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := writeJSON(w, fetchResponse{Rows: encodeRows(rows)}); err != nil {
-		http.Error(w, `{"error":"encode failure"}`, http.StatusInternalServerError)
-	}
+	//lint:ignore errdrop the status line is already committed; a failed write means the client hung up
+	_, _ = w.Write(appendRows(nil, rows))
 }
 
 // handleDigest serves POST /digest: the order-independent content

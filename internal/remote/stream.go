@@ -80,11 +80,11 @@ type streamRequest struct {
 	Limit int `json:"limit,omitempty"`
 }
 
-// streamChunk is one NDJSON line of a /fetchstream response. A chunk
-// carries rows, a pushdown ack, a mid-stream error, or the terminator;
-// old clients see an ack chunk as zero rows and skip it.
+// streamChunk is every member of a /fetchstream NDJSON line except its
+// rows, which the row codec (rowcodec.go) writes and reads by hand. A
+// line carries rows, a pushdown ack, a mid-stream error, or the
+// terminator; old clients see an ack line as zero rows and skip it.
 type streamChunk struct {
-	Rows   [][]wireValue  `json:"rows,omitempty"`
 	Pushed *wirePushedAck `json:"pushed,omitempty"`
 	Error  string         `json:"error,omitempty"`
 	EOF    bool           `json:"eof,omitempty"`
@@ -282,24 +282,27 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		sp.End()
 	}()
 
-	batch := storage.GetBatch()
-	defer storage.PutBatch(batch)
+	// Rows are encoded as they arrive into one reused buffer; a full
+	// chunk goes out in one write, the same bytes and the same write
+	// boundaries as encoding/json's Encoder.
+	var line []byte
+	n := 0 // rows in line
 	var sentBytes int64
 	emit := func() bool {
-		if len(batch.Rows) == 0 {
+		if n == 0 {
 			return true
 		}
-		if len(batch.Rows) > peak {
-			peak = len(batch.Rows)
+		if n > peak {
+			peak = n
 		}
-		// Encode writes the chunk plus the NDJSON newline.
-		if err := enc.Encode(streamChunk{Rows: encodeRows(batch.Rows)}); err != nil {
+		line = append(line, rowsClose+"\n"...)
+		if _, err := cw.Write(line); err != nil {
 			return false // consumer went away; stop producing
 		}
 		metStreamBatches("server").Inc()
 		encStage.AddBatch(0, cw.n-sentBytes)
 		sentBytes = cw.n
-		batch.Rows = batch.Rows[:0]
+		line, n = line[:0], 0
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -327,8 +330,14 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 			_ = enc.Encode(streamChunk{Error: err.Error()})
 			return
 		}
-		batch.Rows = append(batch.Rows, row)
-		if len(batch.Rows) >= batchRows && !emit() {
+		if n == 0 {
+			line = append(line, rowsOpen...)
+		} else {
+			line = append(line, ',')
+		}
+		line = appendRow(line, row)
+		n++
+		if n >= batchRows && !emit() {
 			return
 		}
 	}
@@ -476,12 +485,11 @@ type clientStream struct {
 	sc        *bufio.Scanner
 	sp        *obs.Span
 	stage     *obs.StageStats
+	dec       rowDecoder // rows are decoded len(cols) wide
 
 	// stash holds a chunk read ahead of its turn (the ack probe hit
-	// rows on an old server); stashLen is its line length for byte
-	// accounting.
-	stash    *streamChunk
-	stashLen int
+	// rows on an old server).
+	stash *chunk
 
 	pending []storage.Row
 	pos     int
@@ -508,10 +516,17 @@ func (c *clientStream) rebindFilters() {
 	}
 }
 
+// chunk is one decoded NDJSON line.
+type chunk struct {
+	rows []storage.Row
+	meta streamChunk
+	size int // line length, for byte accounting
+}
+
 // readChunk scans and decodes the next NDJSON line. ok=false means a
 // terminal condition was recorded in c.err (truncation or corruption);
 // empty lines are skipped.
-func (c *clientStream) readChunk() (chunk streamChunk, lineLen int, ok bool) {
+func (c *clientStream) readChunk() (ch chunk, ok bool) {
 	for {
 		// Time the chunk fetch+decode exactly: chunks are coarse enough
 		// (hundreds of rows) that two clock reads per chunk are free, and
@@ -526,26 +541,35 @@ func (c *clientStream) readChunk() (chunk streamChunk, lineLen int, ok bool) {
 			} else {
 				c.err = ErrTruncated
 			}
-			return chunk, 0, false
+			return ch, false
 		}
 		line := bytes.TrimSpace(c.sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		if err := json.Unmarshal(line, &chunk); err != nil {
-			if !c.sc.Scan() {
-				// An undecodable final line is a connection cut
-				// mid-chunk, not corruption: classify it as truncation
-				// so callers see one typed error for "body ended early".
-				c.err = fmt.Errorf("%w: partial final chunk: %v", ErrTruncated, err)
-				return chunk, 0, false
-			}
+		var err error
+		ch.rows, ch.meta, err = c.dec.decode(line, len(c.cols))
+		var syn *syntaxError
+		switch {
+		case err == nil:
+		case !errors.As(err, &syn):
+			// Well-formed, but the cells do not fit the stream.
+			c.err = err
+			return ch, false
+		case !c.sc.Scan():
+			// An undecodable final line is a connection cut
+			// mid-chunk, not corruption: classify it as truncation
+			// so callers see one typed error for "body ended early".
+			c.err = fmt.Errorf("%w: partial final chunk: %v", ErrTruncated, err)
+			return ch, false
+		default:
 			c.err = fmt.Errorf("remote: decoding stream chunk: %w", err)
-			return chunk, 0, false
+			return ch, false
 		}
-		metStreamBytes("client").Add(int64(len(line)))
+		ch.size = len(line)
+		metStreamBytes("client").Add(int64(ch.size))
 		c.stage.BlockedUpstream(time.Since(chunkStart))
-		return chunk, len(line), true
+		return ch, true
 	}
 }
 
@@ -553,14 +577,14 @@ func (c *clientStream) readChunk() (chunk streamChunk, lineLen int, ok bool) {
 // chunk (old server) is stashed for Next; a read failure stays sticky
 // in c.err and surfaces on the first Next.
 func (c *clientStream) awaitAck() *wirePushedAck {
-	chunk, n, ok := c.readChunk()
+	ch, ok := c.readChunk()
 	if !ok {
 		return nil
 	}
-	if chunk.Pushed != nil {
-		return chunk.Pushed
+	if ch.meta.Pushed != nil {
+		return ch.meta.Pushed
 	}
-	c.stash, c.stashLen = &chunk, n
+	c.stash = &ch
 	return nil
 }
 
@@ -578,46 +602,30 @@ func (c *clientStream) Next() (storage.Row, error) {
 		if c.err != nil {
 			return nil, c.err
 		}
-		var chunk streamChunk
-		var lineLen int
+		var ch chunk
 		if c.stash != nil {
-			chunk, lineLen = *c.stash, c.stashLen
-			c.stash = nil
+			ch, c.stash = *c.stash, nil
 		} else {
 			var ok bool
-			chunk, lineLen, ok = c.readChunk()
-			if !ok {
+			if ch, ok = c.readChunk(); !ok {
 				return nil, c.err
 			}
 		}
-		if chunk.Error != "" {
-			c.err = fmt.Errorf("remote: stream failed at server: %s", chunk.Error)
+		if ch.meta.Error != "" {
+			c.err = fmt.Errorf("remote: stream failed at server: %s", ch.meta.Error)
 			return nil, c.err
 		}
-		if chunk.EOF {
+		if ch.meta.EOF {
 			c.err = io.EOF
 			return nil, c.err
 		}
-		if chunk.Pushed != nil && len(chunk.Rows) == 0 {
+		if ch.meta.Pushed != nil && len(ch.rows) == 0 {
 			// A stray ack chunk mid-stream carries no rows; skip it.
 			continue
 		}
-		rows, err := decodeRows(chunk.Rows)
-		if err != nil {
-			c.err = err
-			return nil, c.err
-		}
-		// A row of the wrong width is wire corruption; letting it
-		// through would index-panic in the filter re-check or feed the
-		// evaluator garbage.
-		for _, r := range rows {
-			if len(r) != len(c.cols) {
-				c.err = fmt.Errorf("remote: stream row has %d cells, want %d", len(r), len(c.cols))
-				return nil, c.err
-			}
-		}
+		rows := ch.rows
 		metStreamBatches("client").Inc()
-		c.stage.AddBatch(int64(len(rows)), int64(lineLen))
+		c.stage.AddBatch(int64(len(rows)), int64(ch.size))
 		c.stage.NotePeak(int64(len(rows)))
 		if len(rows) > c.peak {
 			c.peak = len(rows)

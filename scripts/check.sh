@@ -36,7 +36,9 @@
 #                                ./... does not reach it, so vet it and
 #                                run its -quick self-test here
 #   7. go test -fuzz ... 10s     fuzz smoke: parser, NDJSON stream
-#                                decoder, WAL replay, the pushdown split
+#                                decoder, the row codec against its
+#                                encoding/json reference, WAL replay,
+#                                the pushdown split
 #                                oracle, the bound-vs-Eval oracle and the
 #                                storage.Table-vs-model op sequences each
 #                                survive a short run
@@ -78,6 +80,7 @@ echo "==> fuzz smoke (10s per target)"
 go test -fuzz 'FuzzParse$' -fuzztime 10s ./internal/sqlparse/
 go test -fuzz FuzzParseExpr -fuzztime 10s ./internal/sqlparse/
 go test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/remote/
+go test -fuzz FuzzRowCodec -fuzztime 10s ./internal/remote/
 go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzBoundEval -fuzztime 10s ./internal/plan/
