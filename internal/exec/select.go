@@ -133,6 +133,9 @@ func (db *Database) Select(s sqlparse.SelectStmt) (*Result, error) {
 
 	// Residual WHERE.
 	if len(residualWhere) > 0 {
+		if err := checkRefs(cur.names, residualWhere...); err != nil {
+			return nil, err
+		}
 		pred := plan.AndExprs(residualWhere)
 		kept := cur.rows[:0]
 		for _, row := range cur.rows {
@@ -151,6 +154,11 @@ func (db *Database) Select(s sqlparse.SelectStmt) (*Result, error) {
 	items, err := expandStars(s.Items, cur.names)
 	if err != nil {
 		return nil, err
+	}
+	for _, it := range items {
+		if err := checkRefs(cur.names, it.Expr); err != nil {
+			return nil, err
+		}
 	}
 
 	grouped := len(s.GroupBy) > 0 || anyAggregate(items, s.Having, s.OrderBy)
@@ -367,6 +375,29 @@ func expandStars(items []sqlparse.SelectItem, names []string) ([]sqlparse.Select
 		}
 	}
 	return out, nil
+}
+
+// checkRefs resolves every column reference in exprs against the
+// binding names, so a reference that names no column fails the
+// statement whether or not a row ever reaches it.
+func checkRefs(names []string, exprs ...sqlparse.Expr) error {
+	sc := plan.Scope{Names: names}
+	var err error
+	visit := func(x sqlparse.Expr) bool {
+		switch c := x.(type) {
+		case sqlparse.ColumnRef:
+			_, err = sc.Slot(c)
+		case sqlparse.TextMatch:
+			_, err = sc.Slot(c.Col)
+		}
+		return err == nil
+	}
+	for _, e := range exprs {
+		if plan.Walk(e, visit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func anyAggregate(items []sqlparse.SelectItem, having sqlparse.Expr, order []sqlparse.OrderKey) bool {

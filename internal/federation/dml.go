@@ -203,6 +203,7 @@ func (f *Federation) execInsert(ctx context.Context, s sqlparse.InsertStmt, trac
 	if err != nil {
 		return nil, err
 	}
+	defer gt.writes.begin()()
 	def := gt.Def
 	cols := s.Columns
 	if len(cols) == 0 {
@@ -369,6 +370,7 @@ func (f *Federation) execWhereDML(ctx context.Context, table string, where sqlpa
 	if err != nil {
 		return nil, err
 	}
+	defer gt.writes.begin()()
 	push := unqualify(where)
 	dr := &DMLResult{}
 	all := f.FragmentsOf(gt)

@@ -117,6 +117,26 @@ func (f *Fragment) AddReplica(s *Site) {
 type GlobalTable struct {
 	Def       *schema.Table
 	Fragments []*Fragment
+
+	writes writeCount // federated DML statements on this table
+}
+
+// writeCount tracks the federated statements writing one table, so a
+// copy-repair can tell a write still on its way through the replicas
+// (applied at one, not yet at the next) from a divergence that stays.
+// begin raises active before started; a reader that loads started,
+// then sees active at zero, has therefore missed no statement that
+// began before its load.
+type writeCount struct {
+	active  atomic.Int64  // statements not yet through every replica
+	started atomic.Uint64 // statements ever begun
+}
+
+// begin marks a statement under way; the returned func marks it done.
+func (w *writeCount) begin() func() {
+	w.active.Add(1)
+	w.started.Add(1)
+	return func() { w.active.Add(-1) }
 }
 
 // ErrNoReplica is returned when every replica of a fragment is

@@ -317,9 +317,20 @@ func (r *Reconciler) copyRepair(gt *GlobalTable, frags []*Fragment, frag *Fragme
 			// the drain handle it and repair next pass.
 			return fmt.Errorf("federation: copy-repair raced a journaled write at %s", dst.Name())
 		}
+		// A statement applied at the source and not yet here is not a
+		// divergence: a copy now would apply it here a second time when
+		// it arrives. Repair only with no statement under way, and drop
+		// the copy if one began while the source was read.
+		begun := gt.writes.started.Load()
+		if gt.writes.active.Load() > 0 {
+			return fmt.Errorf("federation: copy-repair raced a write in flight at %s", dst.Name())
+		}
 		rows, err := r.fragmentRows(src, gt, frags, frag, wholeTable)
 		if err != nil {
 			return err
+		}
+		if gt.writes.started.Load() != begun {
+			return fmt.Errorf("federation: copy-repair raced a write in flight at %s", dst.Name())
 		}
 		// Remove the target's in-scope rows, then install the source's.
 		// Fragment scope means only the rows routeRow assigns here are

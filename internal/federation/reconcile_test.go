@@ -158,6 +158,46 @@ func TestReconcilerCopyRepairTornJournal(t *testing.T) {
 	}
 }
 
+// TestCopyRepairWaitsForWriteInFlight: a statement applied at one
+// replica and not yet at the next is no divergence. A repair pass in
+// that window must not copy the first replica over the second, or the
+// statement lands there twice when it arrives.
+func TestCopyRepairWaitsForWriteInFlight(t *testing.T) {
+	fed, _, fragWest := twoFragFed(t)
+	ctx := context.Background()
+	west1, west2 := fragWest.Replicas()[0], fragWest.Replicas()[1]
+	gt, err := fed.Table("parts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bump = "UPDATE parts SET price = price + 1 WHERE sku = 'W1'"
+	done := gt.writes.begin()
+	if _, err := west1.DB().Exec(bump); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReconciler(fed)
+	rep, err := r.RunOnce(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CopyRepaired != 0 {
+		t.Fatalf("copied over a write in flight: %+v", rep)
+	}
+	if _, err := west2.DB().Exec(bump); err != nil {
+		t.Fatal(err)
+	}
+	done()
+	if rep, err = r.RunOnce(ctx); err != nil || rep.Divergent != 0 || rep.CopyRepaired != 0 {
+		t.Fatalf("after the write landed: %+v, %v", rep, err)
+	}
+	for _, s := range []*Site{west1, west2} {
+		res, err := s.DB().Exec("SELECT price FROM parts WHERE sku = 'W1'")
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Float() != 100.5 {
+			t.Fatalf("%s: %v, %v; want price 100.5", s.Name(), res, err)
+		}
+	}
+}
+
 // TestReconcilerBreakerGating: repair traffic respects the breaker — an
 // open breaker defers both replay and copy-repair until the site is
 // genuinely healthy again.

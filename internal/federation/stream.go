@@ -466,12 +466,6 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 		}
 	}
 
-	// The merge evaluates the original statement over shipped rows:
-	// qualified env names resolve both "alias.col" and bare "col" refs.
-	names := make([]string, len(def.Columns))
-	for i, c := range def.Columns {
-		names[i] = alias + "." + lower(c.Name)
-	}
 	items, err := expandFedStars(sel.Items, alias, def)
 	if err != nil {
 		return nil, nil, err
@@ -486,10 +480,10 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 		keyIdx = append(keyIdx, ci)
 	}
 
-	// The consumer side is two stages: "filter/limit" (WHERE re-check,
-	// projection, OFFSET/LIMIT — the rows the caller actually sees) over
-	// "merge" (the fan-in: every row shipped by every fragment). Both
-	// ride the context so the fragment pumps parent under the merge.
+	// The consumer side is two stages: "filter/limit" (projection,
+	// OFFSET/LIMIT — the rows the caller actually sees) over "merge"
+	// (the fan-in: every row shipped by every fragment). Both ride the
+	// context so the fragment pumps parent under the merge.
 	limitDetail := lower(sel.From.Name)
 	if sel.Limit >= 0 {
 		limitDetail += " limit " + strconv.Itoa(sel.Limit)
@@ -501,33 +495,127 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 	ctx, mergeStage := obs.StartStage(ctx, "merge", lower(sel.From.Name))
 
 	sctx, cancel := context.WithCancel(ctx)
-	counters := &streamCounters{}
-	batchRows := clampFedBatch(f.StreamBatchRows)
+	s := &fedStream{
+		f: f, ctx: ctx, cancel: cancel, sp: sp, start: time.Now(),
+		aq: aq, sql: sel.String(), limitStage: limitStage, mergeStage: mergeStage,
+		trace: trace, counters: &streamCounters{},
+		table: gt.Def.Name, fullWidth: len(gt.Def.Columns),
+		cols: fedItemNames(items), keyIdx: keyIdx, remain: -1,
+	}
+	// The merge is compiled before any fragment is asked, so a
+	// reference that does not bind fails the same way whether the table
+	// is full, empty or pruned away: from the first Next, as FuseStream
+	// reports one.
+	if s.proj, err = compileMerge(sel.Where, items, alias, def); err != nil {
+		none := make(chan fragMsg)
+		close(none)
+		s.ch = none
+		s.fail(err)
+		return s, trace, nil
+	}
+
 	// Each fragment may hold the whole answer, so a per-site limit must
 	// cover OFFSET+LIMIT rows; the PK dedupe and this stream's own
 	// offset/limit do the rest.
 	fragLimit := -1
 	if sel.Limit >= 0 {
 		fragLimit = sel.Limit + sel.Offset
+		s.remain = sel.Limit
 	}
-	ch, active, pruned := f.scatter(sctx, gt, push, cols, fragLimit, batchRows, len(keyIdx) > 0, counters)
+	s.skip = sel.Offset
+
+	if len(keyIdx) > 0 {
+		s.seen = &keySet{}
+	}
+	var active, pruned int
+	s.ch, active, pruned = f.scatter(sctx, gt, push, cols, fragLimit, clampFedBatch(f.StreamBatchRows),
+		len(keyIdx) > 0, s.counters)
+	s.waiting = active
 	trace.PrunedFragments += pruned
 	metPruned.Add(int64(pruned))
+	return s, trace, nil
+}
 
-	remain := -1
-	if sel.Limit >= 0 {
-		remain = sel.Limit
+// compileMerge binds a streamable SELECT to the shipped row layout def,
+// whose columns the statement names as alias.col or bare. Every shipped
+// row already passed its fragment's pushed predicate or its pump's
+// fused residual, so the merge checks no WHERE: binding it only makes a
+// bad reference fail here, row or no row. (SplitByTable keeps back
+// only conjuncts that name another qualifier, and no such conjunct
+// binds in a single-table scope.) The select items become the merge's
+// projection.
+func compileMerge(where sqlparse.Expr, items []sqlparse.SelectItem, alias string, def *schema.Table) (projection, error) {
+	sc := plan.Scope{Names: make([]string, len(def.Columns))}
+	for i, c := range def.Columns {
+		sc.Names[i] = alias + "." + lower(c.Name)
 	}
-	return &fedStream{
-		f: f, ctx: ctx, cancel: cancel, sp: sp, start: time.Now(),
-		aq: aq, sql: sel.String(), limitStage: limitStage, mergeStage: mergeStage,
-		trace: trace, ch: ch, counters: counters,
-		table: gt.Def.Name, fullWidth: len(gt.Def.Columns),
-		env: plan.NewRowEnvRaw(names, nil), where: sel.Where, items: items,
-		cols: fedItemNames(items), keyIdx: keyIdx,
-		seen: make(map[string]bool), waiting: active,
-		skip: sel.Offset, remain: remain,
-	}, trace, nil
+	var ev plan.Evaluator
+	if where != nil {
+		if _, err := ev.BindPred(where, sc); err != nil {
+			return projection{}, err
+		}
+	}
+	p := projection{slots: make([]int, len(items)), ident: len(items) == len(sc.Names)}
+	for i, it := range items {
+		if ref, ok := it.Expr.(sqlparse.ColumnRef); ok {
+			slot, err := sc.Slot(ref)
+			if err != nil {
+				return projection{}, err
+			}
+			p.slots[i] = slot
+			p.ident = p.ident && slot == i
+			continue
+		}
+		bound, err := ev.Bind(it.Expr, sc)
+		if err != nil {
+			return projection{}, err
+		}
+		if p.exprs == nil {
+			p.exprs = make([]plan.Bound, len(items))
+		}
+		p.slots[i], p.exprs[i], p.ident = -1, bound, false
+	}
+	return p, nil
+}
+
+// projection is the merge's select list compiled against the shipped
+// row layout: a plain column ref is a slot to copy, anything else a
+// bound expression.
+type projection struct {
+	slots []int        // per output column: the shipped slot it copies, or -1
+	exprs []plan.Bound // per output column whose slot is -1
+	ident bool         // the output row is the shipped row itself
+}
+
+// apply projects rows in place and returns how many it projected: all
+// of them, unless an item failed on the row after the last. An identity
+// projection hands the shipped rows on uncopied (a stream's rows are
+// its caller's, and the merge is the pump's caller). Otherwise the
+// batch's output rows are cut from one backing array, each capped at
+// its width so a caller's append copies the row instead of writing into
+// its neighbour.
+func (p *projection) apply(rows []storage.Row) (int, error) {
+	if p.ident {
+		return len(rows), nil
+	}
+	w := len(p.slots)
+	backing := make([]value.Value, len(rows)*w)
+	for i, r := range rows {
+		out := backing[i*w : (i+1)*w : (i+1)*w]
+		for j, slot := range p.slots {
+			if slot >= 0 {
+				out[j] = r[slot]
+				continue
+			}
+			v, err := p.exprs[j](r, 0)
+			if err != nil {
+				return i, err
+			}
+			out[j] = v
+		}
+		rows[i] = out
+	}
+	return len(rows), nil
 }
 
 // expandFedStars expands * / alias.* select items against the shipped
@@ -575,20 +663,22 @@ func fedItemNames(items []sqlparse.SelectItem) []string {
 }
 
 // fedStream is the coordinator side of the streaming scatter-gather:
-// the single consumer of the fan-in channel. It dedupes by primary
-// key (first write wins — fragments are disjoint or replicated, so
-// any copy is the row), re-checks the statement's WHERE, projects the
-// select items, applies OFFSET/LIMIT, and folds producers' completion
-// records into the query trace.
+// the single consumer of the fan-in channel. It trusts the pushdown
+// split — every row arriving passed its fragment's pushed predicate or
+// its pump's fused residual, so no WHERE is checked here — projects the
+// select items through the projection compiled at open, dedupes by
+// primary key (first copy wins), applies OFFSET/LIMIT, and folds
+// producers' completion records into the query trace.
 //
 // The dedupe set is the one deliberate exception to the O(batch ×
 // fragments) memory bound: keyed streams record one encoded key per
-// distinct shipped row, because nothing guarantees fragment
-// predicates are disjoint (nil means "may hold anything") and a
-// mid-stream replica failover replays the failed stream's prefix.
-// Keys are a few bytes where rows are whole tuples, and keyless
-// tables carry no set at all — but coordinator memory on keyed
-// streams is O(distinct keys), not constant. See DESIGN.md
+// distinct shipped row, in a keySet that keeps no string per key.
+// Nothing keeps a key inside one fragment — predicates may overlap or
+// be nil, a site hosting two fragments ships both, a mid-stream
+// replica failover replays the failed stream's prefix, and an UPDATE
+// of a routing column rewrites the row where it is, so a later INSERT
+// of that key lands in a second fragment even when the predicates are
+// disjoint. Keyless tables carry no set at all. See DESIGN.md
 // "Streaming execution".
 type fedStream struct {
 	f        *Federation
@@ -602,19 +692,16 @@ type fedStream struct {
 
 	aq         *obs.ActiveQuery // registry entry; finished when the stream settles
 	sql        string           // statement text, for the slow-query log
-	limitStage *obs.StageStats  // rows surviving WHERE/OFFSET/LIMIT
+	limitStage *obs.StageStats  // rows surviving OFFSET/LIMIT
 	mergeStage *obs.StageStats  // rows arriving over the fan-in
 	limitRows  int64            // emitted rows not yet flushed to limitStage
 
 	table     string
 	fullWidth int // unprojected width, for pushdown accounting
-	ev        plan.Evaluator
-	env       *plan.RowEnv
-	where     sqlparse.Expr
-	items     []sqlparse.SelectItem
+	proj      projection
 	cols      []string
 	keyIdx    []int
-	seen      map[string]bool
+	seen      *keySet // shipped keys; nil for a keyless table
 	keyBuf    []byte
 
 	pending []storage.Row
@@ -684,47 +771,28 @@ func (s *fedStream) Next() (storage.Row, error) {
 	}
 }
 
-// consumeBatch turns one shipped batch into pending output rows.
+// consumeBatch turns one shipped batch into pending output rows. The
+// row headers move into pending before the batch returns to the pool.
 func (s *fedStream) consumeBatch(b *storage.Batch) {
 	s.counters.add(-int64(len(b.Rows)))
 	s.mergeStage.AddBatch(int64(len(b.Rows)), 0)
 	s.flushLimitRows()
-	defer storage.PutBatch(b)
-	s.pending = s.pending[:0]
-	s.pos = 0
-	for _, r := range b.Rows {
-		if len(s.keyIdx) > 0 {
-			s.keyBuf = s.keyBuf[:0]
-			for _, ki := range s.keyIdx {
-				s.keyBuf = value.AppendRowKey(s.keyBuf, storage.Row{r[ki]})
-			}
-			k := string(s.keyBuf)
-			if s.seen[k] {
-				continue
-			}
-			s.seen[k] = true
-		}
-		s.env.Values = r
-		if s.where != nil {
-			v, err := s.ev.Eval(s.where, s.env)
-			if err != nil {
-				s.fail(err)
-				return
-			}
-			if !v.Truthy() {
-				continue
+	s.pending, s.pos = s.pending[:0], 0
+	if s.seen == nil {
+		s.pending = append(s.pending, b.Rows...)
+	} else {
+		for _, r := range b.Rows {
+			s.keyBuf = appendKey(s.keyBuf[:0], r, s.keyIdx)
+			if s.seen.insert(s.keyBuf) {
+				s.pending = append(s.pending, r)
 			}
 		}
-		out := make(storage.Row, len(s.items))
-		for i, it := range s.items {
-			v, err := s.ev.Eval(it.Expr, s.env)
-			if err != nil {
-				s.fail(err)
-				return
-			}
-			out[i] = v
-		}
-		s.pending = append(s.pending, out)
+	}
+	storage.PutBatch(b)
+	n, err := s.proj.apply(s.pending)
+	s.pending = s.pending[:n]
+	if err != nil {
+		s.fail(err)
 	}
 }
 

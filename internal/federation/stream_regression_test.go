@@ -3,14 +3,350 @@ package federation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
+	"cohera/internal/plan"
 	"cohera/internal/resilience"
 	"cohera/internal/schema"
+	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
+	"cohera/internal/value"
 	"cohera/internal/wrapper"
 )
+
+// TestUnboundReferenceFailsWithoutRows: a reference that names no
+// column fails the query whether or not a row would ever reach it — on
+// an empty table and on a fully pruned fragment set, on both executors.
+// The stream opens and reports the failure from its first Next.
+func TestUnboundReferenceFailsWithoutRows(t *testing.T) {
+	empty := New(NewAgoric())
+	site := NewSite("empty")
+	if err := empty.AddSite(site); err != nil {
+		t.Fatal(err)
+	}
+	frag := NewFragment("all", nil, site)
+	if _, err := empty.DefineTable(partsDef(), frag); err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.LoadFragment("parts", frag, nil); err != nil {
+		t.Fatal(err)
+	}
+	pruned, _, _ := twoFragFed(t)
+	ctx := context.Background()
+	if _, trace, err := pruned.QueryTraced(ctx, "SELECT sku FROM parts WHERE region = 'nowhere'"); err != nil || trace.PrunedFragments != 2 {
+		t.Fatalf("control query: %v, pruned %+v", err, trace)
+	}
+	for _, tc := range []struct {
+		fed *Federation
+		sql string
+	}{
+		{empty, "SELECT * FROM parts p WHERE x.price < 5"},
+		{empty, "SELECT sku, nosuch FROM parts"},
+		{pruned, "SELECT * FROM parts p WHERE x.price < 5 AND region = 'nowhere'"},
+		{pruned, "SELECT nosuch FROM parts WHERE region = 'nowhere'"},
+	} {
+		st, _, err := tc.fed.QueryStream(ctx, tc.sql)
+		if err != nil {
+			t.Fatalf("%s: open: %v", tc.sql, err)
+		}
+		if _, err := storage.CollectRows(st); !errors.Is(err, plan.ErrUnknownColumn) {
+			t.Errorf("%s: stream = %v, want ErrUnknownColumn", tc.sql, err)
+		}
+		if _, err := tc.fed.Query(ctx, tc.sql); !errors.Is(err, plan.ErrUnknownColumn) {
+			t.Errorf("%s: materialized = %v, want ErrUnknownColumn", tc.sql, err)
+		}
+	}
+}
+
+// replicaOrder ranks a fragment's replicas in the order the fragment
+// lists them, so a test decides which replica serves first.
+type replicaOrder struct{}
+
+func (replicaOrder) Name() string { return "replica-order" }
+
+func (replicaOrder) Rank(_ context.Context, frag *Fragment, _ int) []*Site { return frag.Replicas() }
+
+// fragLayout describes one parts fragment of a dedupe test: its
+// predicate ("" for none), the keys it holds, and, per flaky replica
+// ranked ahead of its stored one, how many rows that replica ships
+// before it dies.
+type fragLayout struct {
+	pred  string
+	keys  []int
+	flaky []int
+}
+
+// keyedRow is a parts row whose every cell follows from its key, so the
+// copies of a key that different fragments ship are the same row.
+func keyedRow(k int) storage.Row {
+	return row(fmt.Sprintf("K%03d", k), "item", float64(k), "any")
+}
+
+// dedupeFed builds a parts federation from fragment layouts, ranking
+// replicas in the order listed. Each flaky replica ships its prefix in
+// an order of its own, so a replay does not simply repeat the first
+// rows. With hub set, one site is every fragment's stored replica, and
+// its subqueries ship all fragments' rows.
+func dedupeFed(tb testing.TB, layouts []fragLayout, hub bool) *Federation {
+	tb.Helper()
+	fed := New(replicaOrder{})
+	newSite := func(name string) *Site {
+		s := NewSite(name)
+		if err := fed.AddSite(s); err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+	var shared *Site
+	if hub {
+		shared = newSite("hub")
+	}
+	frags := make([]*Fragment, len(layouts))
+	loads := make([][]storage.Row, len(layouts))
+	for i, l := range layouts {
+		for _, k := range l.keys {
+			loads[i] = append(loads[i], keyedRow(k))
+		}
+		var reps []*Site
+		for j, n := range l.flaky {
+			var prefix []storage.Row
+			for x := range loads[i] {
+				prefix = append(prefix, loads[i][(x+j+1)%len(loads[i])])
+			}
+			s := newSite(fmt.Sprintf("f%d-flaky%d", i, j))
+			s.AddSource(&flakySource{
+				def:  partsDef(),
+				rows: prefix[:min(n, len(prefix))],
+				onEnd: func(context.Context) error {
+					return errors.New("replica died mid-transfer")
+				},
+			})
+			reps = append(reps, s)
+		}
+		stored := shared
+		if stored == nil {
+			stored = newSite(fmt.Sprintf("f%d", i))
+		}
+		var pred sqlparse.Expr
+		if l.pred != "" {
+			var err error
+			if pred, err = sqlparse.ParseExpr(l.pred); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		frags[i] = NewFragment(fmt.Sprintf("f%d", i), pred, append(reps, stored)...)
+	}
+	if _, err := fed.DefineTable(partsDef(), frags...); err != nil {
+		tb.Fatal(err)
+	}
+	for i, frag := range frags {
+		if err := fed.LoadFragment("parts", frag, loads[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return fed
+}
+
+// expectEachKeyOnce streams SELECT * over a dedupeFed and checks the
+// result against the map[string] reference model of the layouts: every
+// key exactly once, as its keyed row, and nothing else.
+func expectEachKeyOnce(tb testing.TB, fed *Federation, layouts []fragLayout) *QueryTrace {
+	tb.Helper()
+	want := map[string]bool{}
+	for _, l := range layouts {
+		for _, k := range l.keys {
+			want[keyedRow(k)[0].Str()] = true
+		}
+	}
+	st, trace, err := fed.QueryStream(context.Background(), "SELECT * FROM parts")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows, err := storage.CollectRows(st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, r := range rows {
+		sku := r[0].Str()
+		got[sku]++
+		if got[sku] > 1 {
+			tb.Fatalf("key %s emitted twice", sku)
+		}
+		var k int
+		if _, err := fmt.Sscanf(sku, "K%d", &k); err != nil || !want[sku] ||
+			!sameMultiset(multiset([]storage.Row{r}), multiset([]storage.Row{keyedRow(k)})) {
+			tb.Fatalf("row %v is not in the reference model", r)
+		}
+	}
+	if len(got) != len(want) {
+		tb.Fatalf("%d distinct keys, want %d", len(got), len(want))
+	}
+	return trace
+}
+
+// TestFailoverReplayOnDisjointFragments truncates the preferred
+// replicas of a disjoint fragment set after a prefix: the next replica
+// replays the fragment, the merge drops what was already shipped, and
+// the result is the oracle's, with no key twice.
+func TestFailoverReplayOnDisjointFragments(t *testing.T) {
+	seq := func(from, n int) []int {
+		var out []int
+		for k := from; k < from+n; k++ {
+			out = append(out, k)
+		}
+		return out
+	}
+	layouts := []fragLayout{
+		{pred: "sku BETWEEN 'K000' AND 'K099'", keys: seq(0, 10), flaky: []int{4}},
+		{pred: "sku BETWEEN 'K100' AND 'K199'", keys: seq(100, 10), flaky: []int{7, 3}},
+		{pred: "sku BETWEEN 'K200' AND 'K299'", keys: seq(200, 10)},
+	}
+	for _, batch := range []int{1, 3} {
+		fed := dedupeFed(t, layouts, false)
+		fed.StreamBatchRows = batch
+		if trace := expectEachKeyOnce(t, fed, layouts); trace.Failovers != 3 {
+			t.Fatalf("batch %d: failovers = %d, want 3", batch, trace.Failovers)
+		}
+	}
+}
+
+// TestSharedKeysStillDeduped: where two fragments can ship the same key
+// — nil predicates, overlapping ranges, or disjoint ranges hosted on
+// one site, whose subqueries ship every fragment it holds — the merge
+// still emits each key once, replays included.
+func TestSharedKeysStillDeduped(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		hub     bool
+		layouts []fragLayout
+	}{
+		{"nil predicates", false, []fragLayout{
+			{keys: []int{0, 1, 2, 3, 4, 5}},
+			{keys: []int{3, 4, 5, 6, 7, 8}, flaky: []int{4}},
+		}},
+		{"overlapping ranges", false, []fragLayout{
+			{pred: "sku BETWEEN 'K000' AND 'K005'", keys: []int{0, 1, 2, 3, 4, 5}, flaky: []int{2}},
+			{pred: "sku BETWEEN 'K003' AND 'K008'", keys: []int{3, 4, 5, 6, 7, 8}},
+		}},
+		{"disjoint ranges on one site", true, []fragLayout{
+			{pred: "sku BETWEEN 'K000' AND 'K004'", keys: []int{0, 1, 2, 3, 4}},
+			{pred: "sku BETWEEN 'K005' AND 'K009'", keys: []int{5, 6, 7, 8, 9}, flaky: []int{3}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fed := dedupeFed(t, tc.layouts, tc.hub)
+			fed.StreamBatchRows = 2
+			expectEachKeyOnce(t, fed, tc.layouts)
+		})
+	}
+}
+
+// TestMovedKeyReinsertedOnce: an UPDATE of the routing column rewrites
+// the row in place at its old fragment, so a later INSERT of the same
+// key lands in the fragment its predicate now routes to, and two
+// fragments with disjoint predicates hold one key. The stream and the
+// materialized path must both still answer that key once.
+func TestMovedKeyReinsertedOnce(t *testing.T) {
+	layouts := []fragLayout{
+		{pred: "sku BETWEEN 'K000' AND 'K099'", keys: []int{1, 2, 3}},
+		{pred: "sku BETWEEN 'K100' AND 'K199'", keys: []int{101, 102}},
+	}
+	fed := dedupeFed(t, layouts, false)
+	ctx := context.Background()
+	for _, sql := range []string{
+		"UPDATE parts SET sku = 'K150' WHERE sku = 'K003'",
+		"INSERT INTO parts (sku, name, price, region) VALUES ('K150', 'item', 150, 'any')",
+	} {
+		if _, _, err := fed.Exec(ctx, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	const sql = "SELECT sku FROM parts"
+	res, err := fed.Query(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := fed.QueryStream(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := storage.CollectRows(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := multiset([]storage.Row{
+		{value.NewString("K001")}, {value.NewString("K002")}, {value.NewString("K150")},
+		{value.NewString("K101")}, {value.NewString("K102")},
+	})
+	for name, rows := range map[string][]storage.Row{"materialized": res.Rows, "stream": streamed} {
+		if got := multiset(rows); !sameMultiset(got, want) {
+			t.Errorf("%s: %v, want each key once", name, rows)
+		}
+	}
+}
+
+// TestKeySetExactCompareOnCollision forces every key onto one hash, so
+// membership rests on the byte compare alone.
+func TestKeySetExactCompareOnCollision(t *testing.T) {
+	var keys [][]byte
+	for _, s := range []string{"a", "ab", "abc", "b", "ba", "K001\x00", "K001\x00K002\x00"} {
+		keys = append(keys, []byte(s))
+	}
+	for i := 0; i < 40; i++ {
+		keys = append(keys, appendKey(nil, storage.Row{value.NewInt(int64(i))}, []int{0}))
+	}
+	s := &keySet{hash: func([]byte) uint64 { return 7 }}
+	for _, k := range keys {
+		if !s.insert(k) {
+			t.Fatalf("insert %q into a set without it reported a duplicate", k)
+		}
+	}
+	for _, k := range keys {
+		if s.insert(k) {
+			t.Fatalf("%q lost behind a colliding hash", k)
+		}
+	}
+	for _, k := range []string{"", "abcd", "K001", "c"} {
+		if !s.insert([]byte(k)) {
+			t.Fatalf("absent %q found", k)
+		}
+	}
+}
+
+// TestMergedRowsDoNotAlias: a row the merge emits is the caller's —
+// appending to it never changes its neighbour — on every projection
+// shape: the shipped row passed through, a permutation cut from a
+// per-batch backing array, and a bound expression.
+func TestMergedRowsDoNotAlias(t *testing.T) {
+	fed, _, _ := twoFragFed(t)
+	for _, sql := range []string{
+		"SELECT * FROM parts",
+		"SELECT price, sku FROM parts",
+		"SELECT sku, price * 2 AS p2 FROM parts",
+	} {
+		st, _, err := fed.QueryStream(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := storage.CollectRows(st)
+		if err != nil || len(rows) != 4 {
+			t.Fatalf("%s: %d rows, %v", sql, len(rows), err)
+		}
+		for i := 0; i+1 < len(rows); i++ {
+			if cap(rows[i]) != len(rows[i]) {
+				t.Fatalf("%s: row %d has cap %d > width %d", sql, i, cap(rows[i]), len(rows[i]))
+			}
+			next := append(storage.Row(nil), rows[i+1]...)
+			_ = append(rows[i], value.NewString("spill"))
+			if !sameMultiset(multiset([]storage.Row{rows[i+1]}), multiset([]storage.Row{next})) {
+				t.Fatalf("%s: append to row %d changed row %d: %v", sql, i, i+1, rows[i+1])
+			}
+		}
+	}
+}
 
 // Regression tests for the streaming scatter-gather failure semantics:
 // a cancelled caller context must never surface as a clean (silently

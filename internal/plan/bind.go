@@ -73,6 +73,12 @@ func (sc Scope) stored() int {
 	return len(sc.Names)
 }
 
+// Slot resolves a column reference to the row slot it names, by
+// RowEnv's rules. In a scope with a RowID, the last slot is the row id.
+func (sc Scope) Slot(ref sqlparse.ColumnRef) (int, error) {
+	return resolveName(sc.Names, ref)
+}
+
 // Bind compiles e against the scope. Column references that do not
 // resolve, and text predicates that cannot be resolved, fail here;
 // errors that depend on the values (a type mismatch, a division by

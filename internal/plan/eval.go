@@ -65,13 +65,16 @@ func (e *RowEnv) Resolve(ref sqlparse.ColumnRef) (value.Value, error) {
 // resolveName finds the binding a column reference names among lowercase
 // (possibly "table.column") names: a qualified reference matches the
 // qualified name; a bare one must match exactly one name's column part.
-// RowEnv.Resolve applies it per row, Bind once per expression.
+// RowEnv.Resolve applies it per row, Bind once per expression, so a
+// qualified reference is matched part by part in place rather than by
+// building "table.column".
 func resolveName(names []string, ref sqlparse.ColumnRef) (int, error) {
 	col := strings.ToLower(ref.Column)
 	if ref.Table != "" {
-		want := strings.ToLower(ref.Table) + "." + col
+		table := strings.ToLower(ref.Table)
 		for i, n := range names {
-			if n == want {
+			if len(n) == len(table)+1+len(col) && n[len(table)] == '.' &&
+				n[:len(table)] == table && n[len(table)+1:] == col {
 				return i, nil
 			}
 		}

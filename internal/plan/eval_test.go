@@ -55,6 +55,26 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// TestResolveNameAllocs: resolving a lowercase reference, qualified or
+// bare, allocates nothing (RowEnv.Resolve runs it once per cell), and a
+// qualified match is exact, not a prefix or suffix match.
+func TestResolveNameAllocs(t *testing.T) {
+	names := []string{"p.sku", "p.name", "p.price", "p.qty", "s.name"}
+	for _, ref := range []sqlparse.ColumnRef{{Table: "p", Column: "qty"}, {Column: "price"}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := resolveName(names, ref); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("resolving %s: %v allocs, want 0", ref, n)
+		}
+	}
+	near := []string{"xp.qty", "p.qtyx", "p_qty", "pqty"}
+	if _, err := resolveName(near, sqlparse.ColumnRef{Table: "p", Column: "qty"}); !errors.Is(err, ErrUnknownColumn) {
+		t.Errorf("p.qty among %v = %v, want ErrUnknownColumn", near, err)
+	}
+}
+
 func TestArithmetic(t *testing.T) {
 	e := env(t)
 	if v := evalStr(t, "p.qty + 5", e); v.Int() != 15 {

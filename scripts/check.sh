@@ -39,9 +39,10 @@
 #                                decoder, the row codec against its
 #                                encoding/json reference, WAL replay,
 #                                the pushdown split
-#                                oracle, the bound-vs-Eval oracle and the
-#                                storage.Table-vs-model op sequences each
-#                                survive a short run
+#                                oracle, the bound-vs-Eval oracle, the
+#                                storage.Table-vs-model op sequences and
+#                                the merge's key dedupe against a map
+#                                model each survive a short run
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -85,5 +86,6 @@ go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzBoundEval -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzTableOps -fuzztime 10s ./internal/storage/
+go test -fuzz FuzzMergeDedupe -fuzztime 10s ./internal/federation/
 
 echo "check: all gates passed"
