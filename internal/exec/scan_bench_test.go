@@ -26,17 +26,8 @@ const benchShardRows = 5000
 // and a hundred-value range 10 %.
 func benchShard(b *testing.B) (*Database, *storage.Table) {
 	b.Helper()
-	sup := workload.Suppliers(1, benchShardRows, 0.05, 1)[0]
-	rows, err := workload.GroundTruthRows(sup, value.DefaultCurrencyTable())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, r := range rows {
-		r[0] = value.NewString(fmt.Sprintf("P%07d", i))
-		r[6] = value.NewInt(int64(i % 1000))
-	}
 	db := NewDatabase()
-	if err := db.LoadRows(workload.CatalogDef(), rows); err != nil {
+	if err := db.LoadRows(workload.CatalogDef(), benchShardData(b)); err != nil {
 		b.Fatal(err)
 	}
 	if err := db.CreateTableIndex("catalog", "sku", false); err != nil {
@@ -47,6 +38,21 @@ func benchShard(b *testing.B) (*Database, *storage.Table) {
 		b.Fatal(err)
 	}
 	return db, t
+}
+
+// benchShardData generates the shard's rows.
+func benchShardData(b *testing.B) []storage.Row {
+	b.Helper()
+	sup := workload.Suppliers(1, benchShardRows, 0.05, 1)[0]
+	rows, err := workload.GroundTruthRows(sup, value.DefaultCurrencyTable())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, r := range rows {
+		r[0] = value.NewString(fmt.Sprintf("P%07d", i))
+		r[6] = value.NewInt(int64(i % 1000))
+	}
+	return rows
 }
 
 // benchRows is the sink that keeps the drained row count live.

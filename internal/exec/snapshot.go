@@ -1,189 +1,184 @@
 package exec
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"time"
 
-	"cohera/internal/schema"
 	"cohera/internal/storage"
 	"cohera/internal/value"
+	"cohera/internal/wal"
 )
 
-// Snapshot support: a Database serializes to a JSON document (schemas,
-// rows, declared indexes) and reloads into an empty Database. Sites use
+// Snapshot support: a Database serializes to one byte string (schemas,
+// declared indexes, rows) and reloads into an empty Database. Sites use
 // this to survive restarts — the paper's five-nines posture assumes a
-// failed machine comes back with its fragment intact.
+// failed machine comes back with its fragment intact. It is the engine
+// state inside every WAL checkpoint and the file coherad -snapshot
+// writes.
+//
+// The first byte is the format version. Version 1, written today, is
+//
+//	0x01 ntables:uvarint table...
+//	table = schema ordered hash nrows:uvarint row...
+//
+// where schema is wal.AppendSchema's layout, ordered and hash are
+// uvarint-counted lists of indexed column names, and each row is its
+// cells in value.AppendBinary form, one per column. A '{' is version
+// 0, the JSON snapshot of earlier releases: read, never written.
 
-// snapDoc is the snapshot file shape.
-type snapDoc struct {
-	Version int         `json:"version"`
-	Tables  []snapTable `json:"tables"`
+const snapshotBinary = 1
+
+// snapshotV0 is the version-0 (JSON) snapshot.
+type snapshotV0 struct {
+	Version int               `json:"version"`
+	Tables  []snapshotTableV0 `json:"tables"`
 }
 
-type snapTable struct {
-	Schema  snapSchema  `json:"schema"`
-	Indexes snapIndexes `json:"indexes"`
-	Rows    [][]snapVal `json:"rows"`
-}
-
-type snapSchema struct {
-	Name    string       `json:"name"`
-	Columns []snapColumn `json:"columns"`
-	Key     []string     `json:"key,omitempty"`
-}
-
-type snapColumn struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"`
-	NotNull  bool   `json:"not_null,omitempty"`
-	FullText bool   `json:"full_text,omitempty"`
-	Taxonomy string `json:"taxonomy,omitempty"`
-}
-
-type snapIndexes struct {
-	Ordered []string `json:"ordered,omitempty"`
-	Hash    []string `json:"hash,omitempty"`
-}
-
-type snapVal struct {
-	K string  `json:"k"`
-	I int64   `json:"i,omitempty"`
-	F float64 `json:"f,omitempty"`
-	S string  `json:"s,omitempty"`
-	B bool    `json:"b,omitempty"`
-}
-
-func snapEncode(v value.Value) snapVal {
-	switch v.Kind() {
-	case value.KindNull:
-		return snapVal{K: "null"}
-	case value.KindBool:
-		return snapVal{K: "bool", B: v.Bool()}
-	case value.KindInt:
-		return snapVal{K: "int", I: v.Int()}
-	case value.KindFloat:
-		return snapVal{K: "float", F: v.Float()}
-	case value.KindString:
-		return snapVal{K: "string", S: v.Str()}
-	case value.KindMoney:
-		amt, cur := v.Money()
-		return snapVal{K: "money", I: amt, S: cur}
-	case value.KindTime:
-		return snapVal{K: "time", I: v.Time().UnixNano()}
-	case value.KindDuration:
-		d, sem := v.Duration()
-		return snapVal{K: "duration", I: int64(d), S: string(sem)}
-	default:
-		return snapVal{K: "null"}
-	}
-}
-
-func snapDecode(s snapVal) (value.Value, error) {
-	switch s.K {
-	case "null":
-		return value.Null, nil
-	case "bool":
-		return value.NewBool(s.B), nil
-	case "int":
-		return value.NewInt(s.I), nil
-	case "float":
-		return value.NewFloat(s.F), nil
-	case "string":
-		return value.NewString(s.S), nil
-	case "money":
-		return value.NewMoney(s.I, s.S), nil
-	case "time":
-		return value.NewTime(time.Unix(0, s.I).UTC()), nil
-	case "duration":
-		return value.NewDuration(time.Duration(s.I), value.DurationSemantics(s.S)), nil
-	default:
-		return value.Null, fmt.Errorf("exec: snapshot value kind %q", s.K)
-	}
+type snapshotTableV0 struct {
+	Schema  wal.TableSchema `json:"schema"`
+	Indexes struct {
+		Ordered []string `json:"ordered,omitempty"`
+		Hash    []string `json:"hash,omitempty"`
+	} `json:"indexes"`
+	Rows [][]wal.Val `json:"rows"`
 }
 
 // SaveSnapshot writes the database (every table's schema, index
-// declarations and rows) as JSON.
+// declarations and rows) in the version-1 format.
 func (db *Database) SaveSnapshot(w io.Writer) error {
-	doc := snapDoc{Version: 1}
-	for _, name := range db.TableNames() {
+	names := db.TableNames()
+	if _, err := w.Write(binary.AppendUvarint([]byte{snapshotBinary}, uint64(len(names)))); err != nil {
+		return err
+	}
+	var head, rows []byte
+	for _, name := range names {
 		t, err := db.Table(name)
 		if err != nil {
 			return err
 		}
 		def := t.Def()
-		st := snapTable{Schema: snapSchema{Name: def.Name, Key: def.Key}}
+		head = wal.AppendSchema(head[:0], walSchema(def))
+		var ordered, hash []string
 		for _, c := range def.Columns {
-			st.Schema.Columns = append(st.Schema.Columns, snapColumn{
-				Name: c.Name, Kind: c.Kind.String(), NotNull: c.NotNull,
-				FullText: c.FullText, Taxonomy: c.Taxonomy,
-			})
 			if t.HasIndex(c.Name) {
-				st.Indexes.Ordered = append(st.Indexes.Ordered, c.Name)
+				ordered = append(ordered, c.Name)
+			}
+			if t.HasHashIndex(c.Name) {
+				hash = append(hash, c.Name)
 			}
 		}
+		head = appendNames(head, ordered)
+		head = appendNames(head, hash)
+		// The row count is what Scan visited, so count while encoding.
+		n := 0
+		rows = rows[:0]
 		t.Scan(func(_ int64, row storage.Row) bool {
-			sr := make([]snapVal, len(row))
-			for i, v := range row {
-				sr[i] = snapEncode(v)
+			for _, v := range row {
+				rows = value.AppendBinary(rows, v)
 			}
-			st.Rows = append(st.Rows, sr)
+			n++
 			return true
 		})
-		doc.Tables = append(doc.Tables, st)
+		head = binary.AppendUvarint(head, uint64(n))
+		if _, err := w.Write(head); err != nil {
+			return err
+		}
+		if _, err := w.Write(rows); err != nil {
+			return err
+		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return nil
 }
 
-// LoadSnapshot restores a snapshot into this (empty) database.
+func appendNames(dst []byte, names []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for _, s := range names {
+		dst = value.AppendString(dst, s)
+	}
+	return dst
+}
+
+func readNames(d *value.Decoder) []string {
+	out := make([]string, d.Count(1))
+	for i := range out {
+		out[i] = d.Str()
+	}
+	return out
+}
+
+// LoadSnapshot restores a snapshot of either format version into this
+// (empty) database.
 func (db *Database) LoadSnapshot(r io.Reader) error {
-	var doc snapDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("exec: reading snapshot: %w", err)
+	}
+	return db.loadSnapshot(b)
+}
+
+func (db *Database) loadSnapshot(b []byte) error {
+	switch {
+	case len(b) > 0 && b[0] == snapshotBinary:
+		return db.loadSnapshotV1(b[1:])
+	case len(b) > 0 && b[0] == '{':
+		return db.loadSnapshotV0(b)
+	}
+	return errors.New("exec: unsupported snapshot format")
+}
+
+func (db *Database) loadSnapshotV1(b []byte) error {
+	d := value.NewDecoder(b)
+	// A table is at least six bytes: its name, column, key, index and
+	// row counts.
+	for range d.Count(6) {
+		ts := wal.ReadSchema(d)
+		ordered, hash := readNames(d), readNames(d)
+		ncols := len(ts.Columns)
+		nrows := d.Count(max(ncols, 1))
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("exec: decoding snapshot: %w", err)
+		}
+		t, err := db.restoreTable(ts, ordered, hash)
+		if err != nil {
+			return err
+		}
+		// Insert clones, so one row buffer serves every row.
+		row := make(storage.Row, ncols)
+		for i := range nrows {
+			if d.Values(row) == nil {
+				return fmt.Errorf("exec: decoding snapshot table %q row %d: %w", ts.Name, i, d.Err())
+			}
+			if _, err := t.Insert(row); err != nil {
+				return fmt.Errorf("exec: snapshot table %q row %d: %w", ts.Name, i, err)
+			}
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("exec: decoding snapshot: %w", err)
+	}
+	return nil
+}
+
+func (db *Database) loadSnapshotV0(b []byte) error {
+	var doc snapshotV0
+	if err := json.Unmarshal(b, &doc); err != nil {
 		return fmt.Errorf("exec: decoding snapshot: %w", err)
 	}
 	if doc.Version != 1 {
 		return fmt.Errorf("exec: unsupported snapshot version %d", doc.Version)
 	}
 	for _, st := range doc.Tables {
-		cols := make([]schema.Column, 0, len(st.Schema.Columns))
-		for _, sc := range st.Schema.Columns {
-			k, err := value.KindFromName(sc.Kind)
-			if err != nil {
-				return fmt.Errorf("exec: snapshot table %q: %w", st.Schema.Name, err)
-			}
-			cols = append(cols, schema.Column{
-				Name: sc.Name, Kind: k, NotNull: sc.NotNull,
-				FullText: sc.FullText, Taxonomy: sc.Taxonomy,
-			})
-		}
-		def, err := schema.NewTable(st.Schema.Name, cols, st.Schema.Key...)
+		t, err := db.restoreTable(&st.Schema, st.Indexes.Ordered, st.Indexes.Hash)
 		if err != nil {
 			return err
-		}
-		t, err := db.CreateTable(def)
-		if err != nil {
-			return err
-		}
-		for _, col := range st.Indexes.Ordered {
-			if err := t.CreateIndex(col); err != nil {
-				return err
-			}
-		}
-		for _, col := range st.Indexes.Hash {
-			if err := t.CreateHashIndex(col); err != nil {
-				return err
-			}
 		}
 		for ri, sr := range st.Rows {
-			row := make(storage.Row, len(sr))
-			for i, sv := range sr {
-				v, err := snapDecode(sv)
-				if err != nil {
-					return err
-				}
-				row[i] = v
+			row, err := wal.DecodeRow(sr)
+			if err != nil {
+				return err
 			}
 			if _, err := t.Insert(row); err != nil {
 				return fmt.Errorf("exec: snapshot table %q row %d: %w", st.Schema.Name, ri, err)
@@ -191,4 +186,28 @@ func (db *Database) LoadSnapshot(r io.Reader) error {
 		}
 	}
 	return nil
+}
+
+// restoreTable creates a snapshot table and its declared indexes;
+// rows inserted afterwards maintain them.
+func (db *Database) restoreTable(ts *wal.TableSchema, ordered, hash []string) (*storage.Table, error) {
+	def, err := schemaFromWAL(ts)
+	if err != nil {
+		return nil, err
+	}
+	t, err := db.CreateTable(def)
+	if err != nil {
+		return nil, err
+	}
+	for _, col := range ordered {
+		if err := t.CreateIndex(col); err != nil {
+			return nil, err
+		}
+	}
+	for _, col := range hash {
+		if err := t.CreateHashIndex(col); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -112,21 +111,21 @@ func logPut(a *wal.Appender, table string, row storage.Row) error {
 	if a == nil {
 		return nil
 	}
-	return a.Append(wal.Record{Kind: wal.KindPut, Table: table, Row: wal.EncodeRow(row)})
+	return a.Append(wal.Record{Kind: wal.KindPut, Table: table, Values: row})
 }
 
 func logUpd(a *wal.Appender, table string, old, row storage.Row) error {
 	if a == nil {
 		return nil
 	}
-	return a.Append(wal.Record{Kind: wal.KindUpd, Table: table, Old: wal.EncodeRow(old), Row: wal.EncodeRow(row)})
+	return a.Append(wal.Record{Kind: wal.KindUpd, Table: table, OldValues: old, Values: row})
 }
 
 func logDel(a *wal.Appender, table string, old storage.Row) error {
 	if a == nil {
 		return nil
 	}
-	return a.Append(wal.Record{Kind: wal.KindDel, Table: table, Row: wal.EncodeRow(old)})
+	return a.Append(wal.Record{Kind: wal.KindDel, Table: table, Values: old})
 }
 
 func logTrunc(a *wal.Appender, table string) error {
@@ -262,7 +261,7 @@ func (db *Database) Recover(rec *wal.Recovered) (RecoveryStats, error) {
 		return st, nil
 	}
 	if rec.State != nil {
-		if err := db.LoadSnapshot(bytes.NewReader(rec.State)); err != nil {
+		if err := db.loadSnapshot(rec.State); err != nil {
 			return st, err
 		}
 		st.Checkpoint = true
@@ -302,28 +301,12 @@ func (db *Database) applyRecord(r wal.Record) error {
 		}
 		return t.CreateIndex(r.Column)
 	case wal.KindPut:
-		row, err := wal.DecodeRow(r.Row)
-		if err != nil {
-			return err
-		}
-		_, err = t.Upsert(row)
+		_, err = t.Upsert(r.Values)
 		return err
 	case wal.KindUpd:
-		old, err := wal.DecodeRow(r.Old)
-		if err != nil {
-			return err
-		}
-		row, err := wal.DecodeRow(r.Row)
-		if err != nil {
-			return err
-		}
-		return replayUpdate(t, old, row)
+		return replayUpdate(t, r.OldValues, r.Values)
 	case wal.KindDel:
-		old, err := wal.DecodeRow(r.Row)
-		if err != nil {
-			return err
-		}
-		id, err := resolveRow(t, old)
+		id, err := resolveRow(t, r.Values)
 		if err != nil {
 			return err
 		}

@@ -3,24 +3,24 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"cohera/internal/value"
+	"cohera/internal/wal"
 )
 
 // Durable record framing. Each record is
 //
-//	[4-byte big-endian payload length][4-byte IEEE CRC32 of payload][JSON payload]
+//	[4-byte big-endian payload length][4-byte IEEE CRC32 of payload][payload]
 //
 // so replay can detect a torn tail (partial header, short payload, or
 // corrupted bytes) and truncate the log at the last intact record
-// instead of trusting garbage. The JSON payload is a wireRecord.
-//
-// The value codec below mirrors internal/remote's kind-tagged wire
-// format but is deliberately duplicated: journal sits below the
-// federation, remote sits beside it, and neither may import the other.
+// instead of trusting garbage. The payload's first byte is its format
+// version: 1 is the binary layout of appendPayload, written today; a
+// '{' is version 0, the JSON records of earlier releases, still read
+// so an old journal (or a checkpoint holding one) replays.
 
 const (
 	frameHeaderLen = 8
@@ -36,160 +36,187 @@ const (
 	kindAbandoned = "abandoned"
 )
 
-// wireRecord is the JSON payload of one journal record. Intent records
-// carry the full write; applied/abandoned markers carry only the
-// statement ID they settle.
+// record is one decoded journal record. Intent records carry the full
+// write; applied/abandoned markers carry only it.StmtID, the statement
+// they settle.
+type record struct {
+	kind string
+	it   Intent
+}
+
+// Payload format versions: the first byte of every frame payload.
+const (
+	formatJSON   = '{' // version 0: read, never written
+	formatBinary = 1   // version 1: appendPayload
+)
+
+// Binary codes of record kinds and intent ops; 0 is unused so a zero
+// byte never decodes.
+var (
+	recordKinds = [...]string{1: kindIntent, kindApplied, kindAbandoned}
+	intentOps   = [...]Op{1: OpUpsert, OpSQL}
+)
+
+func kindCode(k string) byte {
+	for i := 1; i < len(recordKinds); i++ {
+		if recordKinds[i] == k {
+			return byte(i)
+		}
+	}
+	return 0
+}
+
+func opCode(op Op) byte {
+	for i := 1; i < len(intentOps); i++ {
+		if intentOps[i] == op {
+			return byte(i)
+		}
+	}
+	return 0
+}
+
+// appendPayload appends r's version-1 payload:
+//
+//	0x01 kind:byte stmt
+//	intent only: seq:uvarint table frag op:byte sql row
+//
+// with strings length-prefixed and the row a value.AppendRow row.
+func appendPayload(dst []byte, r record) []byte {
+	dst = append(dst, formatBinary, kindCode(r.kind))
+	dst = value.AppendString(dst, r.it.StmtID)
+	if r.kind != kindIntent {
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, r.it.Seq)
+	dst = value.AppendString(dst, r.it.Table)
+	dst = value.AppendString(dst, r.it.Fragment)
+	dst = append(dst, opCode(r.it.Op))
+	dst = value.AppendString(dst, r.it.SQL)
+	return value.AppendRow(dst, r.it.Row)
+}
+
+// readPayload decodes a version-1 payload written by appendPayload.
+func readPayload(payload []byte) (record, error) {
+	d := value.NewDecoder(payload)
+	var r record
+	if d.Byte() != formatBinary {
+		return record{}, value.ErrCorrupt
+	}
+	if k := d.Byte(); int(k) < len(recordKinds) {
+		r.kind = recordKinds[k]
+	}
+	if r.kind == "" {
+		return record{}, value.ErrCorrupt
+	}
+	r.it.StmtID = d.Str()
+	if r.kind == kindIntent {
+		r.it.Seq = d.Uvarint()
+		r.it.Table, r.it.Fragment = d.Str(), d.Str()
+		if op := d.Byte(); int(op) < len(intentOps) {
+			r.it.Op = intentOps[op]
+		}
+		if r.it.Op == "" {
+			d.Corrupt()
+		}
+		r.it.SQL = d.Str()
+		if row := d.Row(); len(row) > 0 {
+			r.it.Row = row
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return record{}, err
+	}
+	return r, nil
+}
+
+// wireRecord is the version-0 (JSON) journal record, read so an old
+// journal replays; values use the WAL's version-0 value form.
 type wireRecord struct {
-	Kind     string      `json:"kind"`
-	StmtID   string      `json:"stmt"`
-	Seq      uint64      `json:"seq,omitempty"`
-	Table    string      `json:"table,omitempty"`
-	Fragment string      `json:"frag,omitempty"`
-	Op       string      `json:"op,omitempty"`
-	SQL      string      `json:"sql,omitempty"`
-	Row      []wireValue `json:"row,omitempty"`
+	Kind     string    `json:"kind"`
+	StmtID   string    `json:"stmt"`
+	Seq      uint64    `json:"seq,omitempty"`
+	Table    string    `json:"table,omitempty"`
+	Fragment string    `json:"frag,omitempty"`
+	Op       string    `json:"op,omitempty"`
+	SQL      string    `json:"sql,omitempty"`
+	Row      []wal.Val `json:"row,omitempty"`
 }
 
-// wireValue is the JSON encoding of one value.Value (kind-tagged; see
-// the layering note above for why this is not remote's wireValue).
-type wireValue struct {
-	Kind string  `json:"k"`
-	I    int64   `json:"i,omitempty"`
-	F    float64 `json:"f,omitempty"`
-	S    string  `json:"s,omitempty"`
-	B    bool    `json:"b,omitempty"`
-}
-
-func encodeValue(v value.Value) wireValue {
-	switch v.Kind() {
-	case value.KindNull:
-		return wireValue{Kind: "null"}
-	case value.KindBool:
-		return wireValue{Kind: "bool", B: v.Bool()}
-	case value.KindInt:
-		return wireValue{Kind: "int", I: v.Int()}
-	case value.KindFloat:
-		return wireValue{Kind: "float", F: v.Float()}
-	case value.KindString:
-		return wireValue{Kind: "string", S: v.Str()}
-	case value.KindMoney:
-		amt, cur := v.Money()
-		return wireValue{Kind: "money", I: amt, S: cur}
-	case value.KindTime:
-		return wireValue{Kind: "time", I: v.Time().UnixNano()}
-	case value.KindDuration:
-		d, sem := v.Duration()
-		return wireValue{Kind: "duration", I: int64(d), S: string(sem)}
-	default:
-		return wireValue{Kind: "null"}
+// readPayloadV0 decodes a version-0 payload. Kinds it does not know
+// decode (and replay ignores them), as they always have.
+func readPayloadV0(payload []byte) (record, error) {
+	var wr wireRecord
+	if err := json.Unmarshal(payload, &wr); err != nil {
+		return record{}, err
 	}
-}
-
-func decodeValue(w wireValue) (value.Value, error) {
-	switch w.Kind {
-	case "null":
-		return value.Null, nil
-	case "bool":
-		return value.NewBool(w.B), nil
-	case "int":
-		return value.NewInt(w.I), nil
-	case "float":
-		return value.NewFloat(w.F), nil
-	case "string":
-		return value.NewString(w.S), nil
-	case "money":
-		return value.NewMoney(w.I, w.S), nil
-	case "time":
-		return value.NewTime(time.Unix(0, w.I).UTC()), nil
-	case "duration":
-		return value.NewDuration(time.Duration(w.I), value.DurationSemantics(w.S)), nil
-	default:
-		return value.Null, fmt.Errorf("journal: unknown value kind %q", w.Kind)
+	r := record{kind: wr.Kind, it: Intent{StmtID: wr.StmtID}}
+	if wr.Kind != kindIntent {
+		return r, nil
 	}
-}
-
-func encodeIntent(it Intent) wireRecord {
-	wr := wireRecord{
-		Kind: kindIntent, StmtID: it.StmtID, Seq: it.Seq,
-		Table: it.Table, Fragment: it.Fragment, Op: string(it.Op), SQL: it.SQL,
-	}
-	for _, v := range it.Row {
-		wr.Row = append(wr.Row, encodeValue(v))
-	}
-	return wr
-}
-
-func decodeIntent(wr wireRecord) (Intent, error) {
-	it := Intent{
+	r.it = Intent{
 		StmtID: wr.StmtID, Seq: wr.Seq,
 		Table: wr.Table, Fragment: wr.Fragment, Op: Op(wr.Op), SQL: wr.SQL,
 	}
-	switch it.Op {
-	case OpUpsert, OpSQL:
-	default:
-		return Intent{}, fmt.Errorf("journal: unknown intent op %q", wr.Op)
+	if opCode(r.it.Op) == 0 {
+		return record{}, fmt.Errorf("journal: unknown intent op %q", wr.Op)
 	}
-	for _, wv := range wr.Row {
-		v, err := decodeValue(wv)
+	if len(wr.Row) > 0 {
+		row, err := wal.DecodeRow(wr.Row)
 		if err != nil {
-			return Intent{}, err
+			return record{}, err
 		}
-		it.Row = append(it.Row, v)
+		r.it.Row = row
 	}
-	return it, nil
+	return r, nil
 }
 
-// encodeFrame marshals wr as one framed record.
-func encodeFrame(wr wireRecord) ([]byte, error) {
-	payload, err := json.Marshal(wr)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode record: %w", err)
+// encodeFrame frames r as one version-1 record.
+func encodeFrame(r record) ([]byte, error) {
+	if kindCode(r.kind) == 0 || (r.kind == kindIntent && opCode(r.it.Op) == 0) {
+		return nil, fmt.Errorf("journal: cannot encode %s record with op %q", r.kind, r.it.Op)
 	}
+	frame := appendPayload(make([]byte, frameHeaderLen, 64), r)
+	payload := frame[frameHeaderLen:]
 	if len(payload) > maxPayload {
 		return nil, fmt.Errorf("journal: record payload %d bytes exceeds cap %d", len(payload), maxPayload)
 	}
-	frame := make([]byte, 0, frameHeaderLen+len(payload))
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	frame = append(frame, hdr[:]...)
-	return append(frame, payload...), nil
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return frame, nil
 }
 
-// appendFrame marshals wr and appends one framed record to dst.
-func appendFrame(dst []byte, wr wireRecord) ([]byte, error) {
-	frame, err := encodeFrame(wr)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, frame...), nil
-}
+// errFormat reports a payload whose version byte is unknown.
+var errFormat = errors.New("journal: unknown record format")
 
 // readFrame parses one framed record at buf[off:]. It returns the
 // decoded record and the offset just past it, or ok=false when the
 // bytes at off are not an intact record (short header, short or
-// oversized payload, CRC mismatch, malformed JSON, or an undecodable
-// value) — the torn-tail signal.
-func readFrame(buf []byte, off int) (wr wireRecord, next int, ok bool) {
+// oversized payload, CRC mismatch, or a payload that does not decode)
+// — the torn-tail signal.
+func readFrame(buf []byte, off int) (r record, next int, ok bool) {
 	if off+frameHeaderLen > len(buf) {
-		return wireRecord{}, off, false
+		return record{}, off, false
 	}
 	n := int(binary.BigEndian.Uint32(buf[off : off+4]))
 	sum := binary.BigEndian.Uint32(buf[off+4 : off+8])
 	if n > maxPayload || off+frameHeaderLen+n > len(buf) {
-		return wireRecord{}, off, false
+		return record{}, off, false
 	}
 	payload := buf[off+frameHeaderLen : off+frameHeaderLen+n]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return wireRecord{}, off, false
+		return record{}, off, false
 	}
-	if err := json.Unmarshal(payload, &wr); err != nil {
-		return wireRecord{}, off, false
+	var err error
+	switch {
+	case n > 0 && payload[0] == formatBinary:
+		r, err = readPayload(payload)
+	case n > 0 && payload[0] == formatJSON:
+		r, err = readPayloadV0(payload)
+	default:
+		err = errFormat
 	}
-	if wr.Kind == kindIntent {
-		if _, err := decodeIntent(wr); err != nil {
-			return wireRecord{}, off, false
-		}
+	if err != nil {
+		return record{}, off, false
 	}
-	return wr, off + frameHeaderLen + n, true
+	return r, off + frameHeaderLen + n, true
 }

@@ -167,7 +167,7 @@ func (g *Group) lostLocked() bool {
 // changes — durability first, acknowledgement second.
 func (g *Group) appendIntentLocked(it Intent) error {
 	l := g.logLocked(it.Fragment)
-	frame, err := encodeFrame(encodeIntent(it))
+	frame, err := encodeFrame(record{kind: kindIntent, it: it})
 	if err != nil {
 		return err
 	}
@@ -188,7 +188,7 @@ func (g *Group) settleLocked(frag, stmtID, kind string) error {
 	if _, ok := l.pending[stmtID]; !ok {
 		return nil
 	}
-	frame, err := encodeFrame(wireRecord{Kind: kind, StmtID: stmtID})
+	frame, err := encodeFrame(record{kind: kind, it: Intent{StmtID: stmtID}})
 	if err != nil {
 		return err
 	}
@@ -375,7 +375,7 @@ func (g *Group) TruncateTail(frag string, n int) {
 
 // recoverLocked rebuilds a log's replay state by re-parsing its
 // buffer from the start. The first damaged record (short header,
-// short payload, CRC mismatch, malformed JSON, undecodable value)
+// short payload, CRC mismatch, a payload that does not decode)
 // truncates the buffer there; if that drops bytes the log is marked
 // lost. Intents whose applied/abandoned marker survives stay settled;
 // everything else becomes pending again.
@@ -385,18 +385,14 @@ func (g *Group) recoverLocked(l *log) {
 	done := make(map[string]bool)
 	off := 0
 	for off < len(l.buf) {
-		wr, next, ok := readFrame(l.buf, off)
+		r, next, ok := readFrame(l.buf, off)
 		if !ok {
 			break
 		}
 		off = next
-		switch wr.Kind {
+		switch r.kind {
 		case kindIntent:
-			it, err := decodeIntent(wr)
-			if err != nil {
-				// readFrame already validated intents; defensive.
-				continue
-			}
+			it := r.it
 			if !done[it.StmtID] {
 				pending[it.StmtID] = it
 			}
@@ -404,8 +400,8 @@ func (g *Group) recoverLocked(l *log) {
 				g.seq = it.Seq
 			}
 		case kindApplied, kindAbandoned:
-			done[wr.StmtID] = true
-			delete(pending, wr.StmtID)
+			done[r.it.StmtID] = true
+			delete(pending, r.it.StmtID)
 		}
 	}
 	if off < len(l.buf) {

@@ -223,6 +223,15 @@ func (t *Table) HasIndex(column string) bool {
 	return ok
 }
 
+// HasHashIndex reports whether column has a hash index.
+func (t *Table) HasHashIndex(column string) bool {
+	ci := t.def.ColumnIndex(column)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, ok := t.hashes[ci]
+	return ok
+}
+
 // encodeValue produces a stable map key for a value (kind-tagged).
 func encodeValue(v value.Value) string {
 	return value.Key(v)

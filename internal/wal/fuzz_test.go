@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cohera/internal/value"
 )
 
 // fuzzSeedLog builds a small valid log image: schema create, two puts,
@@ -48,6 +50,15 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	// One frame of each format version: a JSON record an older release
+	// wrote, and the binary record this one writes.
+	put := Record{LSN: 1, Kind: KindPut, Table: "parts", Values: []value.Value{value.NewString("a"), value.NewInt(1)}}
+	f.Add(appendFrameV0(f, nil, put))
+	v1, err := appendFrame(nil, put)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, good, torn := ScanRecords(data)

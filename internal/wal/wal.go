@@ -81,7 +81,8 @@ const (
 type jkey struct{ site, table, frag string }
 
 // JournalFrag is one journal fragment's durable bytes, as recovered
-// from a checkpoint plus replayed jframe records.
+// from a checkpoint plus replayed jframe records. The JSON tags are
+// the version-0 checkpoint format.
 type JournalFrag struct {
 	Site  string `json:"site"`
 	Table string `json:"table"`
@@ -100,8 +101,10 @@ type Recovered struct {
 	// State), which is what makes a crash between checkpoint rename and
 	// log truncation safe against double-apply.
 	CheckpointLSN uint64
-	// State is the checkpoint's engine snapshot (exec snapshot JSON),
-	// nil when the checkpoint carried no engine state.
+	// State is the checkpoint's engine snapshot (the bytes
+	// exec.Database.SaveSnapshot wrote, or a version-0 JSON snapshot
+	// from an older checkpoint), nil when the checkpoint carried no
+	// engine state.
 	State []byte
 	// Journal is the rebuilt write-intent journal, one entry per
 	// (site, table, fragment) log.

@@ -38,7 +38,9 @@
 #   7. go test -fuzz ... 10s     fuzz smoke: parser, NDJSON stream
 #                                decoder, the row codec against its
 #                                encoding/json reference, WAL replay,
-#                                the pushdown split
+#                                the binary disk codec (WAL records,
+#                                snapshots, journal intents) against
+#                                its JSON reference, the pushdown split
 #                                oracle, the bound-vs-Eval oracle, the
 #                                storage.Table-vs-model op sequences and
 #                                the merge's key dedupe against a map
@@ -83,6 +85,7 @@ go test -fuzz FuzzParseExpr -fuzztime 10s ./internal/sqlparse/
 go test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/remote/
 go test -fuzz FuzzRowCodec -fuzztime 10s ./internal/remote/
 go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
+go test -fuzz FuzzDiskCodec -fuzztime 10s ./internal/exec/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzBoundEval -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzTableOps -fuzztime 10s ./internal/storage/
