@@ -149,6 +149,16 @@ func partsRow(sku string, price float64, region string) storage.Row {
 	return storage.Row{value.NewString(sku), value.NewFloat(price), value.NewString(region)}
 }
 
+// probe runs one full-table subquery at s through SubQueryStream and
+// drains it; the drain's Close settles the site's breaker.
+func probe(ctx context.Context, s *federation.Site) error {
+	st, err := s.SubQueryStream(ctx, "parts", nil, nil, -1)
+	if err == nil {
+		_, err = storage.CollectRows(st)
+	}
+	return err
+}
+
 // testbed is one chaos federation: east fragment on a single site, west
 // fragment replicated on two.
 type testbed struct {
@@ -340,14 +350,14 @@ func scenarioBreakerLifecycle(seed int64) error {
 	tb.east.SetFaultHook(inj.Inject)
 
 	for i := 0; i < 3; i++ {
-		if _, err := tb.east.SubQuery(ctx, "parts", nil, nil); !errors.Is(err, federation.ErrSiteFailure) {
+		if err := probe(ctx, tb.east); !errors.Is(err, federation.ErrSiteFailure) {
 			return fmt.Errorf("fault %d: want ErrSiteFailure, got %v", i, err)
 		}
 	}
 	if br.State() != resilience.Open {
 		return fmt.Errorf("breaker = %v after sustained faults, want open", br.State())
 	}
-	if _, err := tb.east.SubQuery(ctx, "parts", nil, nil); !errors.Is(err, federation.ErrBreakerOpen) {
+	if err := probe(ctx, tb.east); !errors.Is(err, federation.ErrBreakerOpen) {
 		return fmt.Errorf("open breaker should reject, got %v", err)
 	}
 	if score := tb.east.HealthScore(); score != 0 {
@@ -357,7 +367,7 @@ func scenarioBreakerLifecycle(seed int64) error {
 	// Half-open too early: the schedule still has the site down, so the
 	// probe fails and the breaker re-opens.
 	clock.Advance(3 * time.Second) // past OpenTimeout, inside the outage window
-	if _, err := tb.east.SubQuery(ctx, "parts", nil, nil); !errors.Is(err, federation.ErrSiteFailure) {
+	if err := probe(ctx, tb.east); !errors.Is(err, federation.ErrSiteFailure) {
 		return fmt.Errorf("probe during outage: want ErrSiteFailure, got %v", err)
 	}
 	if br.State() != resilience.Open {
@@ -367,7 +377,7 @@ func scenarioBreakerLifecycle(seed int64) error {
 	// Schedule clears; the next probes close the breaker for good.
 	clock.Advance(5 * time.Second)
 	for i := 0; i < 2; i++ {
-		if _, err := tb.east.SubQuery(ctx, "parts", nil, nil); err != nil {
+		if err := probe(ctx, tb.east); err != nil {
 			return fmt.Errorf("probe %d after faults cleared: %v", i, err)
 		}
 	}
@@ -760,7 +770,7 @@ func scenarioSoak(seed int64, ops int) error {
 	clock.Advance(maxEnd + 10*step)
 	for _, s := range sites {
 		for p := 0; p < 3; p++ {
-			if _, err := s.SubQuery(ctx, "parts", nil, nil); err != nil {
+			if err := probe(ctx, s); err != nil {
 				return fmt.Errorf("recovery probe at %s: %v", s.Name(), err)
 			}
 		}

@@ -1,11 +1,12 @@
 // Command coherasmoke is the CI smoke probe for the observability
 // endpoints: it assembles the same handler stack coherad serves —
 // obs.Handler in front of a remote.Server publishing one table — runs a
-// fetch through it to move the metrics, then asserts that /healthz
-// answers 200, that /metrics emits non-empty, well-formed Prometheus
-// text, and that the query-observability surface works end to end: an
-// EXPLAIN ANALYZE whose per-fragment row counts sum to the result
-// cardinality, an open stream visible in /debug/queries, and an
+// fetch through it to move the metrics, then asserts that the retired
+// POST /fetch answers 404, that /healthz answers 200, that /metrics
+// emits non-empty, well-formed Prometheus text counting the fetch on
+// /fetchstream, and that the query-observability surface works end to
+// end: an EXPLAIN ANALYZE whose per-fragment row counts sum to the
+// result cardinality, an open stream visible in /debug/queries, and an
 // operator cancel that kills it with the typed cause. Exit status 0
 // means the daemon surface is healthy; any defect prints a diagnostic
 // and exits 1. scripts/check.sh runs it as a gate.
@@ -63,10 +64,13 @@ func run() error {
 	}
 	rows, err := sources[0].Fetch(ctx, nil)
 	if err != nil {
-		return fmt.Errorf("/fetch: %w", err)
+		return fmt.Errorf("fetch: %w", err)
 	}
 	if len(rows) == 0 {
-		return fmt.Errorf("/fetch: no rows")
+		return fmt.Errorf("fetch: no rows")
+	}
+	if err := checkFetchRetired(ts.URL); err != nil {
+		return err
 	}
 
 	if err := checkHealth(ts.URL); err != nil {
@@ -215,6 +219,21 @@ func smokeFederation() (*federation.Federation, error) {
 	return fed, nil
 }
 
+// checkFetchRetired asserts that the retired POST /fetch answers 404.
+func checkFetchRetired(base string) error {
+	resp, err := http.Post(base+"/fetch", "application/json", strings.NewReader(`{"table":"catalog"}`))
+	if err != nil {
+		return fmt.Errorf("POST /fetch: %w", err)
+	}
+	//lint:ignore errdrop status code is the assertion; the body is advisory
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		return fmt.Errorf("POST /fetch: status %d, want 404", resp.StatusCode)
+	}
+	return nil
+}
+
 func checkHealth(base string) error {
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -295,7 +314,9 @@ func checkMetrics(base string) error {
 		return fmt.Errorf("/metrics: no series emitted")
 	}
 	for _, want := range []string{
-		"cohera_remote_server_requests_total",
+		// Fetch is the smoke's only remote read, so this series exists
+		// only if it travelled the /fetchstream push stream.
+		`cohera_remote_server_requests_total{class="2xx",path="/fetchstream"} `,
 		"cohera_remote_client_requests_total",
 		"cohera_wrapper_fetches_total",
 	} {

@@ -64,11 +64,9 @@ func runE11(seed int64, rows, width, queries int, pushdown bool) (cellsPerQuery 
 	fed := federation.New(federation.NewAgoric())
 	fed.DisableProjectionPushdown = !pushdown
 	s := federation.NewSite("s")
-	// Per-row cost approximates per-cell transfer: scale it by width when
-	// pushdown is off via the row width the site actually produces — the
-	// executor projects at the site, so PerRow alone under-charges; use a
-	// small PerRow so the dominant signal is the cell count plus the
-	// coordinator's load cost of wide rows.
+	// The site charges Latency per subquery; PerRow only prices bids. The
+	// measured signal is the cell count plus the coordinator's load cost
+	// of wide rows.
 	s.SetCost(federation.CostModel{Latency: 100 * time.Microsecond, PerRow: 2 * time.Microsecond})
 	if err := fed.AddSite(s); err != nil {
 		return 0, 0, err

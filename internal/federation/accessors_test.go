@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"cohera/internal/storage"
+	"cohera/internal/wrapper"
 )
 
 func TestOptimizerNamesAndSiteCounters(t *testing.T) {
@@ -32,20 +35,38 @@ func TestOptimizerNamesAndSiteCounters(t *testing.T) {
 	}
 }
 
-// TestQuerySourcePushdownPaths exercises the wrapper-backed subquery path
-// with projected columns and unknown-column errors.
+// TestQuerySourcePushdownProjection exercises SubQueryStream's column
+// projection on a stored fragment and on a wrapper-backed table, and
+// the wrapper path's unknown-column error.
 func TestQuerySourcePushdownProjection(t *testing.T) {
 	fed, _, _ := twoFragFed(t)
-	// Projection through a stored fragment (SubQuery cols path).
+	ctx := context.Background()
 	s, _ := fed.Site("east-1")
-	res, err := s.SubQuery(context.Background(), "parts", nil, []string{"sku", "price"})
+	st, err := s.SubQueryStream(ctx, "parts", nil, []string{"sku", "price"}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Columns) != 2 || res.Columns[0] != "sku" {
-		t.Errorf("projected columns = %v", res.Columns)
+	if cols := st.Columns(); len(cols) != 2 || cols[0] != "sku" {
+		t.Errorf("projected columns = %v", cols)
 	}
-	if len(res.Rows) != 2 || len(res.Rows[0]) != 2 {
-		t.Errorf("projected rows = %v", res.Rows)
+	rows, err := storage.CollectRows(st)
+	if err != nil || len(rows) != 2 || len(rows[0]) != 2 {
+		t.Errorf("projected rows = %v, %v", rows, err)
+	}
+
+	// A static source pushes nothing, so the site projects its rows.
+	src, err := wrapper.NewStaticSource("static", partsDef().Clone("gadgets"), []storage.Row{
+		row("G1", "gizmo", 2, "east"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddSource(src)
+	rows, err = subQuery(ctx, s, "gadgets", nil, []string{"price", "sku"})
+	if err != nil || len(rows) != 1 || len(rows[0]) != 2 || rows[0][1].Str() != "G1" {
+		t.Errorf("wrapper projection = %v, %v", rows, err)
+	}
+	if _, err := subQuery(ctx, s, "gadgets", nil, []string{"nope"}); err == nil {
+		t.Error("projecting a column the source lacks should fail")
 	}
 }

@@ -3,6 +3,8 @@ package federation
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -398,6 +400,54 @@ func TestOldServerPushdownFallback(t *testing.T) {
 	withoutAck := runBothPaths(t, fed, sql, false)
 	if !sameMultiset(multiset(withPush), multiset(withoutAck)) {
 		t.Fatal("old-server fallback changed the result")
+	}
+}
+
+// TestLyingProjectionAckFailsOver: a peer that acks a projection other
+// than the one asked for fails the fragment's open as a site failure.
+// Trusting the ack would hand the coordinator 1-wide rows as 2-wide
+// ones: SELECT sku, price would return a short row, and SELECT price,
+// sku would index past the row in the merge's projection.
+func TestLyingProjectionAckFailsOver(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/tables" {
+			fmt.Fprint(w, `[{"name":"parts","columns":[{"name":"sku","kind":"string","not_null":true},`+
+				`{"name":"price","kind":"float"},{"name":"qty","kind":"int"}],"key":["sku"],`+
+				`"push":{"project":true,"limit":true}}]`)
+			return
+		}
+		fmt.Fprint(w, `{"pushed":{"cols":["sku"]}}`+"\n"+`{"rows":[[{"k":"string","s":"P1"}]]}`+"\n"+`{"eof":true}`+"\n")
+	}))
+	defer peer.Close()
+	sources, err := remote.Dial(peer.URL, "").Tables(context.Background())
+	if err != nil || len(sources) != 1 {
+		t.Fatalf("tables: %v (%d sources)", err, len(sources))
+	}
+	fed := New(NewAgoric())
+	site := NewSite("liar")
+	if err := fed.AddSite(site); err != nil {
+		t.Fatal(err)
+	}
+	site.AddSource(sources[0])
+	if _, err := fed.DefineTable(sources[0].Schema(), NewFragment("all", nil, site)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, sql := range []string{"SELECT sku, price FROM parts", "SELECT price, sku FROM parts"} {
+		if res, err := fed.Query(ctx, sql); !errors.Is(err, ErrSiteFailure) {
+			t.Errorf("%s: Query = %v, %v; want ErrSiteFailure and no rows", sql, res, err)
+		}
+		st, _, err := fed.QueryStream(ctx, sql)
+		if err == nil {
+			var rows []storage.Row
+			rows, err = storage.CollectRows(st)
+			if len(rows) != 0 {
+				t.Errorf("%s: stream yielded rows %v from a lying peer", sql, rows)
+			}
+		}
+		if !errors.Is(err, ErrSiteFailure) {
+			t.Errorf("%s: QueryStream error = %v, want ErrSiteFailure", sql, err)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func TestSentinelWrapChains(t *testing.T) {
 
 	// Liveness flag → ErrSiteDown.
 	east.SetDown(true)
-	_, err = east.SubQuery(ctx, "parts", nil, nil)
+	_, err = subQuery(ctx, east, "parts", nil, nil)
 	if !errors.Is(err, ErrSiteDown) {
 		t.Fatalf("down site: want ErrSiteDown, got %v", err)
 	}
@@ -49,7 +49,7 @@ func TestSentinelWrapChains(t *testing.T) {
 	// Fault hook → ErrSiteFailure wrapping the hook's own error.
 	inj := fault.New("east-hook", fault.Config{FailFirst: 1, Seed: 1})
 	east.SetFaultHook(inj.Inject)
-	_, err = east.SubQuery(ctx, "parts", nil, nil)
+	_, err = subQuery(ctx, east, "parts", nil, nil)
 	if !errors.Is(err, ErrSiteFailure) {
 		t.Fatalf("hook failure: want ErrSiteFailure, got %v", err)
 	}
@@ -63,12 +63,12 @@ func TestSentinelWrapChains(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		east.Breaker().RecordFailure()
 	}
-	_, err = east.SubQuery(ctx, "parts", nil, nil)
+	_, err = subQuery(ctx, east, "parts", nil, nil)
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker: want ErrBreakerOpen, got %v", err)
 	}
 	east.Breaker().Reset()
-	if _, err = east.SubQuery(ctx, "parts", nil, nil); err != nil {
+	if _, err = subQuery(ctx, east, "parts", nil, nil); err != nil {
 		t.Fatalf("after reset: %v", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestBreakerLifecycleOnSite(t *testing.T) {
 
 	// Sustained faults trip the breaker at the threshold.
 	for i := 0; i < 2; i++ {
-		if _, err := east.SubQuery(ctx, "parts", nil, nil); !errors.Is(err, ErrSiteFailure) {
+		if _, err := subQuery(ctx, east, "parts", nil, nil); !errors.Is(err, ErrSiteFailure) {
 			t.Fatalf("fault %d: want ErrSiteFailure, got %v", i, err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestBreakerLifecycleOnSite(t *testing.T) {
 	if east.Available() || east.HealthScore() != 0 {
 		t.Fatalf("open site should be unavailable with score 0, got %v/%v", east.Available(), east.HealthScore())
 	}
-	if _, err := east.SubQuery(ctx, "parts", nil, nil); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := subQuery(ctx, east, "parts", nil, nil); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker should reject without running the hook, got %v", err)
 	}
 
@@ -182,7 +182,7 @@ func TestBreakerLifecycleOnSite(t *testing.T) {
 	inj.SetEnabled(false)
 	clock.Advance(2 * time.Second)
 	for i := 0; i < 2; i++ {
-		if _, err := east.SubQuery(ctx, "parts", nil, nil); err != nil {
+		if _, err := subQuery(ctx, east, "parts", nil, nil); err != nil {
 			t.Fatalf("probe %d should pass: %v", i, err)
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +26,6 @@ import (
 	"cohera/internal/obs"
 	"cohera/internal/plan"
 	"cohera/internal/resilience"
-	"cohera/internal/sqlparse"
-	"cohera/internal/storage"
 	"cohera/internal/wrapper"
 )
 
@@ -76,7 +73,9 @@ func metBreakerTransitions(site, to string) *obs.Counter {
 type CostModel struct {
 	// Latency is the round-trip cost of reaching the site.
 	Latency time.Duration
-	// PerRow is the processing cost per row produced.
+	// PerRow is the processing cost per row produced. It only prices
+	// bids (EstimateCost and the centralized optimizer); a simulated
+	// site charges Latency when a subquery opens and nothing per row.
 	PerRow time.Duration
 	// LoadPenalty scales cost by (1 + LoadPenalty × concurrent queries):
 	// the knob that makes load balancing matter.
@@ -284,54 +283,10 @@ func (s *Site) ResetCounters() {
 // Load returns the number of subqueries currently executing at the site.
 func (s *Site) Load() int64 { return s.inFlight.Load() }
 
-// SubQuery executes a single-table selection at the site:
-// SELECT <cols> FROM table WHERE <where>, with where referencing only
-// bare column names. cols nil means all columns. It is the unit of work
-// the federated executor ships to sites.
-func (s *Site) SubQuery(ctx context.Context, table string, where sqlparse.Expr, cols []string) (*exec.Result, error) {
-	if err := s.CheckAvailable(ctx); err != nil {
-		return nil, err
-	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	s.served.Add(1)
-
-	ctx, sp := obs.StartSpan(ctx, "site.subquery")
-	sp.Set("site", s.name)
-	sp.Set("table", table)
-	start := time.Now()
-
-	var res *exec.Result
-	var err error
-	if src := s.source(table); src != nil {
-		res, err = s.querySource(ctx, src, where, cols)
-	} else {
-		res, err = s.queryStored(table, where, cols)
-	}
-	if err == nil {
-		err = s.simulateCost(ctx, len(res.Rows))
-	}
-	s.ObserveLatency(time.Since(start))
-	if err != nil {
-		// Only transient site failures move the breaker; semantic errors
-		// (unknown table, bad filter) and caller cancellations do not.
-		if errors.Is(err, ErrSiteFailure) && ctx.Err() == nil {
-			s.breaker.RecordFailure()
-		}
-		sp.SetErr(err)
-		sp.End()
-		return nil, err
-	}
-	s.breaker.RecordSuccess()
-	sp.Set("rows", strconv.Itoa(len(res.Rows)))
-	sp.End()
-	return res, nil
-}
-
 // ObserveLatency records one observed subquery latency for the site —
-// called after every SubQuery, and exported so external monitors can
-// feed replayed or synthetic measurements into the same histograms the
-// agoric bid prior consumes.
+// called when every SubQueryStream settles, and exported so external
+// monitors can feed replayed or synthetic measurements into the same
+// histograms the agoric bid prior consumes.
 func (s *Site) ObserveLatency(d time.Duration) {
 	s.latShared.Observe(d)
 	s.latLocal.Observe(d)
@@ -350,88 +305,15 @@ func (s *Site) source(table string) wrapper.Source {
 	return s.sources[lower(table)]
 }
 
-func (s *Site) queryStored(table string, where sqlparse.Expr, cols []string) (*exec.Result, error) {
-	items := []sqlparse.SelectItem{{Expr: sqlparse.Star{}}}
-	if cols != nil {
-		items = items[:0]
-		for _, c := range cols {
-			items = append(items, sqlparse.SelectItem{Expr: sqlparse.ColumnRef{Column: c}, Alias: c})
-		}
-	}
-	stmt := sqlparse.SelectStmt{
-		Items: items,
-		From:  sqlparse.TableRef{Name: table},
-		Where: where,
-		Limit: -1,
-	}
-	return s.db.Select(stmt)
-}
-
-// querySource serves a subquery from a wrapper source: equality conjuncts
-// the source advertises are pushed to the remote; everything else is
-// post-filtered here at the site.
-func (s *Site) querySource(ctx context.Context, src wrapper.Source, where sqlparse.Expr, cols []string) (*exec.Result, error) {
-	def := src.Schema()
-	caps := src.Capabilities()
-	var filters []wrapper.Filter
-	for _, c := range plan.Conjuncts(where) {
-		r, ok := plan.Sargable(c)
-		if !ok || r.Lo.IsNull() || !r.Lo.Equal(r.Hi) || r.LoExclusive || r.HiExclusive {
-			continue
-		}
-		if caps.CanPush(r.Column) {
-			filters = append(filters, wrapper.Filter{Column: r.Column, Value: r.Lo})
-		}
-	}
-	rows, err := src.Fetch(ctx, filters)
-	if err != nil {
-		return nil, fmt.Errorf("%w: source %s: %w", ErrSiteFailure, src.Name(), err)
-	}
-	names := def.ColumnNames()
-	ev := &plan.Evaluator{}
-	outCols := names
-	var colIdx []int
-	if cols != nil {
-		outCols = cols
-		for _, c := range cols {
-			ci := def.ColumnIndex(c)
-			if ci < 0 {
-				return nil, fmt.Errorf("federation: source %s has no column %q", src.Name(), c)
-			}
-			colIdx = append(colIdx, ci)
-		}
-	}
-	res := &exec.Result{Columns: outCols}
-	for _, r := range rows {
-		if where != nil {
-			v, err := ev.Eval(where, plan.NewRowEnv(names, r))
-			if err != nil {
-				return nil, fmt.Errorf("federation: source %s filter: %w", src.Name(), err)
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		if colIdx != nil {
-			pr := make(storage.Row, len(colIdx))
-			for i, ci := range colIdx {
-				pr[i] = r[ci]
-			}
-			res.Rows = append(res.Rows, pr)
-		} else {
-			res.Rows = append(res.Rows, r)
-		}
-	}
-	return res, nil
-}
-
-// simulateCost charges the cost model for a subquery producing n rows.
-func (s *Site) simulateCost(ctx context.Context, n int) error {
+// simulateCost charges the cost model's round-trip latency for one
+// subquery, scaled by the site's current load. PerRow is not charged
+// here: a stream's row count is unknown when it opens.
+func (s *Site) simulateCost(ctx context.Context) error {
 	c := s.Cost()
-	if c.Latency == 0 && c.PerRow == 0 {
+	if c.Latency == 0 {
 		return nil
 	}
-	d := c.Latency + time.Duration(n)*c.PerRow
+	d := c.Latency
 	if c.LoadPenalty > 0 {
 		concurrent := float64(s.inFlight.Load() - 1)
 		if concurrent > 0 {

@@ -14,12 +14,14 @@ import (
 	"cohera/internal/wrapper"
 )
 
-// SubQueryStream is SubQuery's streaming face: the same single-table
-// selection, but rows arrive through a pull-based stream instead of a
-// materialized result. Stored tables run the local engine's streaming
-// executor; wrapper-fronted tables stream from the source (over the
-// wire, when the source is remote) with site-side filtering and
-// projection applied row by row. limit caps delivered rows (< 0 means
+// SubQueryStream executes a single-table selection at the site,
+// SELECT <cols> FROM table WHERE <where> with where referencing only
+// bare column names (cols nil means all columns), and returns its rows
+// through a pull-based stream. It is the one unit of work the federated
+// executor ships to sites. Stored tables run the local engine's
+// streaming executor; wrapper-fronted tables stream from the source
+// (over the wire, when the source is remote) with site-side filtering
+// and projection applied row by row. limit caps delivered rows (< 0 means
 // unlimited) and is pushed into the scan when the source can stop
 // early. The site applies everything it is given — the federation
 // planner sends only what the site's PushCaps advertise and keeps the
@@ -45,9 +47,10 @@ func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.
 		st, err = s.streamStored(ctx, table, where, cols, limit)
 	}
 	if err == nil {
-		// Charge the round-trip latency up front; per-row simulated cost
-		// stays with the materialized path, where row counts are known.
-		err = s.simulateCost(ctx, 0)
+		// Charge the round-trip latency up front. CostModel.PerRow only
+		// prices bids (EstimateCost, central.go): a stream's row count
+		// is unknown at open.
+		err = s.simulateCost(ctx)
 	}
 	if err != nil {
 		if st != nil {
@@ -65,7 +68,7 @@ func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.
 	}
 	// Breaker accounting waits for Close: a stream that opens fine can
 	// still die mid-transfer, and that failure must move the breaker
-	// just like the materialized path's.
+	// just like a failed open.
 	return &siteStream{inner: st, site: s, ctx: ctx, sp: sp, start: start}, nil
 }
 

@@ -393,12 +393,12 @@ func (s *flakySource) Fetch(ctx context.Context, _ []wrapper.Filter) ([]storage.
 	return nil, errors.New("flaky source is stream-only")
 }
 
-func (s *flakySource) FetchStream(ctx context.Context, _ []wrapper.Filter) (storage.RowStream, error) {
+func (s *flakySource) FetchPushStream(ctx context.Context, _ []wrapper.Filter, _ wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
 	return &flakyStream{
-		cols:  wrapper.ColumnNames(s.def),
+		cols:  s.def.ColumnNames(),
 		rows:  s.rows,
 		onEnd: func() error { return s.onEnd(ctx) },
-	}, nil
+	}, wrapper.Applied{}, nil
 }
 
 // flakyFed builds a federation whose single "parts" fragment is served

@@ -96,7 +96,7 @@ func admittedServer(t *testing.T, cfg admission.Config) (*Server, *httptest.Serv
 }
 
 // TestServerShedsDataPlaneWith429: past the tenant's rate the server
-// answers /fetch with 429 + Retry-After; the round trip comes back to
+// answers /fetchstream with 429 + Retry-After; the round trip comes back to
 // the caller as the same typed error a local gate would produce, with
 // the wire tenant honored. Control-plane endpoints stay ungated.
 func TestServerShedsDataPlaneWith429(t *testing.T) {
@@ -106,12 +106,12 @@ func TestServerShedsDataPlaneWith429(t *testing.T) {
 		Clock: func() time.Time { return clk },
 	})
 	c := Dial(ts.URL, "")
+	src := streamSource(t, ts)
 	ctx := admission.WithTenant(context.Background(), "acme")
-	body := []byte(`{"table":"t"}`)
-	if _, err := c.do(ctx, http.MethodPost, "/fetch", body, true); err != nil {
+	if _, err := src.Fetch(ctx, nil); err != nil {
 		t.Fatalf("first fetch within burst: %v", err)
 	}
-	_, err := c.do(ctx, http.MethodPost, "/fetch", body, true)
+	_, err := src.Fetch(ctx, nil)
 	if !errors.Is(err, admission.ErrOverloaded) {
 		t.Fatalf("over-rate fetch = %v, want ErrOverloaded", err)
 	}
@@ -124,7 +124,7 @@ func TestServerShedsDataPlaneWith429(t *testing.T) {
 	}
 	// Another tenant has its own bucket.
 	other := admission.WithTenant(context.Background(), "other")
-	if _, err := c.do(other, http.MethodPost, "/fetch", body, true); err != nil {
+	if _, err := src.Fetch(other, nil); err != nil {
 		t.Fatalf("other tenant shed by acme's bucket: %v", err)
 	}
 	// The control plane (health, schema discovery) is never shed.
@@ -142,15 +142,14 @@ func TestServerQueuesUnderWindowPressure(t *testing.T) {
 	_, ts := admittedServer(t, admission.Config{
 		MaxInFlight: 1, QueueDepth: 8, QueueTimeout: 5 * time.Second,
 	})
-	c := Dial(ts.URL, "")
-	body := []byte(`{"table":"t"}`)
+	src := streamSource(t, ts)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.do(context.Background(), http.MethodPost, "/fetch", body, true); err != nil {
+			if _, err := src.Fetch(context.Background(), nil); err != nil {
 				errs <- err
 			}
 		}()

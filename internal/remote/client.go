@@ -39,8 +39,11 @@ func metClientReqs(class string) *obs.Counter {
 }
 
 var (
+	// metClientBytes counts request/response bodies (/tables, /digest,
+	// /healthz); stream bytes, Fetch's included, count in
+	// cohera_stream_bytes_total{side="client"}.
 	metClientBytes = obs.Default().Counter("cohera_remote_client_bytes_read_total",
-		"Response bytes read by the remote client.", nil)
+		"Response bytes read by the remote client outside /fetchstream.", nil)
 	metClientSeconds = obs.Default().Histogram("cohera_remote_client_seconds",
 		"Remote client call latency.", nil)
 	metClientRetries = obs.Default().Counter("cohera_remote_client_retries_total",
@@ -61,6 +64,8 @@ type DialOption func(*Client)
 
 // WithTimeout overrides the whole-call timeout (DefaultTimeout). d ≤ 0
 // disables the timeout entirely, leaving cancellation to the context.
+// Source.Fetch applies it to the whole drain, retries included; a
+// FetchPushStream stream is bounded by its caller's context alone.
 func WithTimeout(d time.Duration) DialOption {
 	return func(c *Client) {
 		if d < 0 {
@@ -89,10 +94,12 @@ func WithStreamBatch(n int) DialOption {
 }
 
 // WithRetry installs a retry policy for idempotent reads (Tables,
-// Fetch, Healthy). Transport failures and 5xx responses are retried
-// with capped exponential backoff and full jitter; 4xx responses are
-// the caller's fault and fail immediately. Writes are never retried:
-// a blindly replayed non-idempotent statement could apply twice.
+// Fetch, Healthy, Digest). Transport failures, 5xx responses and
+// streams cut short are retried with capped exponential backoff and
+// full jitter; 4xx responses are the caller's fault and fail
+// immediately. A retried Fetch throws the failed attempt's rows away,
+// so a replay cannot duplicate them. Writes are never retried: a
+// blindly replayed non-idempotent statement could apply twice.
 func WithRetry(r resilience.Retry) DialOption {
 	return func(c *Client) { c.retry = &r }
 }
@@ -132,7 +139,7 @@ func (e *statusError) Error() string {
 // is at capacity, and an immediate retry is the start of a retry storm;
 // honoring the Retry-After hint is the caller's (scheduler's) job.
 func retryableError(err error) bool {
-	if errors.Is(err, admission.ErrOverloaded) {
+	if errors.Is(err, admission.ErrOverloaded) || errors.Is(err, errFetchTooLarge) {
 		return false
 	}
 	var se *statusError
@@ -170,12 +177,11 @@ func shedError(ctx context.Context, method, path string, h http.Header) error {
 	return fmt.Errorf("remote: %s %s: %w", method, path, oe)
 }
 
-// do performs one client call. idempotent calls run under the client's
-// retry policy (when one is installed); non-idempotent calls get
-// exactly one attempt regardless.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool) ([]byte, error) {
-	if c.retry == nil || !idempotent {
-		return c.doOnce(ctx, method, path, body)
+// withRetry runs one idempotent read under the client's retry policy,
+// or once when no policy is installed.
+func (c *Client) withRetry(ctx context.Context, op func(context.Context) error) error {
+	if c.retry == nil {
+		return op(ctx)
 	}
 	r := *c.retry
 	prev := r.OnRetry
@@ -185,12 +191,22 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemp
 			prev(attempt, err, delay)
 		}
 	}
+	return r.Run(ctx, op, retryableError)
+}
+
+// do performs one client call. idempotent calls run under the client's
+// retry policy (when one is installed); non-idempotent calls get
+// exactly one attempt regardless.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool) ([]byte, error) {
+	if !idempotent {
+		return c.doOnce(ctx, method, path, body)
+	}
 	var out []byte
-	err := r.Run(ctx, func(ctx context.Context) error {
+	err := c.withRetry(ctx, func(ctx context.Context) error {
 		var opErr error
 		out, opErr = c.doOnce(ctx, method, path, body)
 		return opErr
-	}, retryableError)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -341,34 +357,40 @@ func (s *Source) Schema() *schema.Table { return s.def }
 // Capabilities implements wrapper.Source.
 func (s *Source) Capabilities() wrapper.Capabilities { return s.caps }
 
-// Fetch implements wrapper.Source: pushable filters travel to the
-// server; the caller re-checks everything as usual.
+// maxFetchBytes caps the response body one Fetch reads: Fetch holds
+// every row in memory, unlike a stream.
+const maxFetchBytes = 64 << 20
+
+// errFetchTooLarge fails a Fetch whose body passed maxFetchBytes.
+var errFetchTooLarge = errors.New("remote: fetch body too large")
+
+// Fetch implements wrapper.Source: the /fetchstream push stream with
+// nothing pushed, drained. Pushable filters travel to the server and
+// every filter is re-checked as rows arrive. The drain runs under the
+// client's retry policy and whole-call timeout, and fails once it has
+// read maxFetchBytes.
 func (s *Source) Fetch(ctx context.Context, filters []wrapper.Filter) ([]storage.Row, error) {
-	ctx, sp := obs.StartSpan(ctx, "remote.fetch")
-	sp.Set("table", s.def.Name)
-	defer sp.End()
-	req := fetchRequest{Table: s.def.Name}
-	for _, f := range filters {
-		if s.caps.CanPush(f.Column) {
-			req.Filters = append(req.Filters, wireFilter{Column: f.Column, Value: encodeValue(f.Value)})
+	if d := s.client.http.Timeout; d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
+	var rows []storage.Row
+	err := s.client.withRetry(ctx, func(ctx context.Context) error {
+		st, _, err := s.fetchPushStream(ctx, filters, wrapper.Pushdown{}, maxFetchBytes)
+		if err != nil {
+			return err
 		}
-	}
-	body, err := json.Marshal(req)
+		rows, err = storage.CollectRows(st)
+		if err != nil && ctx.Err() != nil && !errors.Is(err, ctx.Err()) {
+			// A deadline that cuts the body reads as truncation; keep
+			// the cause in the chain.
+			err = fmt.Errorf("%w: %w", ctx.Err(), err)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := s.client.do(ctx, http.MethodPost, "/fetch", body, true)
-	if err != nil {
-		sp.SetErr(err)
-		return nil, err
-	}
-	var dec rowDecoder
-	rows, _, err := dec.decode(out, len(s.def.Columns))
-	if err != nil {
-		sp.SetErr(err)
-		return nil, fmt.Errorf("remote: decoding /fetch: %w", err)
-	}
-	sp.Set("rows", strconv.Itoa(len(rows)))
-	// Re-apply all filters locally: the server only handled pushable ones.
-	return wrapper.ApplyFilters(s.def, rows, filters), nil
+	return rows, nil
 }

@@ -1,10 +1,11 @@
 // Package remote puts real sockets under the federation: a Server
-// exposes a site's local tables over HTTP (schema discovery + filtered
-// fetch), and the client side presents each remote table as a
-// wrapper.Source with equality pushdown, so a federation can span
-// processes and machines exactly the way the paper's cross-enterprise
-// setting demands. The wire format is JSON with kind-tagged values so
-// money, durations and timestamps survive the trip.
+// exposes a site's local tables over HTTP (schema discovery on /tables,
+// rows on the /fetchstream push stream), and the client side presents
+// each remote table as a wrapper.Source with σ/π/limit pushdown, so a
+// federation can span processes and machines exactly the way the
+// paper's cross-enterprise setting demands. The wire format is JSON with
+// kind-tagged values so money, durations and timestamps survive the
+// trip.
 package remote
 
 import (
@@ -172,13 +173,6 @@ func decodeSchema(ws wireSchema) (*schema.Table, error) {
 		})
 	}
 	return schema.NewTable(ws.Name, cols, ws.Key...)
-}
-
-// fetchRequest is the body of POST /fetch. The response is one
-// {"rows":[...]} object (appendRows).
-type fetchRequest struct {
-	Table   string       `json:"table"`
-	Filters []wireFilter `json:"filters,omitempty"`
 }
 
 type wireFilter struct {

@@ -1,0 +1,196 @@
+package remote
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cohera/internal/resilience"
+	"cohera/internal/storage"
+	"cohera/internal/wrapper"
+)
+
+// fakePeer serves a one-table /tables (parts: sku, price, qty, with
+// projection pushdown advertised) and hands /fetchstream to fetch.
+func fakePeer(t *testing.T, fetch http.HandlerFunc, opts ...DialOption) *Source {
+	t.Helper()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/tables" {
+			fmt.Fprint(w, `[{"name":"parts","columns":[{"name":"sku","kind":"string","not_null":true},`+
+				`{"name":"price","kind":"float"},{"name":"qty","kind":"int"}],"key":["sku"],`+
+				`"push":{"project":true,"limit":true}}]`)
+			return
+		}
+		fetch(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	return streamSource(t, hs, opts...)
+}
+
+// partsLine is one /fetchstream chunk of full-width parts rows.
+func partsLine(skus ...string) string {
+	cells := make([]string, len(skus))
+	for i, s := range skus {
+		cells[i] = fmt.Sprintf(`[{"k":"string","s":%q},{"k":"float","f":1.5},{"k":"int","i":%d}]`, s, i)
+	}
+	return `{"rows":[` + strings.Join(cells, ",") + "]}\n"
+}
+
+const eofLine = `{"eof":true}` + "\n"
+
+func skus(rows []storage.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r[0].Str()
+	}
+	return out
+}
+
+// TestLyingProjectionAckFailsOpen: the ack must name the requested
+// columns, case-insensitively and in order. A shorter or reordered list
+// fails the open instead of reshaping the stream to the peer's word.
+func TestLyingProjectionAckFailsOpen(t *testing.T) {
+	for _, tc := range []struct {
+		ack  string
+		line string
+		ok   bool
+	}{
+		{`["sku"]`, `{"rows":[[{"k":"string","s":"P1"}]]}` + "\n", false},
+		{`["price","sku"]`, `{"rows":[[{"k":"float","f":1.5},{"k":"string","s":"P1"}]]}` + "\n", false},
+		{`["SKU","Price"]`, `{"rows":[[{"k":"string","s":"P1"},{"k":"float","f":1.5}]]}` + "\n", true},
+	} {
+		src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, `{"pushed":{"cols":`+tc.ack+"}}\n"+tc.line+eofLine)
+		})
+		st, applied, err := src.FetchPushStream(context.Background(), nil, wrapper.Pushdown{Cols: []string{"sku", "price"}})
+		if !tc.ok {
+			if err == nil {
+				st.Close()
+				t.Errorf("ack %s for [sku price]: open succeeded, want an error", tc.ack)
+			}
+			continue
+		}
+		if err != nil || !applied.Cols {
+			t.Fatalf("ack %s: open = %v, applied %+v", tc.ack, err, applied)
+		}
+		rows, err := storage.CollectRows(st)
+		if err != nil || len(rows) != 1 || len(rows[0]) != 2 {
+			t.Fatalf("ack %s: rows %v, %v", tc.ack, rows, err)
+		}
+	}
+}
+
+// TestFetchRetries5xx: a 500 on the first attempt is retried under the
+// client's policy.
+func TestFetchRetries5xx(t *testing.T) {
+	var hits atomic.Int64
+	src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 1 {
+			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
+			return
+		}
+		fmt.Fprint(w, partsLine("P1", "P2")+eofLine)
+	}, WithRetry(resilience.Retry{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}))
+	rows, err := src.Fetch(context.Background(), nil)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("Fetch = %v, %v; want 2 rows", skus(rows), err)
+	}
+	if hits.Load() != 2 {
+		t.Fatalf("server hits = %d, want 2", hits.Load())
+	}
+}
+
+// TestFetchRetriesTruncationWithoutDuplicates: a body cut mid-stream is
+// retried, and only the successful attempt's rows come back.
+func TestFetchRetriesTruncationWithoutDuplicates(t *testing.T) {
+	var hits atomic.Int64
+	src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 1 {
+			fmt.Fprint(w, partsLine("P1", "P2")) // no terminator
+			return
+		}
+		fmt.Fprint(w, partsLine("P1", "P2")+partsLine("P3")+eofLine)
+	}, WithRetry(resilience.Retry{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}))
+	rows, err := src.Fetch(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	if got := strings.Join(skus(rows), ","); got != "P1,P2,P3" {
+		t.Fatalf("Fetch rows = %s, want P1,P2,P3 exactly once", got)
+	}
+	if hits.Load() != 2 {
+		t.Fatalf("server hits = %d, want 2", hits.Load())
+	}
+
+	// Without a retry policy the cut surfaces, typed.
+	hits.Store(0)
+	src.client.retry = nil
+	if _, err := src.Fetch(context.Background(), nil); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("unretried cut = %v, want ErrTruncated", err)
+	}
+}
+
+// TestFetchTimeoutEndsStalledStream: WithTimeout bounds the whole
+// drain, so a server that stalls after its first chunk cannot hold
+// Fetch past the deadline.
+func TestFetchTimeoutEndsStalledStream(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, partsLine("P1"))
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}, WithTimeout(50*time.Millisecond))
+	done := make(chan error, 1)
+	go func() {
+		_, err := src.Fetch(context.Background(), nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("stalled Fetch = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Fetch outlived its 50ms timeout by 10s")
+	}
+}
+
+// TestFetchBodyCap: a body past maxFetchBytes fails the Fetch, and the
+// client stops reading there. Each string cell is written as \u0041
+// escapes, so the rows held before the cap are a sixth of the bytes
+// read.
+func TestFetchBodyCap(t *testing.T) {
+	const ceiling = 2 * maxFetchBytes
+	line := `{"rows":[[{"k":"string","s":"` + strings.Repeat(`\u0041`, 1<<17) +
+		`"},{"k":"float","f":1.5},{"k":"int","i":1}]]}` + "\n"
+	var written atomic.Int64
+	src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		for written.Load() < ceiling {
+			n, err := fmt.Fprint(w, line)
+			written.Add(int64(n))
+			if err != nil || r.Context().Err() != nil {
+				return
+			}
+		}
+		fmt.Fprint(w, eofLine)
+	}, WithRetry(resilience.Retry{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}))
+	rows, err := src.Fetch(context.Background(), nil)
+	if !errors.Is(err, errFetchTooLarge) || rows != nil {
+		t.Fatalf("Fetch of a %d-byte body = %d rows, %v; want errFetchTooLarge", int64(ceiling), len(rows), err)
+	}
+	// The cap is not retried, and the server saw the client hang up
+	// long before its ceiling (socket buffers hold a few MiB).
+	if got := written.Load(); got > maxFetchBytes+16<<20 {
+		t.Fatalf("server wrote %d bytes before the client hung up, cap %d", got, maxFetchBytes)
+	}
+}

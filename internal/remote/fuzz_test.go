@@ -12,7 +12,6 @@ import (
 	"cohera/internal/schema"
 	"cohera/internal/storage"
 	"cohera/internal/value"
-	"cohera/internal/wrapper"
 )
 
 // FuzzDecodeStream feeds arbitrary bytes to the NDJSON chunk decoder
@@ -60,7 +59,7 @@ func FuzzDecodeStream(f *testing.F) {
 		metStreamInflight("client").Add(1)
 		cs := &clientStream{
 			def:  def,
-			cols: wrapper.ColumnNames(def),
+			cols: def.ColumnNames(),
 			body: io.NopCloser(bytes.NewReader(nil)),
 			sc:   sc,
 			sp:   sp,

@@ -2,6 +2,8 @@ package remote
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -172,6 +174,11 @@ func TestServerErrors(t *testing.T) {
 	})}
 	if _, err := s.Fetch(context.Background(), nil); err == nil {
 		t.Error("fetch of unknown table should fail")
+	}
+	// Rows leave only through /fetchstream; the one-shot endpoint is gone.
+	var se *statusError
+	if _, err := c.do(context.Background(), http.MethodPost, "/fetch", []byte(`{"table":"quotes"}`), true); !errors.As(err, &se) || se.code != http.StatusNotFound {
+		t.Errorf("POST /fetch = %v, want 404", err)
 	}
 	// Unreachable server.
 	dead := Dial("http://127.0.0.1:1", "")

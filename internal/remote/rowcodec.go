@@ -14,7 +14,7 @@ import (
 	"cohera/internal/value"
 )
 
-// The row codec. Rows cross /fetch and /fetchstream as
+// The row codec. Rows cross /fetchstream, one chunk per line, as
 //
 //	{"rows":[[{"k":"string","s":"P0000001"},{"k":"int","i":7},...],...]}
 //
@@ -33,18 +33,6 @@ import (
 // (the pushdown ack, a mid-stream error, the eof terminator, anything a
 // newer peer adds) is handed to encoding/json, which skips what it does
 // not know.
-
-// appendRows appends the {"rows":[...]} object for rows.
-func appendRows(b []byte, rows []storage.Row) []byte {
-	b = append(b, rowsOpen...)
-	for i, r := range rows {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendRow(b, r)
-	}
-	return append(b, rowsClose...)
-}
 
 const (
 	rowsOpen  = `{"rows":[`

@@ -59,6 +59,19 @@ type refChunk struct {
 	EOF    bool           `json:"eof,omitempty"`
 }
 
+// appendRows appends the {"rows":[...]} object for rows, the way the
+// server writes one chunk line.
+func appendRows(b []byte, rows []storage.Row) []byte {
+	b = append(b, rowsOpen...)
+	for i, r := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendRow(b, r)
+	}
+	return append(b, rowsClose...)
+}
+
 func refEncodeRows(rows []storage.Row) [][]refCell {
 	out := make([][]refCell, len(rows))
 	for i, r := range rows {
@@ -84,18 +97,6 @@ func refDecodeRows(in [][]refCell) ([]storage.Row, error) {
 		}
 	}
 	return out, nil
-}
-
-// refFetchBody is the /fetch body encoding/json wrote for rows.
-func refFetchBody(t testing.TB, rows []storage.Row) []byte {
-	t.Helper()
-	b, err := json.Marshal(struct {
-		Rows [][]refCell `json:"rows"`
-	}{refEncodeRows(rows)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // refStreamLine is one /fetchstream row chunk as json.Encoder wrote it.
@@ -167,14 +168,12 @@ func TestMixedVersionCatalogShard(t *testing.T) {
 			t.Fatalf("chunk at %d: reference decoder read %d rows, err %v", lo, len(back), err)
 		}
 	}
-	if got, want := appendRows(nil, shard), refFetchBody(t, shard); !bytes.Equal(got, want) {
-		t.Fatal("/fetch body differs from encoding/json")
-	}
 }
 
 // TestNonFiniteFloatsCrossTheWire: NaN and ±Inf reach storage through
-// feed text, so both endpoints must carry them — as the strings "NaN",
-// "+Inf", "-Inf" — where encoding/json used to fail the whole transfer.
+// feed text, so both the stream and Fetch must carry them — as the
+// strings "NaN", "+Inf", "-Inf" — where encoding/json used to fail the
+// whole transfer.
 func TestNonFiniteFloatsCrossTheWire(t *testing.T) {
 	def := schema.MustTable("readings", []schema.Column{
 		{Name: "id", Kind: value.KindInt, NotNull: true},
@@ -199,13 +198,13 @@ func TestNonFiniteFloatsCrossTheWire(t *testing.T) {
 	src := streamSource(t, hs)
 	ctx := context.Background()
 
-	st, err := src.FetchStream(ctx, nil)
+	st, err := plainStream(ctx, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := storage.CollectRows(st)
 	if err != nil || !equalRows(got, want) {
-		t.Fatalf("FetchStream = %v, %v", got, err)
+		t.Fatalf("FetchPushStream = %v, %v", got, err)
 	}
 	if got, err = src.Fetch(ctx, nil); err != nil || !equalRows(got, want) {
 		t.Fatalf("Fetch = %v, %v", got, err)
@@ -233,7 +232,7 @@ func TestDecodedRowsDoNotAlias(t *testing.T) {
 	srv.PublishTable(numbersTable(t, 10), "id")
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	st, err := streamSource(t, hs).FetchStream(context.Background(), nil)
+	st, err := plainStream(context.Background(), streamSource(t, hs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +335,7 @@ func FuzzRowCodec(f *testing.F) {
 		rows := []storage.Row{row, row}
 		enc := appendRows(nil, rows)
 		if finite {
-			if ref := refFetchBody(t, rows); !bytes.Equal(enc, ref) {
+			if ref := refStreamLine(t, rows); !bytes.Equal(append(enc, '\n'), ref) {
 				t.Fatalf("encoder bytes differ from encoding/json:\n got %s\nwant %s", enc, ref)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -343,27 +344,23 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// FetchStream implements wrapper.StreamingSource over POST
-// /fetchstream. The returned stream holds the response body open and
-// decodes chunks on demand, so client-side memory is one chunk
-// regardless of result size. Streaming calls are never retried — a
-// replayed stream could double rows already consumed; failover belongs
-// to the federation layer, which can dedupe by primary key.
-func (s *Source) FetchStream(ctx context.Context, filters []wrapper.Filter) (storage.RowStream, error) {
-	st, _, err := s.fetchPushStream(ctx, filters, wrapper.Pushdown{})
-	return st, err
-}
-
-// FetchPushStream implements wrapper.PushStreamingSource: the pushed
-// σ/π/limit travel as /fetchstream request fields. The first response
-// chunk is the server's ack; a server too old to know the fields sends
-// none, the receipt comes back all-false, and the caller re-evaluates
-// locally — full-width unfiltered rows, exactly the pre-push behavior.
+// FetchPushStream implements wrapper.PushStreamingSource over POST
+// /fetchstream: the pushed σ/π/limit travel as request fields. The
+// returned stream holds the response body open and decodes chunks on
+// demand, so client-side memory is one chunk regardless of result size.
+// The first response chunk is the server's ack; a server too old to
+// know the fields sends none, the receipt comes back all-false, and the
+// caller re-evaluates locally — full-width unfiltered rows, exactly the
+// pre-push behavior. Streams are never retried — a replayed stream
+// could double rows already consumed; failover belongs to the
+// federation layer, which can dedupe by primary key.
 func (s *Source) FetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
-	return s.fetchPushStream(ctx, filters, push)
+	return s.fetchPushStream(ctx, filters, push, 0)
 }
 
-func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
+// fetchPushStream opens the stream; past maxBytes of body (when > 0)
+// it fails with errFetchTooLarge.
+func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown, maxBytes int64) (storage.RowStream, wrapper.Applied, error) {
 	ctx, sp := obs.StartSpan(ctx, "remote.fetchstream")
 	sp.Set("table", s.def.Name)
 	req := streamRequest{Table: s.def.Name, BatchRows: s.client.streamBatch}
@@ -441,13 +438,14 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 	// local filter re-check drops anything.
 	_, stage := obs.StartStage(ctx, "remote.decode", s.def.Name)
 	cs := &clientStream{
-		def:     s.def,
-		cols:    wrapper.ColumnNames(s.def),
-		filters: local,
-		body:    resp.Body,
-		sc:      sc,
-		sp:      sp,
-		stage:   stage,
+		def:      s.def,
+		cols:     s.def.ColumnNames(),
+		filters:  local,
+		body:     resp.Body,
+		sc:       sc,
+		sp:       sp,
+		stage:    stage,
+		maxBytes: maxBytes,
 	}
 	cs.rebindFilters()
 	var applied wrapper.Applied
@@ -456,9 +454,19 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 		// ack, an old server leads with rows (stashed for Next). Either
 		// way the receipt is known before the caller sees the stream.
 		if ack := cs.awaitAck(); ack != nil {
+			// A projection ack must name exactly the columns asked for,
+			// in order: rows shaped by any other list would be read
+			// against the wrong layout downstream.
+			if len(ack.Cols) > 0 && !slices.EqualFunc(ack.Cols, push.Cols, strings.EqualFold) {
+				err := fmt.Errorf("remote: %s acked projection %v, asked for %v", s.def.Name, ack.Cols, push.Cols)
+				cs.err = err
+				//lint:ignore errdrop the open is failing; close is best-effort cleanup
+				_ = cs.Close()
+				return nil, wrapper.Applied{}, err
+			}
 			applied = wrapper.Applied{
 				Where: ack.Where && push.Where != nil,
-				Cols:  len(ack.Cols) > 0 && push.Cols != nil,
+				Cols:  len(ack.Cols) > 0,
 				Limit: ack.Limit && push.Limit > 0,
 			}
 			if applied.Cols {
@@ -486,6 +494,10 @@ type clientStream struct {
 	sp        *obs.Span
 	stage     *obs.StageStats
 	dec       rowDecoder // rows are decoded len(cols) wide
+
+	// read counts body bytes scanned so far, blank lines included;
+	// past maxBytes (when > 0) the stream fails with errFetchTooLarge.
+	read, maxBytes int64
 
 	// stash holds a chunk read ahead of its turn (the ack probe hit
 	// rows on an old server).
@@ -543,7 +555,13 @@ func (c *clientStream) readChunk() (ch chunk, ok bool) {
 			}
 			return ch, false
 		}
-		line := bytes.TrimSpace(c.sc.Bytes())
+		raw := c.sc.Bytes()
+		c.read += int64(len(raw)) + 1
+		if c.maxBytes > 0 && c.read > c.maxBytes {
+			c.err = fmt.Errorf("%w: %s past %d bytes", errFetchTooLarge, c.def.Name, c.maxBytes)
+			return ch, false
+		}
+		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
 			continue
 		}

@@ -45,6 +45,12 @@ func streamSource(t *testing.T, hs *httptest.Server, opts ...DialOption) *Source
 	return srcs[0].(*Source)
 }
 
+// plainStream opens src's push stream with nothing pushed.
+func plainStream(ctx context.Context, src *Source, filters []wrapper.Filter) (storage.RowStream, error) {
+	st, _, err := src.FetchPushStream(ctx, filters, wrapper.Pushdown{})
+	return st, err
+}
+
 // TestFetchStreamRoundTrip asserts the streaming path returns exactly
 // the rows the one-shot path does, across multiple chunks.
 func TestFetchStreamRoundTrip(t *testing.T) {
@@ -59,7 +65,7 @@ func TestFetchStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := src.FetchStream(context.Background(), nil)
+	st, err := plainStream(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +96,7 @@ func TestFetchStreamPushdownAndRecheck(t *testing.T) {
 	src := streamSource(t, hs)
 
 	// "bucket" is not pushable: the client must re-check it locally.
-	st, err := src.FetchStream(context.Background(), []wrapper.Filter{
+	st, err := plainStream(context.Background(), src, []wrapper.Filter{
 		{Column: "bucket", Value: value.NewInt(3)},
 	})
 	if err != nil {
@@ -104,7 +110,7 @@ func TestFetchStreamPushdownAndRecheck(t *testing.T) {
 		t.Fatalf("bucket filter: got %d rows, want 10", len(rows))
 	}
 	// "id" is pushable.
-	st, err = src.FetchStream(context.Background(), []wrapper.Filter{
+	st, err = plainStream(context.Background(), src, []wrapper.Filter{
 		{Column: "id", Value: value.NewInt(7)},
 	})
 	if err != nil {
@@ -129,7 +135,7 @@ func TestFetchStreamReuseAfterClose(t *testing.T) {
 	defer hs.Close()
 	src := streamSource(t, hs)
 
-	st, err := src.FetchStream(context.Background(), nil)
+	st, err := plainStream(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func TestFetchStreamTruncation(t *testing.T) {
 	defer hs.Close()
 	src := streamSource(t, hs)
 
-	st, err := src.FetchStream(context.Background(), nil)
+	st, err := plainStream(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +202,7 @@ func TestFetchStreamServerError(t *testing.T) {
 	defer hs.Close()
 	src := streamSource(t, hs)
 
-	st, err := src.FetchStream(context.Background(), nil)
+	st, err := plainStream(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +230,7 @@ func TestFetchStreamNotFound(t *testing.T) {
 	src.def = schema.MustTable("ghosts", []schema.Column{
 		{Name: "id", Kind: value.KindInt, NotNull: true},
 	}, "id")
-	if _, err := src.FetchStream(context.Background(), nil); err == nil {
+	if _, err := plainStream(context.Background(), src, nil); err == nil {
 		t.Fatal("expected open error for unknown table")
 	}
 }

@@ -67,9 +67,10 @@ func (s *ERPSource) Capabilities() Capabilities {
 	return Capabilities{PushdownEq: s.pushEq, Push: plan.FullPushCaps(), Volatile: true}
 }
 
-// Fetch implements Source: FetchStream, drained.
+// Fetch implements Source: FetchPushStream with nothing pushed,
+// drained.
 func (s *ERPSource) Fetch(ctx context.Context, filters []Filter) ([]storage.Row, error) {
-	st, err := s.FetchStream(ctx, filters)
+	st, _, err := s.FetchPushStream(ctx, filters, Pushdown{})
 	if err != nil {
 		return nil, err
 	}

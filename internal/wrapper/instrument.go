@@ -28,9 +28,10 @@ type instrumented struct {
 	Source
 }
 
-// Instrument wraps a source so every Fetch records a "wrapper.fetch"
-// span plus latency/row/outcome metrics, labeled by the source's schema
-// name (stable across processes, unlike connector names that may embed
+// Instrument wraps a source so every fetch records a
+// "wrapper.fetchstream" span and a "wrapper.fetch" stage plus
+// latency/row/outcome metrics, labeled by the source's schema name
+// (stable across processes, unlike connector names that may embed
 // URLs). Wrapping an already-instrumented source is a no-op.
 func Instrument(src Source) Source {
 	if src == nil {
@@ -40,29 +41,6 @@ func Instrument(src Source) Source {
 		return src
 	}
 	return &instrumented{Source: src}
-}
-
-// FetchStream implements StreamingSource: it opens the underlying
-// source's stream (native or adapted) and counts rows as they flow, so
-// streaming fetches show up in the same metrics as materialized ones.
-func (s *instrumented) FetchStream(ctx context.Context, filters []Filter) (storage.RowStream, error) {
-	ctx, sp := obs.StartSpan(ctx, "wrapper.fetchstream")
-	sp.Set("source", s.Source.Name())
-	table := s.Source.Schema().Name
-	ctx, stage := obs.StartStage(ctx, "wrapper.fetch", table)
-	start := time.Now()
-	st, err := OpenStream(ctx, s.Source, filters)
-	if err != nil {
-		metFetchSeconds.Observe(time.Since(start))
-		metFetches(table, "error").Inc()
-		stage.Fail(err)
-		sp.SetErr(err)
-		sp.End()
-		return nil, err
-	}
-	metFetches(table, "ok").Inc()
-	return &countedStream{RowStream: storage.InstrumentStream(st, stage, storage.TimingSample),
-		sp: sp, stage: stage, start: start}, nil
 }
 
 // countedStream forwards a stream while feeding the wrapper fetch
@@ -98,22 +76,12 @@ func (c *countedStream) Close() error {
 	return err
 }
 
-// Fetch implements Source.
+// Fetch implements Source: FetchPushStream with nothing pushed,
+// drained, so both faces record the same span and metrics.
 func (s *instrumented) Fetch(ctx context.Context, filters []Filter) ([]storage.Row, error) {
-	ctx, sp := obs.StartSpan(ctx, "wrapper.fetch")
-	sp.Set("source", s.Source.Name())
-	defer sp.End()
-	table := s.Source.Schema().Name
-	start := time.Now()
-	rows, err := s.Source.Fetch(ctx, filters)
-	metFetchSeconds.Observe(time.Since(start))
+	st, _, err := s.FetchPushStream(ctx, filters, Pushdown{})
 	if err != nil {
-		metFetches(table, "error").Inc()
-		sp.SetErr(err)
 		return nil, err
 	}
-	metFetches(table, "ok").Inc()
-	metFetchRows.Add(int64(len(rows)))
-	sp.Set("rows", strconv.Itoa(len(rows)))
-	return rows, nil
+	return storage.CollectRows(st)
 }

@@ -57,15 +57,19 @@ type PushStreamingSource interface {
 }
 
 // OpenPushStream opens a stream from src with push applied when the
-// source supports it, falling back to the plain streaming path with an
-// all-false receipt otherwise. The caller owns the returned stream and
-// the residual evaluation of anything the receipt disclaims.
+// source supports it. Any other source is fetched whole and its rows
+// wrapped as a stream, with an all-false receipt. The caller owns the
+// returned stream and the residual evaluation of anything the receipt
+// disclaims.
 func OpenPushStream(ctx context.Context, src Source, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
 	if ps, ok := src.(PushStreamingSource); ok {
 		return ps.FetchPushStream(ctx, filters, push)
 	}
-	st, err := OpenStream(ctx, src, filters)
-	return st, Applied{}, err
+	rows, err := src.Fetch(ctx, filters)
+	if err != nil {
+		return nil, Applied{}, err
+	}
+	return storage.NewSliceStream(src.Schema().ColumnNames(), rows), Applied{}, nil
 }
 
 // FetchPushStream implements PushStreamingSource: the gateway stands in
@@ -126,7 +130,8 @@ func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push 
 // FetchPushStream implements PushStreamingSource for the instrumented
 // decorator: the underlying source's push support (or lack of it) shows
 // through, so Instrument never silently downgrades a push-capable
-// source. Metrics and spans match FetchStream.
+// source. It opens the underlying stream (native or adapted) and counts
+// rows as they flow.
 func (s *instrumented) FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
 	ctx, sp := obs.StartSpan(ctx, "wrapper.fetchstream")
 	sp.Set("source", s.Source.Name())

@@ -95,14 +95,8 @@ func parseInto(def *schema.Table, column, raw string) (value.Value, error) {
 	return v, nil
 }
 
-// ApplyFilters post-filters rows by the equality filters — used by
-// sources without remote filtering, and to re-check pushed filters.
-// Exposed for connectors built outside this package (e.g. the remote
-// federation client).
-func ApplyFilters(def *schema.Table, rows []storage.Row, filters []Filter) []storage.Row {
-	return applyFilters(def, rows, filters)
-}
-
+// applyFilters post-filters rows by the equality filters — used by
+// sources without remote filtering.
 func applyFilters(def *schema.Table, rows []storage.Row, filters []Filter) []storage.Row {
 	if len(filters) == 0 {
 		return rows
