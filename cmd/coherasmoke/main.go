@@ -7,7 +7,10 @@
 // /fetchstream, and that the query-observability surface works end to
 // end: an EXPLAIN ANALYZE whose per-fragment row counts sum to the
 // result cardinality, an open stream visible in /debug/queries, and an
-// operator cancel that kills it with the typed cause. Exit status 0
+// operator cancel that kills it with the typed cause. Last, a GROUP BY
+// over two peers must fold at the peers — their ack echoes the
+// grouping — and answer what the same query answers over peers that
+// predate pushdown. Exit status 0
 // means the daemon surface is healthy; any defect prints a diagnostic
 // and exits 1. scripts/check.sh runs it as a gate.
 package main
@@ -25,11 +28,13 @@ import (
 
 	"cohera/internal/federation"
 	"cohera/internal/obs"
+	"cohera/internal/plan"
 	"cohera/internal/remote"
 	"cohera/internal/schema"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 	"cohera/internal/value"
+	"cohera/internal/wrapper"
 )
 
 func main() {
@@ -37,7 +42,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "coherasmoke: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("coherasmoke: /healthz ok, /metrics well-formed, explain+queries+cancel ok")
+	fmt.Println("coherasmoke: /healthz ok, /metrics well-formed, explain+queries+cancel ok, group pushdown ok")
 }
 
 func run() error {
@@ -79,7 +84,128 @@ func run() error {
 	if err := checkMetrics(ts.URL); err != nil {
 		return err
 	}
-	return checkQueryObservability(ts.URL)
+	if err := checkQueryObservability(ts.URL); err != nil {
+		return err
+	}
+	return checkGroupPushdown(ctx)
+}
+
+// groupPeers starts two peers serving disjoint halves of a keyed
+// "orders" table through the handler stack coherad serves, and a
+// federation over them. old makes the peers predate pushdown.
+func groupPeers(ctx context.Context, old bool) (*federation.Federation, []*remote.Source, func(), error) {
+	def, err := schema.NewTable("orders", []schema.Column{
+		{Name: "id", Kind: value.KindString, NotNull: true},
+		{Name: "region", Kind: value.KindString},
+		{Name: "amount", Kind: value.KindFloat},
+	}, "id")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	fed := federation.New(federation.NewAgoric())
+	var servers []*httptest.Server
+	stop := func() {
+		for _, ts := range servers {
+			ts.Close()
+		}
+	}
+	var sources []*remote.Source
+	for p, prefix := range []string{"a", "b"} {
+		tbl := storage.NewTable(def.Clone("orders"))
+		for i := 0; i < 30; i++ {
+			if _, err := tbl.Insert(storage.Row{
+				value.NewString(fmt.Sprintf("%s%02d", prefix, i)),
+				value.NewString([]string{"east", "west", "north"}[i%3]),
+				value.NewFloat(float64(i*7%23) + 0.25),
+			}); err != nil {
+				stop()
+				return nil, nil, nil, err
+			}
+		}
+		srv := remote.NewServer()
+		srv.DisablePushdown = old
+		srv.PublishTable(tbl)
+		ts := httptest.NewServer(obs.NewHandler(srv))
+		servers = append(servers, ts)
+		found, err := remote.Dial(ts.URL, "").Tables(ctx)
+		if err != nil || len(found) != 1 {
+			stop()
+			return nil, nil, nil, fmt.Errorf("peer %d /tables: %v (%d tables)", p, err, len(found))
+		}
+		src := found[0].(*remote.Source)
+		sources = append(sources, src)
+		site := federation.NewSite(fmt.Sprintf("peer-%s", prefix))
+		site.AddSource(src)
+		if err := fed.AddSite(site); err != nil {
+			stop()
+			return nil, nil, nil, err
+		}
+		pred, err := sqlparse.ParseExpr(fmt.Sprintf("id BETWEEN '%s' AND '%s~'", prefix, prefix))
+		if err != nil {
+			stop()
+			return nil, nil, nil, err
+		}
+		if p == 0 {
+			_, err = fed.DefineTable(def, federation.NewFragment("f"+prefix, pred, site))
+		} else {
+			err = fed.AddFragment("orders", federation.NewFragment("f"+prefix, pred, site))
+		}
+		if err != nil {
+			stop()
+			return nil, nil, nil, err
+		}
+	}
+	return fed, sources, stop, nil
+}
+
+// checkGroupPushdown asserts that a peer folds a pushed grouping and
+// acks it, and that a federated GROUP BY over such peers answers what
+// it answers over peers that predate pushdown, from one partial row
+// per group and peer.
+func checkGroupPushdown(ctx context.Context) error {
+	fed, sources, stop, err := groupPeers(ctx, false)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	oldFed, _, oldStop, err := groupPeers(ctx, true)
+	if err != nil {
+		return err
+	}
+	defer oldStop()
+
+	g := &plan.Grouping{Keys: []string{"region"}, Aggs: []plan.AggCall{{Func: "COUNT"}, {Func: "AVG", Col: "amount"}}}
+	st, applied, err := sources[0].FetchPushStream(ctx, nil, wrapper.Pushdown{Group: g})
+	if err != nil {
+		return fmt.Errorf("grouped fetch: %w", err)
+	}
+	partials, err := storage.CollectRows(st)
+	if err != nil {
+		return fmt.Errorf("grouped fetch: %w", err)
+	}
+	if !applied.Group || len(partials) != 3 || len(partials[0]) != 4 {
+		return fmt.Errorf("grouped fetch: ack group=%v, %d partial rows %v; want the group acked and 3 rows of 4 cells",
+			applied.Group, len(partials), partials)
+	}
+
+	const sql = "SELECT region, COUNT(*), SUM(amount), AVG(amount), MAX(id) FROM orders GROUP BY region ORDER BY region"
+	res, trace, err := fed.QueryTraced(ctx, sql)
+	if err != nil {
+		return fmt.Errorf("group pushdown: %w", err)
+	}
+	want, _, err := oldFed.QueryTraced(ctx, sql)
+	if err != nil {
+		return fmt.Errorf("group pushdown (old peers): %w", err)
+	}
+	if fmt.Sprint(res.Columns, res.Rows) != fmt.Sprint(want.Columns, want.Rows) {
+		return fmt.Errorf("group pushdown: %v %v, old peers answer %v %v", res.Columns, res.Rows, want.Columns, want.Rows)
+	}
+	for frag, n := range trace.PushedRows {
+		if n != 3 {
+			return fmt.Errorf("group pushdown: %s shipped %d rows, want 3 partials", frag, n)
+		}
+	}
+	return nil
 }
 
 // checkQueryObservability drives a 3-site federation through the

@@ -126,6 +126,33 @@ func escapesScanReturn(ctx context.Context, t *storage.Table) (*plan.TableScan, 
 	return st, err
 }
 
+// The grouped fold drains its inner stream into partial rows; closing
+// it closes the inner stream.
+
+func leakFold(g *plan.Grouping) error {
+	st, err := plan.NewFoldStream(open(), g) // want `row stream st is never closed`
+	if err != nil {
+		return err
+	}
+	lastCols = st.Columns()
+	return nil
+}
+
+func closedFoldDefer(g *plan.Grouping) error {
+	st, err := plan.NewFoldStream(open(), g) // negative: closed on the deferred path
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	_, err = st.Next()
+	return err
+}
+
+func escapesFoldReturn(g *plan.Grouping) (*plan.FoldStream, error) {
+	st, err := plan.NewFoldStream(open(), g) // negative: returned, caller owns it
+	return st, err
+}
+
 // The admission decorator wraps a stream to release its slot when the
 // stream settles; leaking it leaks both the stream and the slot.
 

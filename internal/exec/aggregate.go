@@ -11,96 +11,6 @@ import (
 	"cohera/internal/value"
 )
 
-// aggState accumulates one aggregate function over a group.
-type aggState struct {
-	name    string
-	count   int64
-	sumF    float64
-	sumI    int64
-	isFloat bool
-	moneyC  string
-	sumM    int64
-	isMoney bool
-	min     value.Value
-	max     value.Value
-}
-
-func (a *aggState) add(v value.Value) error {
-	if v.IsNull() {
-		return nil // SQL aggregates skip NULLs (except COUNT(*), handled apart)
-	}
-	a.count++
-	switch a.name {
-	case "SUM", "AVG":
-		switch v.Kind() {
-		case value.KindInt:
-			a.sumI += v.Int()
-			a.sumF += float64(v.Int())
-		case value.KindFloat:
-			a.isFloat = true
-			a.sumF += v.Float()
-		case value.KindMoney:
-			m, c := v.Money()
-			if a.isMoney && a.moneyC != c {
-				return fmt.Errorf("%w in %s: %s vs %s", value.ErrCurrencyMismatch, a.name, a.moneyC, c)
-			}
-			a.isMoney = true
-			a.moneyC = c
-			a.sumM += m
-		default:
-			return fmt.Errorf("exec: %s over %s", a.name, v.Kind())
-		}
-	case "MIN", "MAX":
-		if a.min.IsNull() {
-			a.min, a.max = v, v
-			return nil
-		}
-		if c, err := v.Compare(a.min); err != nil {
-			return err
-		} else if c < 0 {
-			a.min = v
-		}
-		if c, err := v.Compare(a.max); err != nil {
-			return err
-		} else if c > 0 {
-			a.max = v
-		}
-	}
-	return nil
-}
-
-func (a *aggState) result() (value.Value, error) {
-	switch a.name {
-	case "COUNT":
-		return value.NewInt(a.count), nil
-	case "SUM":
-		if a.count == 0 {
-			return value.Null, nil
-		}
-		if a.isMoney {
-			return value.NewMoney(a.sumM, a.moneyC), nil
-		}
-		if a.isFloat {
-			return value.NewFloat(a.sumF), nil
-		}
-		return value.NewInt(a.sumI), nil
-	case "AVG":
-		if a.count == 0 {
-			return value.Null, nil
-		}
-		if a.isMoney {
-			return value.NewMoney(a.sumM/a.count, a.moneyC), nil
-		}
-		return value.NewFloat(a.sumF / float64(a.count)), nil
-	case "MIN":
-		return a.min, nil
-	case "MAX":
-		return a.max, nil
-	default:
-		return value.Null, fmt.Errorf("exec: unknown aggregate %s", a.name)
-	}
-}
-
 // aggregate executes the grouped path: group rows by the GROUP BY keys,
 // fold every aggregate call that appears in the select items, HAVING or
 // ORDER BY, then evaluate those clauses with aggregate calls substituted
@@ -135,7 +45,7 @@ func (db *Database) aggregate(b *binding, items []sqlparse.SelectItem, s sqlpars
 	type group struct {
 		keyVals  []value.Value
 		firstEnv *plan.RowEnv
-		states   []*aggState
+		states   []plan.Agg
 	}
 	groups := make(map[string]*group)
 	var order []string
@@ -157,23 +67,30 @@ func (db *Database) aggregate(b *binding, items []sqlparse.SelectItem, s sqlpars
 		if !ok {
 			grp = &group{keyVals: keyVals, firstEnv: env}
 			for _, c := range aggCalls {
-				grp.states = append(grp.states, &aggState{name: c.Name})
+				grp.states = append(grp.states, plan.NewAgg(c.Name))
 			}
 			groups[k] = grp
 			order = append(order, k)
 		}
 		for i, c := range aggCalls {
-			st := grp.states[i]
+			st := &grp.states[i]
 			if c.Name == "COUNT" {
 				if len(c.Args) == 1 {
 					if _, isStar := c.Args[0].(sqlparse.Star); isStar {
-						st.count++
+						st.AddRow()
 						continue
 					}
 				} else if len(c.Args) == 0 {
-					st.count++
+					st.AddRow()
 					continue
 				}
+			}
+			if c.Name == "AVG" && len(c.Args) == 2 {
+				// The combine form over partial rows: AVG(sum, count).
+				if err := mergeAvg(st, ev, c, env); err != nil {
+					return nil, err
+				}
+				continue
 			}
 			if len(c.Args) != 1 {
 				return nil, fmt.Errorf("exec: %s expects one argument", c.Name)
@@ -182,7 +99,7 @@ func (db *Database) aggregate(b *binding, items []sqlparse.SelectItem, s sqlpars
 			if err != nil {
 				return nil, err
 			}
-			if err := st.add(v); err != nil {
+			if err := st.Add(v); err != nil {
 				return nil, err
 			}
 		}
@@ -191,7 +108,7 @@ func (db *Database) aggregate(b *binding, items []sqlparse.SelectItem, s sqlpars
 	if len(groups) == 0 && len(s.GroupBy) == 0 {
 		grp := &group{firstEnv: plan.NewRowEnv(b.names, nullRow(len(b.names)))}
 		for _, c := range aggCalls {
-			grp.states = append(grp.states, &aggState{name: c.Name})
+			grp.states = append(grp.states, plan.NewAgg(c.Name))
 		}
 		groups[""] = grp
 		order = append(order, "")
@@ -208,7 +125,7 @@ func (db *Database) aggregate(b *binding, items []sqlparse.SelectItem, s sqlpars
 		grp := groups[k]
 		folded := make(map[string]value.Value, len(aggCalls))
 		for i, c := range aggCalls {
-			v, err := grp.states[i].result()
+			v, err := grp.states[i].Result()
 			if err != nil {
 				return nil, err
 			}
@@ -273,6 +190,23 @@ func (db *Database) aggregate(b *binding, items []sqlparse.SelectItem, s sqlpars
 		res.Rows = append(res.Rows, r.out)
 	}
 	return res, nil
+}
+
+// mergeAvg folds one partial row into AVG's accumulator: the call's
+// arguments evaluate to a partial sum and the count of values behind it.
+func mergeAvg(st *plan.Agg, ev *plan.Evaluator, c sqlparse.Call, env *plan.RowEnv) error {
+	sum, err := ev.Eval(c.Args[0], env)
+	if err != nil {
+		return err
+	}
+	n, err := ev.Eval(c.Args[1], env)
+	if err != nil {
+		return err
+	}
+	if n.Kind() != value.KindInt {
+		return fmt.Errorf("exec: AVG partial count is %s, want INT", n.Kind())
+	}
+	return st.Merge(sum, n.Int())
 }
 
 func nullRow(n int) storage.Row {

@@ -72,6 +72,30 @@ func (db *Database) SelectStream(ctx context.Context, s sqlparse.SelectStmt) (st
 	return storage.InstrumentStream(scan, stage, storage.TimingSample), nil
 }
 
+// GroupStream folds the rows of one table that where keeps (bare
+// column references; nil keeps every row) into the grouping's partial
+// rows — one per group, one in all for a global aggregate — on the
+// scan kernel over the table's best access path. No row is copied out
+// of the table. The caller must Close the returned stream.
+func (db *Database) GroupStream(ctx context.Context, table string, where sqlparse.Expr, g *plan.Grouping) (storage.RowStream, error) {
+	t, err := db.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	alias := strings.ToLower(table)
+	scan, err := db.openScan(ctx, t, where, plan.ScanSpec{
+		Alias: alias,
+		Group: g,
+		Eval:  db.evaluator(map[string]*storage.Table{alias: t}),
+		Limit: -1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	_, stage := obs.StartStage(ctx, "scan", alias+" (grouped)")
+	return storage.InstrumentStream(scan, stage, storage.TimingSample), nil
+}
+
 // QueryStream parses and executes one SELECT statement as a stream.
 func (db *Database) QueryStream(ctx context.Context, sql string) (storage.RowStream, error) {
 	stmt, err := sqlparse.Parse(sql)

@@ -363,12 +363,20 @@ type siteWhereOutcome struct {
 // a predicate-less fragment gets the residual, clamped at zero.
 // Residual ambiguity that attribution cannot remove: several
 // predicate-less fragments co-hosted at one site split an arbitrary
-// residual (the first gets it), and an UPDATE that rewrites a routing
-// column is censused under the pre-image predicate.
+// residual (the first gets it). An UPDATE that assigns a routing
+// column fails with ErrRoutingColumnUpdate before any replica runs it.
 func (f *Federation) execWhereDML(ctx context.Context, table string, where sqlparse.Expr, stmt sqlparse.Statement, trace *QueryTrace) (*DMLResult, error) {
 	gt, err := f.Table(table)
 	if err != nil {
 		return nil, err
+	}
+	if up, ok := stmt.(sqlparse.UpdateStmt); ok {
+		routing := f.routingColumns(gt)
+		for _, a := range up.Set {
+			if routing[strings.ToLower(a.Column)] {
+				return nil, fmt.Errorf("%w: %s.%s", ErrRoutingColumnUpdate, gt.Def.Name, a.Column)
+			}
+		}
 	}
 	defer gt.writes.begin()()
 	push := unqualify(where)

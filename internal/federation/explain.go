@@ -32,6 +32,7 @@ type ExplainFragment struct {
 	ID        string
 	Predicate string // fragment predicate, "" when none
 	Pruned    bool   // provably disjoint with the pushdown predicate
+	Group     string // grouping the fragment folds to partial rows, "" when it ships rows
 	Replicas  []ExplainReplica
 }
 
@@ -41,7 +42,7 @@ type ExplainReplica struct {
 	Rank    int // optimizer preference, 1 = best; 0 = unranked (down/omitted)
 	Breaker string
 	Health  float64
-	Pending int    // journaled write intents awaiting replay here
+	Pending int // journaled write intents awaiting replay here
 	EstRows int
 	Push    string // advertised pushdown capabilities ("full", "none", "σ(eq) π", …)
 }
@@ -64,6 +65,9 @@ func pushCapsSummary(c plan.PushCaps) string {
 	}
 	if c.Limit {
 		parts = append(parts, "limit")
+	}
+	if c.Group {
+		parts = append(parts, "γ")
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -88,6 +92,9 @@ func pushCapsParts(c plan.PushCaps) string {
 	}
 	if c.Limit {
 		parts = append(parts, "limit")
+	}
+	if c.Group {
+		parts = append(parts, "γ")
 	}
 	return strings.Join(parts, " ")
 }
@@ -257,8 +264,16 @@ func (f *Federation) explainSelect(ctx context.Context, sel sqlparse.SelectStmt)
 				}
 			}
 		}
-		for _, frag := range f.FragmentsOf(r.gt) {
+		frags := f.FragmentsOf(r.gt)
+		var gp *groupPlan
+		if single {
+			gp = planGroup(sel, r.gt, frags)
+		}
+		for _, frag := range frags {
 			ef := ExplainFragment{Table: r.gt.Def.Name, ID: frag.ID}
+			if gp != nil {
+				ef.Group = groupSummary(gp.g)
+			}
 			if frag.Predicate != nil {
 				ef.Predicate = frag.Predicate.String()
 			}
@@ -344,6 +359,8 @@ func (r *ExplainReport) Render() *exec.Result {
 			}
 			if fr.Pruned {
 				line += "  [pruned: disjoint with pushdown]"
+			} else if fr.Group != "" {
+				line += "  " + fr.Group + " pushed"
 			}
 			add(line)
 			if fr.Pruned {

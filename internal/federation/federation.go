@@ -119,6 +119,45 @@ type GlobalTable struct {
 	Fragments []*Fragment
 
 	writes writeCount // federated DML statements on this table
+
+	// routing is the set of lowercase columns any fragment predicate
+	// reads, rebuilt (never mutated) by DefineTable and AddFragment
+	// under Federation.mu; read it through Federation.routingColumns.
+	routing map[string]bool
+}
+
+// ErrRoutingColumnUpdate rejects an UPDATE that assigns a column some
+// fragment predicate of the table reads. Rewriting such a column in
+// place would leave the row in a fragment whose predicate no longer
+// holds it (DESIGN.md §11, the fragment invariant): pruning would then
+// skip it, and a later INSERT of its key would land a second copy in
+// the fragment the predicate now names.
+var ErrRoutingColumnUpdate = errors.New("federation: UPDATE assigns a fragment routing column")
+
+// ErrRowOutsideFragment rejects a LoadFragment row its fragment's
+// predicate does not hold (DESIGN.md §11, the fragment invariant).
+var ErrRowOutsideFragment = errors.New("federation: row outside its fragment's predicate")
+
+// withRouting returns routing plus the columns the predicates read, as
+// a new set.
+func withRouting(routing map[string]bool, frags ...*Fragment) map[string]bool {
+	out := make(map[string]bool, len(routing))
+	for c := range routing {
+		out[c] = true
+	}
+	for _, frag := range frags {
+		for _, ref := range plan.Columns(frag.Predicate) {
+			out[strings.ToLower(ref.Column)] = true
+		}
+	}
+	return out
+}
+
+// routingColumns returns the table's routing column set.
+func (f *Federation) routingColumns(gt *GlobalTable) map[string]bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return gt.routing
 }
 
 // writeCount tracks the federated statements writing one table, so a
@@ -389,7 +428,7 @@ func (f *Federation) DefineTable(def *schema.Table, fragments ...*Fragment) (*Gl
 	if _, dup := f.tables[key]; dup {
 		return nil, fmt.Errorf("federation: duplicate global table %q", def.Name)
 	}
-	gt := &GlobalTable{Def: def, Fragments: fragments}
+	gt := &GlobalTable{Def: def, Fragments: fragments, routing: withRouting(nil, fragments...)}
 	for _, frag := range fragments {
 		frag.attach(f, def.Name)
 	}
@@ -433,6 +472,7 @@ func (f *Federation) AddFragment(table string, frag *Fragment) error {
 	}
 	frag.attach(f, gt.Def.Name)
 	gt.Fragments = append(gt.Fragments, frag)
+	gt.routing = withRouting(gt.routing, frag)
 	return nil
 }
 
@@ -450,11 +490,34 @@ func NewFragment(id string, predicate sqlparse.Expr, replicas ...*Site) *Fragmen
 
 // LoadFragment inserts rows into every replica of a fragment, creating
 // the local table from the global schema when missing. Workload
-// generators use it to place data.
+// generators use it to place data. Every row must satisfy the
+// fragment's predicate; the rows are checked before any replica is
+// written, and one that fails loads nothing and returns an error
+// wrapping ErrRowOutsideFragment.
 func (f *Federation) LoadFragment(table string, frag *Fragment, rows []storage.Row) error {
 	gt, err := f.Table(table)
 	if err != nil {
 		return err
+	}
+	if frag.Predicate != nil {
+		var ev plan.Evaluator
+		holds, err := ev.BindPred(frag.Predicate, plan.NewScope(gt.Def, ""))
+		if err != nil {
+			return fmt.Errorf("federation: fragment %s predicate: %w", frag.ID, err)
+		}
+		for i, row := range rows {
+			if len(row) != len(gt.Def.Columns) {
+				return fmt.Errorf("federation: loading %s: row %d has %d columns, %s has %d",
+					frag.ID, i, len(row), gt.Def.Name, len(gt.Def.Columns))
+			}
+			ok, err := holds(row, 0)
+			if err == nil && !ok {
+				err = errors.New("predicate does not hold")
+			}
+			if err != nil {
+				return fmt.Errorf("%w: %s row %d (%v): %v", ErrRowOutsideFragment, frag.ID, i, row, err)
+			}
+		}
 	}
 	for _, site := range frag.Replicas() {
 		// LoadRows batches the whole fragment under one WAL commit-latch
@@ -524,6 +587,27 @@ func (t *QueryTrace) notePushed(key string, pushed, dropped int) {
 			t.ResidualDropped = make(map[string]int)
 		}
 		t.ResidualDropped[key] += dropped
+	}
+}
+
+// merge folds one UNION branch's trace into t: counts add up, per
+// fragment entries merge (a fragment read by two branches sums), and
+// the buffering high-water mark is the larger of the two.
+func (t *QueryTrace) merge(b *QueryTrace) {
+	for k, v := range b.FragmentSites {
+		t.FragmentSites[k] = v
+	}
+	t.Failovers += b.Failovers
+	t.PrunedFragments += b.PrunedFragments
+	t.CellsShipped += b.CellsShipped
+	t.CellsWithoutPushdown += b.CellsWithoutPushdown
+	for k, fe := range b.FragmentErrors {
+		t.noteFragmentError(k, fe)
+	}
+	t.PeakBufferedRows = max(t.PeakBufferedRows, b.PeakBufferedRows)
+	t.StaleServed = append(t.StaleServed, b.StaleServed...)
+	for k, n := range b.PushedRows {
+		t.notePushed(k, n, b.ResidualDropped[k])
 	}
 }
 
@@ -610,19 +694,13 @@ func (f *Federation) Union(ctx context.Context, u sqlparse.UnionStmt) (*exec.Res
 		if i == 0 {
 			out.Columns = r.Columns
 		} else if len(r.Columns) != len(out.Columns) {
-			return nil, nil, fmt.Errorf("federation: UNION branch %d has %d columns, first has %d",
+			err := fmt.Errorf("federation: UNION branch %d has %d columns, first has %d",
 				i+1, len(r.Columns), len(out.Columns))
+			sp.SetErr(err)
+			ustage.Fail(err)
+			return nil, nil, err
 		}
-		for k, v := range trace.FragmentSites {
-			total.FragmentSites[k] = v
-		}
-		total.Failovers += trace.Failovers
-		total.PrunedFragments += trace.PrunedFragments
-		total.CellsShipped += trace.CellsShipped
-		total.CellsWithoutPushdown += trace.CellsWithoutPushdown
-		for k, fe := range trace.FragmentErrors {
-			total.noteFragmentError(k, fe)
-		}
+		total.merge(trace)
 		for _, row := range r.Rows {
 			if !u.All {
 				key := rowKey(row)
@@ -739,6 +817,14 @@ func (f *Federation) doSelect(ctx context.Context, sel sqlparse.SelectStmt) (*ex
 	}
 	needed := neededColumns(sel, aliases)
 
+	// A decomposable aggregate over a layout where no key can reach the
+	// merge twice folds at the fragments: the scratch table holds their
+	// partial rows and the combine statement runs instead of sel.
+	var gp *groupPlan
+	if single {
+		gp = planGroup(sel, refs[0].gt, f.FragmentsOf(refs[0].gt))
+	}
+
 	// Gather each referenced table's rows into the coordinator scratch
 	// database; fragments fetch concurrently.
 	scratch := exec.NewDatabase()
@@ -760,19 +846,27 @@ func (f *Federation) doSelect(ctx context.Context, sel sqlparse.SelectStmt) (*ex
 		// when the statement actually has a text predicate on this table;
 		// otherwise the scratch table skips FullText maintenance entirely.
 		def = stripUnusedFullText(def, textColumns(sel, strings.ToLower(def.Name), aliases))
+		var group *plan.Grouping
+		if gp != nil {
+			def, group = gp.def, gp.g
+		}
 		tbl, err := scratch.CreateTable(def.Clone(def.Name))
 		if err != nil {
 			return nil, nil, err
 		}
 		gctx, gstage := obs.StartStage(ctx, "gather", strings.ToLower(r.gt.Def.Name))
-		if err := f.gather(gctx, r.gt, r.push, cols, len(r.gt.Def.Columns), tbl, trace); err != nil {
+		if err := f.gather(gctx, r.gt, r.push, cols, len(r.gt.Def.Columns), tbl, trace, group); err != nil {
 			gstage.Fail(err)
 			return nil, nil, err
 		}
 		gstage.Done()
 	}
+	stmt := sel
+	if gp != nil {
+		stmt = gp.combine
+	}
 	_, lstage := obs.StartStage(ctx, "local-exec", strings.ToLower(sel.From.Name))
-	res, err := scratch.Select(sel)
+	res, err := scratch.Select(stmt)
 	if err != nil {
 		lstage.Fail(err)
 		return nil, nil, err
@@ -985,18 +1079,29 @@ func projectDef(def *schema.Table, want map[string]bool) (*schema.Table, []strin
 // (O(fragment) extra memory) so a degraded result only ever contains
 // whole fragments. cols, when non-nil, is the projected column list
 // shipped from sites; fullWidth is the table's unprojected column
-// count, for the pushdown-savings accounting.
-func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.Expr, cols []string, fullWidth int, dst *storage.Table, trace *QueryTrace) error {
+// count, for the pushdown-savings accounting. With group set every
+// fragment delivers its partial rows (see pumpFragment) in its success
+// record, and dst is the keyless partial table they are inserted into.
+func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.Expr, cols []string, fullWidth int,
+	dst *storage.Table, trace *QueryTrace, group *plan.Grouping) error {
 	// Upsert dedupes by primary key, which absorbs the replayed prefix
 	// of a mid-stream replica failover; keyless tables must not replay.
-	canReplay := len(dst.Def().Key) > 0
+	// Partial rows never replay: a fragment's partials travel whole in
+	// its success record.
+	canReplay := group != nil || len(dst.Def().Key) > 0
 	counters := &streamCounters{}
 	stage := obs.StageFromContext(ctx)
-	ch, _, pruned := f.scatter(ctx, gt, push, cols, -1, clampFedBatch(f.StreamBatchRows), canReplay, counters)
+	ch, _, pruned := f.scatter(ctx, gt, push, cols, -1, clampFedBatch(f.StreamBatchRows), canReplay, counters, group)
 	var firstErr error
 	upsert := func(rows []storage.Row) {
 		for _, row := range rows {
-			if _, err := dst.Upsert(row); err != nil && firstErr == nil {
+			var err error
+			if group != nil {
+				_, err = dst.Insert(row)
+			} else {
+				_, err = dst.Upsert(row)
+			}
+			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -1046,6 +1151,7 @@ func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.
 			upsert(staged[msg.frag.ID])
 			delete(staged, msg.frag.ID)
 		}
+		upsert(msg.partials)
 		trace.FragmentSites[gt.Def.Name+"/"+msg.frag.ID] = msg.site.Name()
 		if msg.stale {
 			trace.StaleServed = append(trace.StaleServed, gt.Def.Name+"/"+msg.frag.ID+"@"+msg.site.Name())
@@ -1053,11 +1159,13 @@ func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.
 		}
 		// Shipping cost is what crossed the site boundary: the rows the
 		// site actually served (pre-residual) at the width it served them.
+		// Partial rows can be wider than the table; they save no cells.
 		metSiteRows(msg.site.Name()).Add(int64(msg.pushed))
+		full := max(fullWidth, msg.width)
 		trace.CellsShipped += msg.pushed * msg.width
-		trace.CellsWithoutPushdown += msg.pushed * fullWidth
+		trace.CellsWithoutPushdown += msg.pushed * full
 		metCellsShipped.Add(int64(msg.pushed * msg.width))
-		metCellsSaved.Add(int64(msg.pushed * (fullWidth - msg.width)))
+		metCellsSaved.Add(int64(msg.pushed * (full - msg.width)))
 		trace.notePushed(gt.Def.Name+"/"+msg.frag.ID, msg.pushed, msg.pushed-msg.rows)
 	}
 	trace.PrunedFragments += pruned

@@ -87,20 +87,40 @@ func TestProjectionPushdownStarFetchesAll(t *testing.T) {
 	}
 }
 
+// TestProjectionPushdownAggregates: a site that cannot group ships the
+// rows an aggregate needs, projected to the key and the columns the
+// statement reads; a site that can group ships partial rows instead.
 func TestProjectionPushdownAggregates(t *testing.T) {
-	fed, _ := wideFed(t)
-	res, trace, err := fed.QueryTraced(context.Background(),
-		"SELECT c2, COUNT(*) FROM wide GROUP BY c2 ORDER BY c2 LIMIT 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	// id (key) + c2.
-	if trace.CellsShipped != 20*2 {
-		t.Errorf("agg cells = %d, want 40", trace.CellsShipped)
-	}
+	const sql = "SELECT c2, COUNT(*) FROM wide GROUP BY c2 ORDER BY c2 LIMIT 3"
+	t.Run("rows", func(t *testing.T) {
+		fed, frag := wideFed(t)
+		frag.Replicas()[0].SetPushCaps(noGroupCaps())
+		res, trace, err := fed.QueryTraced(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 3 {
+			t.Fatalf("rows = %v", res.Rows)
+		}
+		// id (key) + c2.
+		if trace.CellsShipped != 20*2 || trace.PushedRows["wide/f"] != 20 {
+			t.Errorf("agg cells = %d over %d rows, want 40 over 20", trace.CellsShipped, trace.PushedRows["wide/f"])
+		}
+	})
+	t.Run("partials", func(t *testing.T) {
+		fed, _ := wideFed(t)
+		res, trace, err := fed.QueryTraced(context.Background(), "SELECT COUNT(*), MAX(c2) FROM wide")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Int() != 20 || res.Rows[0][1].Str() != "v2-9" {
+			t.Fatalf("rows = %v", res.Rows)
+		}
+		// One partial row: the count and the maximum.
+		if trace.CellsShipped != 2 || trace.PushedRows["wide/f"] != 1 {
+			t.Errorf("agg cells = %d over %d rows, want 2 over 1", trace.CellsShipped, trace.PushedRows["wide/f"])
+		}
+	})
 }
 
 func TestProjectionPushdownJoinCorrectness(t *testing.T) {

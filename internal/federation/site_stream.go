@@ -29,6 +29,22 @@ import (
 // round-trip latency are charged at open; the site's latency histogram
 // observes open→Close wall clock.
 func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.Expr, cols []string, limit int) (storage.RowStream, error) {
+	return s.subquery(ctx, table, where, cols, limit, nil)
+}
+
+// GroupStream executes a single-table grouped subquery at the site: the
+// rows of table that where keeps, folded into g's partial rows (see
+// plan.Grouping). Stored tables fold on the scan kernel; a wrapper
+// source that can group folds at the source (over the wire, for remote
+// sources), and any other source's rows are folded right here, so the
+// stream always carries partial rows. Accounting is as for
+// SubQueryStream.
+func (s *Site) GroupStream(ctx context.Context, table string, where sqlparse.Expr, g *plan.Grouping) (storage.RowStream, error) {
+	return s.subquery(ctx, table, where, nil, -1, g)
+}
+
+// subquery is SubQueryStream, grouped when g is set.
+func (s *Site) subquery(ctx context.Context, table string, where sqlparse.Expr, cols []string, limit int, g *plan.Grouping) (storage.RowStream, error) {
 	if err := s.CheckAvailable(ctx); err != nil {
 		return nil, err
 	}
@@ -39,11 +55,17 @@ func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.
 	sp.Set("table", table)
 	start := time.Now()
 
+	if g != nil {
+		sp.Set("grouped", "true")
+	}
 	var st storage.RowStream
 	var err error
-	if src := s.source(table); src != nil {
-		st, err = s.streamSource(ctx, src, where, cols, limit)
-	} else {
+	switch src := s.source(table); {
+	case src != nil:
+		st, err = s.streamSource(ctx, src, where, cols, limit, g)
+	case g != nil:
+		st, err = s.db.GroupStream(ctx, table, where, g)
+	default:
 		st, err = s.streamStored(ctx, table, where, cols, limit)
 	}
 	if err == nil {
@@ -98,8 +120,10 @@ func (s *Site) streamStored(ctx context.Context, table string, where sqlparse.Ex
 // whatever the connector can evaluate travels with the fetch (over the
 // wire, for remote sources), and the rest — plus projection and limit
 // when the connector declined them — is fused right here, one row at a
-// time, before the stream leaves the site.
-func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlparse.Expr, cols []string, limit int) (storage.RowStream, error) {
+// time, before the stream leaves the site. A grouping g goes to the
+// source only when it can group and applies the whole predicate;
+// otherwise the site folds the filtered rows itself.
+func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlparse.Expr, cols []string, limit int, g *plan.Grouping) (storage.RowStream, error) {
 	def := src.Schema()
 	caps := src.Capabilities()
 	var filters []wrapper.Filter
@@ -114,6 +138,9 @@ func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlpa
 	}
 	srcPush, srcResid := plan.SplitPushable(where, caps.Push)
 	push := wrapper.Pushdown{Where: srcPush}
+	if g != nil && caps.Push.Group && srcResid == nil {
+		push.Group = g
+	}
 	if cols != nil && caps.Push.Project {
 		push.Cols = cols
 	}
@@ -159,8 +186,20 @@ func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlpa
 		spec.Limit = limit
 		fuse = true
 	}
+	if g != nil && applied.Group {
+		return st, nil
+	}
 	if fuse {
-		return plan.FuseStream(st, spec), nil
+		st = plan.FuseStream(st, spec)
+	}
+	if g != nil {
+		fold, err := plan.NewFoldStream(st, g)
+		if err != nil {
+			//lint:ignore errdrop the open is failing; close is best-effort cleanup
+			_ = st.Close()
+			return nil, err
+		}
+		return fold, nil
 	}
 	return st, nil
 }

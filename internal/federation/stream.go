@@ -44,6 +44,8 @@ type fragMsg struct {
 	fail   int   // replicas tried and found down (done messages)
 	stale  bool  // serving site had journaled intents pending (done messages)
 	err    error // fragment failure (done messages)
+
+	partials []storage.Row // a grouped fragment's partial rows (successful done messages)
 }
 
 // streamCounters tracks rows resident in the fan-in channel, and the
@@ -68,9 +70,10 @@ func (c *streamCounters) add(n int64) {
 // after every producer has sent its done message. canReplay permits
 // mid-stream failover to the next replica — sound only when the
 // consumer dedupes by primary key, since the replacement replica
-// replays rows the failed stream already shipped.
+// replays rows the failed stream already shipped. With group set the
+// fragments fold to partial rows instead of shipping batches.
 func (f *Federation) scatter(ctx context.Context, gt *GlobalTable, push sqlparse.Expr, cols []string,
-	limit int, batchRows int, canReplay bool, counters *streamCounters) (ch <-chan fragMsg, active, pruned int) {
+	limit int, batchRows int, canReplay bool, counters *streamCounters, group *plan.Grouping) (ch <-chan fragMsg, active, pruned int) {
 	var frags []*Fragment
 	for _, frag := range f.FragmentsOf(gt) {
 		if frag.Predicate != nil && push != nil && disjoint(frag.Predicate, push) {
@@ -80,12 +83,13 @@ func (f *Federation) scatter(ctx context.Context, gt *GlobalTable, push sqlparse
 		frags = append(frags, frag)
 	}
 	out := make(chan fragMsg, len(frags))
+	turn := make(chan struct{}, 1) // see pumpStream
 	var wg sync.WaitGroup
 	for _, frag := range frags {
 		wg.Add(1)
 		go func(frag *Fragment) {
 			defer wg.Done()
-			f.pumpFragment(ctx, gt, frag, push, cols, limit, batchRows, canReplay, counters, out)
+			f.pumpFragment(ctx, gt, frag, push, cols, limit, batchRows, canReplay, counters, out, group, turn)
 		}(frag)
 	}
 	go func() {
@@ -107,9 +111,16 @@ func (f *Federation) scatter(ctx context.Context, gt *GlobalTable, push sqlparse
 // only pushed to a site that applies the entire predicate, since the
 // first K rows of a partially filtered stream are not the first K of
 // the filtered one.
+//
+// With group set the fragment folds instead of shipping batches: a
+// replica that advertises grouping and applies the whole predicate
+// returns the partial rows itself, any other ships its rows and the
+// pump folds them with the same kernel. Either way the pump holds the
+// fragment's partials and sends them only in its success record, so a
+// failover throws the dead replica's partials away and asks again.
 func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fragment,
 	push sqlparse.Expr, cols []string, limit int, batchRows int, canReplay bool,
-	counters *streamCounters, out chan<- fragMsg) {
+	counters *streamCounters, out chan<- fragMsg, group *plan.Grouping, turn chan struct{}) {
 	gctx, gsp := obs.StartSpan(ctx, "federation.gatherstream")
 	gsp.Set("table", gt.Def.Name)
 	gsp.Set("fragment", frag.ID)
@@ -174,6 +185,7 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 		// site with different capabilities than the one that just died.
 		sitePush, siteResid := push, sqlparse.Expr(nil)
 		siteCols, siteLimit := cols, -1
+		siteGroup := false
 		if f.DisablePredicatePushdown {
 			sitePush, siteResid = nil, push
 		} else {
@@ -185,8 +197,15 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 			if limit >= 0 && caps.Limit && siteResid == nil {
 				siteLimit = limit
 			}
+			siteGroup = group != nil && caps.Group && siteResid == nil
 		}
-		st, err := site.SubQueryStream(gctx, gt.Def.Name, sitePush, siteCols, siteLimit)
+		var st storage.RowStream
+		var err error
+		if siteGroup {
+			st, err = site.GroupStream(gctx, gt.Def.Name, sitePush, group)
+		} else {
+			st, err = site.SubQueryStream(gctx, gt.Def.Name, sitePush, siteCols, siteLimit)
+		}
 		if err != nil {
 			if cutByConsumer(gctx) {
 				fstage.Cut()
@@ -210,7 +229,7 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 		// pushed-vs-residual accounting.
 		siteWidth := len(st.Columns())
 		var fuse *plan.FusedStream
-		if siteResid != nil || (cols != nil && siteCols == nil) {
+		if !siteGroup && (siteResid != nil || (cols != nil && siteCols == nil)) {
 			spec := plan.FuseSpec{Where: siteResid, Limit: -1}
 			if cols != nil && siteCols == nil {
 				idx, perr := projectIdx(st.Columns(), cols)
@@ -226,14 +245,21 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 			fuse = plan.FuseStream(st, spec)
 			st = fuse
 		}
-		shipped, pumpErr := pumpStream(gctx, st, fstage, batchRows, send)
-		pushedRows := shipped
-		if fuse != nil {
-			pushedRows = int(fuse.RowsIn())
+		var shipped, pushedRows int
+		var partials []storage.Row
+		var pumpErr error
+		if group != nil {
+			partials, pushedRows, shipped, pumpErr = foldFragment(st, fuse, group, siteGroup, fstage)
+		} else {
+			shipped, pumpErr = pumpStream(gctx, st, fstage, batchRows, send, turn)
+			pushedRows = shipped
+			if fuse != nil {
+				pushedRows = int(fuse.RowsIn())
+			}
 		}
 		if pumpErr == nil {
 			finish(fragMsg{site: site, rows: shipped, pushed: pushedRows, width: siteWidth,
-				fail: fails, stale: frag.PendingAt(site) > 0})
+				fail: fails, stale: frag.PendingAt(site) > 0, partials: partials})
 			return
 		}
 		if gctx.Err() != nil {
@@ -262,6 +288,35 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 	} else {
 		finish(fragMsg{err: fmt.Errorf("%w: fragment %s of %s", ErrNoReplica, frag.ID, gt.Def.Name)})
 	}
+}
+
+// foldFragment drains one replica's grouped subquery: the partial rows
+// the site folded (folded set), or the rows it shipped, folded here. It
+// returns the partials, the rows that crossed the site boundary, and
+// how many of those passed the pump's residual (fuse, when set); the
+// stage counts the partial rows, the fragment's contribution to the
+// combine.
+func foldFragment(st storage.RowStream, fuse *plan.FusedStream, g *plan.Grouping, folded bool,
+	stage *obs.StageStats) (partials []storage.Row, pushed, kept int, err error) {
+	var fold *plan.FoldStream
+	if !folded {
+		if fold, err = plan.NewFoldStream(st, g); err != nil {
+			//lint:ignore errdrop the fold failed to open; close is best-effort cleanup
+			_ = st.Close()
+			return nil, 0, 0, err
+		}
+		st = fold
+	}
+	partials, err = storage.CollectRows(storage.InstrumentStream(st, stage, storage.TimingSample))
+	switch {
+	case err != nil:
+		return nil, 0, 0, err
+	case folded:
+		return partials, len(partials), len(partials), nil
+	case fuse != nil:
+		return partials, int(fuse.RowsIn()), int(fuse.RowsOut()), nil
+	}
+	return partials, int(fold.RowsIn()), int(fold.RowsIn()), nil
 }
 
 // projectIdx resolves the projected column names against a shipped
@@ -298,15 +353,30 @@ func cutByConsumer(ctx context.Context) bool {
 // (nil on clean EOF). stage, when non-nil, accounts the rows pulled
 // off the site stream (a failover replay pumps again into the same
 // stage, so its row count is "rows shipped", not distinct rows).
+//
+// A pump fills a batch only while it holds turn, which the query's
+// pumps share, so one of them decodes at a time. The merge takes one
+// batch at a time; decoding several fragments at once buys a wide
+// query little and takes every processor from the queries running
+// beside it (DESIGN §10: "One decoding pump per query").
 func pumpStream(ctx context.Context, st storage.RowStream, stage *obs.StageStats, batchRows int,
-	send func(fragMsg) bool) (int, error) {
+	send func(fragMsg) bool, turn chan struct{}) (int, error) {
 	// Closing the wrapper closes st and settles the stage; with a nil
 	// stage InstrumentStream returns st itself.
 	src := storage.InstrumentStream(st, stage, storage.TimingSample)
 	defer src.Close()
+	held := false
+	release := func() {
+		if held {
+			<-turn
+			held = false
+		}
+	}
+	defer release()
 	shipped := 0
 	batch := storage.GetBatch()
 	flush := func() bool {
+		release()
 		if len(batch.Rows) == 0 {
 			return true
 		}
@@ -319,6 +389,15 @@ func pumpStream(ctx context.Context, st storage.RowStream, stage *obs.StageStats
 		return true
 	}
 	for {
+		if !held {
+			select {
+			case turn <- struct{}{}:
+				held = true
+			case <-ctx.Done():
+				storage.PutBatch(batch)
+				return shipped, ctx.Err()
+			}
+		}
 		row, err := src.Next()
 		if err == io.EOF {
 			if !flush() {
@@ -351,24 +430,7 @@ func clampFedBatch(n int) int {
 // ordering/DISTINCT (exec.Streamable) and no text predicates, which
 // need the coordinator's inverted index over gathered rows.
 func StreamableSelect(sel sqlparse.SelectStmt) bool {
-	if !exec.Streamable(sel) {
-		return false
-	}
-	hasText := false
-	check := func(e sqlparse.Expr) {
-		plan.Walk(e, func(x sqlparse.Expr) bool {
-			if _, ok := x.(sqlparse.TextMatch); ok {
-				hasText = true
-				return false
-			}
-			return true
-		})
-	}
-	check(sel.Where)
-	for _, it := range sel.Items {
-		check(it.Expr)
-	}
-	return !hasText
+	return exec.Streamable(sel) && !hasTextMatch(sel)
 }
 
 // QueryStream parses and executes one federated SELECT as a row
@@ -529,7 +591,7 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 	}
 	var active, pruned int
 	s.ch, active, pruned = f.scatter(sctx, gt, push, cols, fragLimit, clampFedBatch(f.StreamBatchRows),
-		len(keyIdx) > 0, s.counters)
+		len(keyIdx) > 0, s.counters, nil)
 	s.waiting = active
 	trace.PrunedFragments += pruned
 	metPruned.Add(int64(pruned))
@@ -675,11 +737,10 @@ func fedItemNames(items []sqlparse.SelectItem) []string {
 // distinct shipped row, in a keySet that keeps no string per key.
 // Nothing keeps a key inside one fragment — predicates may overlap or
 // be nil, a site hosting two fragments ships both, a mid-stream
-// replica failover replays the failed stream's prefix, and an UPDATE
-// of a routing column rewrites the row where it is, so a later INSERT
-// of that key lands in a second fragment even when the predicates are
-// disjoint. Keyless tables carry no set at all. See DESIGN.md
-// "Streaming execution".
+// replica failover replays the failed stream's prefix, and a row no
+// predicate claimed homes in the first fragment, so a fragment added
+// later that covers its key can receive a second copy. Keyless tables
+// carry no set at all. See DESIGN.md "Streaming execution".
 type fedStream struct {
 	f        *Federation
 	ctx      context.Context

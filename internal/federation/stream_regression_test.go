@@ -244,11 +244,12 @@ func TestSharedKeysStillDeduped(t *testing.T) {
 	}
 }
 
-// TestMovedKeyReinsertedOnce: an UPDATE of the routing column rewrites
-// the row in place at its old fragment, so a later INSERT of the same
-// key lands in the fragment its predicate now routes to, and two
-// fragments with disjoint predicates hold one key. The stream and the
-// materialized path must both still answer that key once.
+// TestMovedKeyReinsertedOnce: an UPDATE of a routing column would
+// rewrite the row in place at its old fragment, where its predicate no
+// longer holds it; the federation refuses it with the typed
+// ErrRoutingColumnUpdate and changes nothing. The key stays reachable
+// by point, range and DELETE, and a later INSERT of the would-be new
+// key lands exactly once.
 func TestMovedKeyReinsertedOnce(t *testing.T) {
 	layouts := []fragLayout{
 		{pred: "sku BETWEEN 'K000' AND 'K099'", keys: []int{1, 2, 3}},
@@ -256,34 +257,55 @@ func TestMovedKeyReinsertedOnce(t *testing.T) {
 	}
 	fed := dedupeFed(t, layouts, false)
 	ctx := context.Background()
-	for _, sql := range []string{
-		"UPDATE parts SET sku = 'K150' WHERE sku = 'K003'",
-		"INSERT INTO parts (sku, name, price, region) VALUES ('K150', 'item', 150, 'any')",
-	} {
-		if _, _, err := fed.Exec(ctx, sql); err != nil {
+	if _, _, err := fed.Exec(ctx, "UPDATE parts SET sku = 'K150' WHERE sku = 'K003'"); !errors.Is(err, ErrRoutingColumnUpdate) {
+		t.Fatalf("routing UPDATE: err = %v, want ErrRoutingColumnUpdate", err)
+	}
+	if _, _, err := fed.Exec(ctx, "INSERT INTO parts (sku, name, price, region) VALUES ('K150', 'item', 150, 'any')"); err != nil {
+		t.Fatal(err)
+	}
+	both := func(sql string) map[string][]storage.Row {
+		t.Helper()
+		res, err := fed.Query(ctx, sql)
+		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
+		st, _, err := fed.QueryStream(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		streamed, err := storage.CollectRows(st)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return map[string][]storage.Row{"materialized": res.Rows, "stream": streamed}
 	}
-	const sql = "SELECT sku FROM parts"
-	res, err := fed.Query(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
+	keys := func(ks ...string) map[string]int {
+		var rows []storage.Row
+		for _, k := range ks {
+			rows = append(rows, storage.Row{value.NewString(k)})
+		}
+		return multiset(rows)
 	}
-	st, _, err := fed.QueryStream(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
+	for sql, want := range map[string]map[string]int{
+		"SELECT sku FROM parts":                                     keys("K001", "K002", "K003", "K101", "K102", "K150"),
+		"SELECT sku FROM parts WHERE sku = 'K003'":                  keys("K003"),
+		"SELECT sku FROM parts WHERE sku BETWEEN 'K002' AND 'K004'": keys("K002", "K003"),
+		"SELECT sku FROM parts WHERE sku = 'K150'":                  keys("K150"),
+		"SELECT sku FROM parts WHERE sku BETWEEN 'K140' AND 'K160'": keys("K150"),
+	} {
+		for name, rows := range both(sql) {
+			if got := multiset(rows); !sameMultiset(got, want) {
+				t.Errorf("%s (%s): %v, want %v", sql, name, rows, want)
+			}
+		}
 	}
-	streamed, err := storage.CollectRows(st)
-	if err != nil {
-		t.Fatal(err)
+	_, dr, err := fed.Exec(ctx, "DELETE FROM parts WHERE sku = 'K003'")
+	if err != nil || dr.Rows != 1 {
+		t.Fatalf("DELETE K003: %+v, %v; want one row", dr, err)
 	}
-	want := multiset([]storage.Row{
-		{value.NewString("K001")}, {value.NewString("K002")}, {value.NewString("K150")},
-		{value.NewString("K101")}, {value.NewString("K102")},
-	})
-	for name, rows := range map[string][]storage.Row{"materialized": res.Rows, "stream": streamed} {
-		if got := multiset(rows); !sameMultiset(got, want) {
-			t.Errorf("%s: %v, want each key once", name, rows)
+	for name, rows := range both("SELECT sku FROM parts WHERE sku = 'K003'") {
+		if len(rows) != 0 {
+			t.Errorf("%s: K003 survived its DELETE: %v", name, rows)
 		}
 	}
 }

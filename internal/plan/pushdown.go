@@ -53,15 +53,19 @@ type PushCaps struct {
 	Project bool
 	// Limit reports whether the source can stop after N rows.
 	Limit bool
+	// Group reports whether the source can fold a decomposable GROUP
+	// BY (see Grouping) into partial rows.
+	Group bool
 }
 
 // FullPushCaps advertises everything a complete SQL engine can do:
-// every class except text, projection, and limit.
+// every class except text, projection, limit, and grouping.
 func FullPushCaps() PushCaps {
 	return PushCaps{
 		Classes: []FilterClass{ClassEq, ClassRange, ClassLike, ClassNull, ClassExpr},
 		Project: true,
 		Limit:   true,
+		Group:   true,
 	}
 }
 

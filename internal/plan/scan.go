@@ -35,6 +35,10 @@ type ScanSpec struct {
 	Offset int
 	// Limit caps emitted rows; negative means unlimited.
 	Limit int
+	// Group, when set, folds the kept rows into partial rows (see
+	// Grouping) instead of emitting them; Project, Columns, Offset and
+	// Limit are then ignored.
+	Group *Grouping
 }
 
 // TableScan is the site-side scan kernel, the one loop behind every
@@ -43,7 +47,9 @@ type ScanSpec struct {
 // storage.Cursor a batch at a time, tests each stored row in place under
 // the batch's one read latch, and copies out only the survivors, and of
 // those only the projected columns. It sees the table as of its opening
-// (see storage.Cursor).
+// (see storage.Cursor). A grouped scan folds each kept row in place,
+// under the same latch, and copies none: it emits the partial rows
+// once the cursor is exhausted.
 type TableScan struct {
 	ctx    context.Context
 	done   <-chan struct{} // ctx.Done(), polled before every row and batch
@@ -60,6 +66,7 @@ type TableScan struct {
 	pos    int
 	more   bool  // the cursor may hold further rows
 	err    error // evaluation error met in the current batch, after out
+	fold   *GroupFold
 	closed bool
 }
 
@@ -88,6 +95,13 @@ func ScanTable(ctx context.Context, cur *storage.Cursor, spec ScanSpec) (*TableS
 		if s.where, err = ev.BindPred(spec.Where, sc); err != nil {
 			return nil, err
 		}
+	}
+	if spec.Group != nil {
+		if s.fold, err = NewGroupFold(spec.Group, sc); err != nil {
+			return nil, err
+		}
+		s.cols, s.skip, s.remain, s.more = spec.Group.Columns(), 0, -1, true
+		return s, nil
 	}
 	if spec.Project == nil {
 		if s.cols == nil {
@@ -155,6 +169,10 @@ func (s *TableScan) Next() (storage.Row, error) {
 // everything inside visit happens under the table's read latch.
 func (s *TableScan) fill() {
 	s.out, s.pos = s.out[:0], 0
+	if s.fold != nil {
+		s.fillGrouped()
+		return
+	}
 	s.more = s.cur.Next(storage.DefaultBatchRows, func(id int64, row storage.Row) bool {
 		if s.keep != nil && !s.keep(row) {
 			return true
@@ -195,6 +213,38 @@ func (s *TableScan) fill() {
 		}
 		return s.remain != 0
 	})
+}
+
+// fillGrouped folds one batch into the grouping; after the last batch
+// it emits the partial rows.
+func (s *TableScan) fillGrouped() {
+	s.more = s.cur.Next(storage.DefaultBatchRows, func(id int64, row storage.Row) bool {
+		if s.keep != nil && !s.keep(row) {
+			return true
+		}
+		if s.where != nil {
+			ok, err := s.where(row, id)
+			if err != nil {
+				s.err = err
+				return false
+			}
+			if !ok {
+				return true
+			}
+		}
+		if err := s.fold.Add(row); err != nil {
+			s.err = err
+			return false
+		}
+		return true
+	})
+	if s.err != nil {
+		s.more = false
+		return
+	}
+	if !s.more {
+		s.out, s.err = s.fold.Rows()
+	}
 }
 
 // Close implements storage.RowStream.

@@ -1,7 +1,7 @@
 // Package remote puts real sockets under the federation: a Server
 // exposes a site's local tables over HTTP (schema discovery on /tables,
 // rows on the /fetchstream push stream), and the client side presents
-// each remote table as a wrapper.Source with σ/π/limit pushdown, so a
+// each remote table as a wrapper.Source with σ/π/limit/γ pushdown, so a
 // federation can span processes and machines exactly the way the
 // paper's cross-enterprise setting demands. The wire format is JSON with
 // kind-tagged values so money, durations and timestamps survive the
@@ -11,6 +11,7 @@ package remote
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"cohera/internal/plan"
@@ -112,10 +113,11 @@ type wirePushCaps struct {
 	Columns []string `json:"columns,omitempty"`
 	Project bool     `json:"project,omitempty"`
 	Limit   bool     `json:"limit,omitempty"`
+	Group   bool     `json:"group,omitempty"`
 }
 
 func encodePushCaps(c plan.PushCaps) *wirePushCaps {
-	out := &wirePushCaps{Columns: c.Columns, Project: c.Project, Limit: c.Limit}
+	out := &wirePushCaps{Columns: c.Columns, Project: c.Project, Limit: c.Limit, Group: c.Group}
 	for _, fc := range c.Classes {
 		out.Classes = append(out.Classes, string(fc))
 	}
@@ -129,7 +131,7 @@ func decodePushCaps(w *wirePushCaps) plan.PushCaps {
 	if w == nil {
 		return plan.PushCaps{}
 	}
-	out := plan.PushCaps{Columns: w.Columns, Project: w.Project, Limit: w.Limit}
+	out := plan.PushCaps{Columns: w.Columns, Project: w.Project, Limit: w.Limit, Group: w.Group}
 	for _, s := range w.Classes {
 		out.Classes = append(out.Classes, plan.FilterClass(s))
 	}
@@ -147,6 +149,48 @@ type wirePushedAck struct {
 	Cols []string `json:"cols,omitempty"`
 	// Limit confirms the row cap is enforced server-side.
 	Limit bool `json:"limit,omitempty"`
+	// Group, when present, is the exact grouping the rows are partial
+	// rows of.
+	Group *wireGrouping `json:"group,omitempty"`
+}
+
+// wireGrouping is the JSON form of plan.Grouping: the group columns and
+// the aggregates, each {"fn":"SUM","col":"qty"} (no col for COUNT(*)).
+type wireGrouping struct {
+	Keys []string  `json:"keys,omitempty"`
+	Aggs []wireAgg `json:"aggs,omitempty"`
+}
+
+type wireAgg struct {
+	Fn  string `json:"fn"`
+	Col string `json:"col,omitempty"`
+}
+
+func encodeGrouping(g *plan.Grouping) *wireGrouping {
+	if g == nil {
+		return nil
+	}
+	out := &wireGrouping{Keys: g.Keys}
+	for _, c := range g.Aggs {
+		out.Aggs = append(out.Aggs, wireAgg{Fn: c.Func, Col: c.Col})
+	}
+	return out
+}
+
+// decodeGrouping maps the wire record back and validates it; nil
+// stays nil.
+func decodeGrouping(w *wireGrouping) (*plan.Grouping, error) {
+	if w == nil {
+		return nil, nil
+	}
+	g := &plan.Grouping{Keys: w.Keys}
+	for _, a := range w.Aggs {
+		g.Aggs = append(g.Aggs, plan.AggCall{Func: strings.ToUpper(a.Fn), Col: a.Col})
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 func encodeSchema(def *schema.Table, pushdown []string, volatile bool) wireSchema {

@@ -40,7 +40,7 @@ var metServerSeconds = obs.Default().Histogram("cohera_remote_server_seconds",
 // stored tables, wrapped ERPs, even other federations' views) over HTTP:
 //
 //	GET  /tables             → JSON list of wireSchema
-//	POST /fetchstream        → {table, filters[], batch_rows, where, cols, limit} → NDJSON chunks
+//	POST /fetchstream        → {table, filters[], batch_rows, where, cols, limit, group} → NDJSON chunks
 //	POST /digest             → {table} → {hash, rows} content digest
 //	GET  /debug/replication  → per-table digests for operator comparison
 //	GET  /healthz            → 200 ok
@@ -58,8 +58,8 @@ type Server struct {
 	StreamBatchRows int
 	// DisablePushdown makes the server behave like one that predates
 	// capability-aware pushdown: /tables advertises no push capabilities
-	// and /fetchstream ignores the where/cols/limit request fields and
-	// sends no ack. Compatibility-fallback tests flip it; like Token it
+	// and /fetchstream ignores the where/cols/limit/group request fields
+	// and sends no ack. Compatibility-fallback tests flip it; like Token it
 	// must be set before serving.
 	DisablePushdown bool
 	// Admission, when set, gates the data-plane endpoint (/fetchstream):
@@ -211,9 +211,9 @@ func (s *Server) handleTables(w http.ResponseWriter) {
 		src := s.sources[n]
 		caps := src.Capabilities()
 		ws := encodeSchema(src.Schema(), caps.PushdownEq, caps.Volatile)
-		// The server fuses anything its source cannot apply, so every
-		// published table supports full σ/π/limit pushdown regardless of
-		// the underlying connector's own capabilities.
+		// The server fuses (and folds) anything its source cannot apply,
+		// so every published table supports full σ/π/limit/γ pushdown
+		// regardless of the underlying connector's own capabilities.
 		if !s.DisablePushdown {
 			ws.Push = encodePushCaps(plan.FullPushCaps())
 		}

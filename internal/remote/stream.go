@@ -79,6 +79,9 @@ type streamRequest struct {
 	Cols []string `json:"cols,omitempty"`
 	// Limit caps delivered rows; <= 0 means no limit.
 	Limit int `json:"limit,omitempty"`
+	// Group asks for the rows Where keeps folded into partial rows of
+	// this grouping. It excludes Cols and Limit.
+	Group *wireGrouping `json:"group,omitempty"`
 }
 
 // streamChunk is every member of a /fetchstream NDJSON line except its
@@ -207,6 +210,17 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		if req.Limit > 0 {
 			push.Limit = req.Limit
 		}
+		g, gerr := decodeGrouping(req.Group)
+		if gerr == nil && g != nil && (push.Cols != nil || push.Limit > 0) {
+			gerr = fmt.Errorf("a grouped request carries no cols or limit")
+		}
+		if gerr != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
+			_ = writeJSON(w, errorResponse{Error: fmt.Sprintf("bad pushdown group: %v", gerr)})
+			return
+		}
+		push.Group = g
 	}
 	st, applied, err := wrapper.OpenPushStream(r.Context(), src, filters, push)
 	if err != nil {
@@ -243,7 +257,21 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		if fuse {
 			st = plan.FuseStream(st, spec)
 		}
-		ack = &wirePushedAck{Where: push.Where != nil, Cols: push.Cols, Limit: push.Limit > 0}
+		if push.Group != nil && !applied.Group {
+			//lint:ignore streamclose fold aliases st, which the deferred scan close releases
+			fold, ferr := plan.NewFoldStream(st, push.Group)
+			if ferr != nil {
+				//lint:ignore errdrop the request is being rejected; close is best-effort cleanup
+				_ = st.Close()
+				w.WriteHeader(http.StatusBadRequest)
+				//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
+				_ = writeJSON(w, errorResponse{Error: ferr.Error()})
+				return
+			}
+			st = fold
+		}
+		ack = &wirePushedAck{Where: push.Where != nil, Cols: push.Cols, Limit: push.Limit > 0,
+			Group: encodeGrouping(push.Group)}
 	}
 	batchRows := clampBatchRows(req.BatchRows, s.StreamBatchRows)
 	metStreamInflight("server").Add(1)
@@ -372,11 +400,20 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 		req.Limit = push.Limit
 	}
 	var local []wrapper.Filter
+	allPushed := true
 	for _, f := range filters {
 		if s.caps.CanPush(f.Column) {
 			req.Filters = append(req.Filters, wireFilter{Column: f.Column, Value: encodeValue(f.Value)})
+		} else {
+			allPushed = false
 		}
 		local = append(local, f)
+	}
+	// Partial rows cannot be re-filtered here, so a grouping travels
+	// only with every filter; otherwise rows come back whole and the
+	// caller folds them.
+	if push.Group != nil && allPushed {
+		req.Group = encodeGrouping(push.Group)
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -457,8 +494,19 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 			// A projection ack must name exactly the columns asked for,
 			// in order: rows shaped by any other list would be read
 			// against the wrong layout downstream.
+			var err error
 			if len(ack.Cols) > 0 && !slices.EqualFunc(ack.Cols, push.Cols, strings.EqualFold) {
-				err := fmt.Errorf("remote: %s acked projection %v, asked for %v", s.def.Name, ack.Cols, push.Cols)
+				err = fmt.Errorf("remote: %s acked projection %v, asked for %v", s.def.Name, ack.Cols, push.Cols)
+			}
+			// A grouping ack must echo the grouping sent, exactly: the
+			// partial layout follows from it.
+			var acked *plan.Grouping
+			if err == nil && ack.Group != nil {
+				if acked, err = decodeGrouping(ack.Group); err == nil && (req.Group == nil || !acked.Equal(push.Group)) {
+					err = fmt.Errorf("remote: %s acked grouping %+v, asked for %+v", s.def.Name, ack.Group, req.Group)
+				}
+			}
+			if err != nil {
 				cs.err = err
 				//lint:ignore errdrop the open is failing; close is best-effort cleanup
 				_ = cs.Close()
@@ -468,8 +516,15 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 				Where: ack.Where && push.Where != nil,
 				Cols:  len(ack.Cols) > 0,
 				Limit: ack.Limit && push.Limit > 0,
+				Group: acked != nil,
 			}
-			if applied.Cols {
+			switch {
+			case applied.Group:
+				// Rows arrive as partial rows; the filter re-check sees
+				// only the group columns.
+				cs.cols = push.Group.Columns()
+				cs.rebindFilters()
+			case applied.Cols:
 				// Rows arrive projected: narrow the stream's column set
 				// and re-resolve the filter re-check against it.
 				cs.cols = append([]string(nil), ack.Cols...)

@@ -20,6 +20,9 @@ type GenQuery struct {
 	// Base is SQL stripped of its LIMIT/OFFSET clause — the superset
 	// reference for the Unordered comparison. Equal to SQL otherwise.
 	Base string
+	// Withheld marks an aggregate query outside aggregate pushdown's
+	// scope (HotelAggregates): its fragments must ship rows.
+	Withheld bool
 }
 
 // HotelSelects generates n seeded SELECTs over the HotelsDef schema,

@@ -11,7 +11,7 @@ import (
 	"cohera/internal/storage"
 )
 
-// Pushdown is the capability-negotiated σ/π/limit request a caller hands
+// Pushdown is the capability-negotiated σ/π/limit/γ request a caller hands
 // a push-capable source alongside the legacy equality filters. The
 // caller must only push what the source's Capabilities().Push
 // advertises; the Applied receipt reports what the source actually did,
@@ -25,11 +25,15 @@ type Pushdown struct {
 	Cols []string
 	// Limit caps delivered rows; <= 0 means no limit.
 	Limit int
+	// Group, when set, asks for the rows Where keeps folded into the
+	// grouping's partial rows (plan.Grouping) instead of the rows
+	// themselves. A grouped request carries no Cols and no Limit.
+	Group *plan.Grouping
 }
 
 // Empty reports whether the request asks for nothing.
 func (p Pushdown) Empty() bool {
-	return p.Where == nil && p.Cols == nil && p.Limit <= 0
+	return p.Where == nil && p.Cols == nil && p.Limit <= 0 && p.Group == nil
 }
 
 // Applied is a source's receipt for a Pushdown: which parts of the
@@ -43,6 +47,9 @@ type Applied struct {
 	Cols bool
 	// Limit: at most the requested number of rows will be delivered.
 	Limit bool
+	// Group: rows are the requested grouping's partial rows, folded
+	// over the rows the pushed predicate keeps (so Where holds too).
+	Group bool
 }
 
 // PushStreamingSource is the optional push-capable streaming face of a
@@ -73,9 +80,10 @@ func OpenPushStream(ctx context.Context, src Source, filters []Filter, push Push
 }
 
 // FetchPushStream implements PushStreamingSource: the gateway stands in
-// for a full remote engine, so the pushed predicate, projection and
-// limit all run inside its scan (plan.TableScan) — a row failing the
-// pushed WHERE is never copied, let alone shipped. A pushed column the
+// for a full remote engine, so the pushed predicate, projection, limit
+// and grouping all run inside its scan (plan.TableScan) — a row failing
+// the pushed WHERE is never copied, let alone shipped, and a grouped
+// request copies no row at all. A pushed column the
 // table lacks fails the open. The first pushable equality filter picks
 // the rows through an index when its column has one; every filter is
 // then checked per row, as in Fetch.
@@ -120,9 +128,13 @@ func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push 
 	if push.Limit > 0 {
 		spec.Limit = push.Limit
 	}
+	spec.Group = push.Group
 	scan, err := plan.ScanTable(ctx, cur, spec)
 	if err != nil {
 		return nil, Applied{}, fmt.Errorf("wrapper: erp %s: %w", s.name, err)
+	}
+	if push.Group != nil {
+		return scan, Applied{Where: push.Where != nil, Group: true}, nil
 	}
 	return scan, Applied{Where: push.Where != nil, Cols: push.Cols != nil, Limit: push.Limit > 0}, nil
 }

@@ -14,7 +14,8 @@
 #                                but this stage keeps them covered even
 #                                if the main run is ever narrowed)
 #   4. go run ./cmd/coherasmoke  daemon smoke: in-process coherad
-#                                handler, /healthz 200, /metrics parses
+#                                handler, /healthz 200, /metrics parses,
+#                                a GROUP BY folded at the peers
 #   5. go run ./cmd/coherachaos  seeded fault-injection harness: the
 #      -smoke                    resilience invariants hold end to end,
 #                                including the anti-entropy convergence
@@ -42,6 +43,8 @@
 #                                snapshots, journal intents) against
 #                                its JSON reference, the pushdown split
 #                                oracle, the bound-vs-Eval oracle, the
+#                                grouped fold over random partitions
+#                                against one GROUP BY, the
 #                                storage.Table-vs-model op sequences and
 #                                the merge's key dedupe against a map
 #                                model each survive a short run
@@ -88,6 +91,7 @@ go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
 go test -fuzz FuzzDiskCodec -fuzztime 10s ./internal/exec/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzBoundEval -fuzztime 10s ./internal/plan/
+go test -fuzz FuzzGroupFold -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzTableOps -fuzztime 10s ./internal/storage/
 go test -fuzz FuzzMergeDedupe -fuzztime 10s ./internal/federation/
 
