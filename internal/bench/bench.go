@@ -109,7 +109,7 @@ func All() []Experiment {
 		{"E10", E10ScaleOut, "throughput vs replica count at fixed offered load"},
 		{"E11", E11Pushdown, "ablation: projection pushdown on wide catalog rows"},
 		{"E12", E12Remote, "in-process vs HTTP federation overhead"},
-		{"E13", E13Streaming, "streaming vs materialized scatter-gather memory and latency"},
+		{"E13", E13Streaming, "streaming vs collected scatter-gather memory and latency"},
 		{"E14", E14AntiEntropy, "anti-entropy repair time vs outage size, replay vs copy-repair"},
 		{"E15", E15Instrumentation, "query observability overhead: instrumented vs bare streamed scan"},
 		{"E16", E16Durability, "durability cost and recovery: fsync policy vs DML, replay vs checkpoint restore"},

@@ -14,14 +14,14 @@ import (
 	"cohera/internal/value"
 )
 
-// E13Streaming is the streaming-vs-materialized micro-benchmark: the
-// same full scan answered once through Federation.Query (the gather
-// buffers every fragment's rows before returning) and once through
-// Federation.QueryStream drained row by row. For each (total rows,
-// fragment count) cell it records the median wall clock and the peak
-// rows resident in the engine: the whole result set for the
-// materialized path, the scatter-gather fan-in high-water mark
-// (QueryTrace.PeakBufferedRows) for the streaming path. The claim under
+// E13Streaming is the streaming-vs-collected micro-benchmark: the same
+// full scan answered once through Federation.Query, which drains the
+// merge stream into one result slice before returning, and once
+// through Federation.QueryStream drained row by row. For each (total
+// rows, fragment count) cell it records the median wall clock and the
+// peak rows resident in the engine: the whole result set for the
+// collected arm, the scatter-gather fan-in high-water mark
+// (QueryTrace.PeakBufferedRows) for the streaming arm. The claim under
 // test is that the streaming bound is O(batch × fragments) — flat in
 // the total row count.
 func E13Streaming(cfg Config) (Table, error) {
@@ -35,9 +35,9 @@ func E13Streaming(cfg Config) (Table, error) {
 	}
 	t := Table{
 		ID:      "E13",
-		Title:   "streaming vs materialized scatter-gather: wall clock and peak resident rows",
+		Title:   "streaming vs collected scatter-gather: wall clock and peak resident rows",
 		Headers: []string{"rows", "fragments", "mode", "median wall", "peak resident rows"},
-		Notes:   "expected shape: materialized peak grows with the row count; streaming peak stays near batch x fragments at every scale",
+		Notes:   "expected shape: the collected peak is the result size; streaming peak stays near batch x fragments at every scale",
 	}
 
 	ctx := context.Background()
@@ -55,11 +55,11 @@ func E13Streaming(cfg Config) (Table, error) {
 				start := time.Now()
 				res, _, err := fed.QueryTraced(ctx, sql)
 				if err != nil {
-					return t, fmt.Errorf("E13 materialized %dx%d: %w", total, frags, err)
+					return t, fmt.Errorf("E13 collected %dx%d: %w", total, frags, err)
 				}
 				matWall = append(matWall, time.Since(start))
 				if len(res.Rows) != total {
-					return t, fmt.Errorf("E13 materialized %dx%d: %d rows, want %d", total, frags, len(res.Rows), total)
+					return t, fmt.Errorf("E13 collected %dx%d: %d rows, want %d", total, frags, len(res.Rows), total)
 				}
 				matPeak = len(res.Rows)
 			}
@@ -90,7 +90,7 @@ func E13Streaming(cfg Config) (Table, error) {
 				wall time.Duration
 				peak int
 			}{
-				{"materialized", medianDuration(matWall), matPeak},
+				{"collected", medianDuration(matWall), matPeak},
 				{"streaming", medianDuration(strWall), strPeak},
 			} {
 				t.Rows = append(t.Rows, []string{

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"cohera/internal/exec"
 	"cohera/internal/fault"
 	"cohera/internal/remote"
 	"cohera/internal/sqlparse"
@@ -16,13 +18,15 @@ import (
 	"cohera/internal/workload"
 )
 
-// The differential harness: the streaming scatter-gather and the
-// materialized gather are two executors for the same query language,
-// so on every query they must agree on the result multiset. We drive
-// both with a seeded corpus of generated SELECTs over the hotels
-// vignette, including the degraded (PartialResults) regime, and assert
-// a fault-injected mid-stream truncation surfaces as a typed error,
-// never a silently short result.
+// The differential harness: Query and QueryStream are two entry points
+// to the federated executor, and one exec.Database holding every loaded
+// row is an executor that shares nothing with them but the SQL engine.
+// On every query both entry points must agree with that reference on
+// the result columns and row multiset. We drive them with a seeded
+// corpus of generated SELECTs over the hotels vignette, including the
+// degraded (PartialResults) regime, whose reference leaves out the lost
+// fragment's rows, and assert a fault-injected mid-stream truncation
+// surfaces as a typed error, never a silently short result.
 
 // hotelsFed builds a federation of the hotels table fragmented by
 // chain across four fragments; fragments 1 and 3 are replicated.
@@ -91,61 +95,103 @@ func sameMultiset(a, b map[string]int) bool {
 	return true
 }
 
-// checkDifferential runs one generated query on both executors and
-// fails the test on any disagreement. A LIMIT without ORDER BY may
-// legally pick any satisfying subset, so those queries compare by
-// count plus sub-multiset of the unlimited superset (the metamorphic
-// relation), not exact equality.
-func checkDifferential(t *testing.T, fed *Federation, q workload.GenQuery) {
+// hotelsReference is one engine holding the rows hotelsFed loads,
+// minus those of the fragments listed in lost.
+func hotelsReference(t *testing.T, lost ...int) *exec.Database {
+	t.Helper()
+	chains := workload.Hotels(8, 10, 4242)
+	var rows []storage.Row
+	for f := 0; f < 4; f++ {
+		if slices.Contains(lost, f) {
+			continue
+		}
+		for _, h := range append(chains[2*f], chains[2*f+1]...) {
+			rows = append(rows, workload.HotelRow(h))
+		}
+	}
+	db := exec.NewDatabase()
+	if err := db.LoadRows(workload.HotelsDef(), rows); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// checkDifferential runs one generated query through both entry points
+// and the reference, and fails the test on any disagreement. A LIMIT
+// without a total order may legally pick any satisfying subset, so
+// those queries compare by count plus sub-multiset of the reference's
+// unlimited superset (the metamorphic relation), not exact equality.
+func checkDifferential(t *testing.T, fed *Federation, ref *exec.Database, q workload.GenQuery) {
 	t.Helper()
 	ctx := context.Background()
+	want, err := ref.Exec(q.SQL)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", q.SQL, err)
+	}
+	var super map[string]int
+	if q.Unordered {
+		all, err := ref.Exec(q.Base)
+		if err != nil {
+			t.Fatalf("%s: reference superset: %v", q.Base, err)
+		}
+		super = multiset(all.Rows)
+	}
 	res, err := fed.Query(ctx, q.SQL)
 	if err != nil {
-		t.Fatalf("%s: materialized: %v", q.SQL, err)
+		t.Fatalf("%s: Query: %v", q.SQL, err)
 	}
+	matchReference(t, q.SQL, "Query", res.Columns, res.Rows, want, super)
 	st, _, err := fed.QueryStream(ctx, q.SQL)
 	if err != nil {
-		t.Fatalf("%s: stream open: %v", q.SQL, err)
+		t.Fatalf("%s: QueryStream open: %v", q.SQL, err)
 	}
 	rows, err := storage.CollectRows(st)
 	if err != nil {
-		t.Fatalf("%s: stream drain: %v", q.SQL, err)
+		t.Fatalf("%s: QueryStream drain: %v", q.SQL, err)
 	}
-	if len(rows) != len(res.Rows) {
-		t.Fatalf("%s: stream %d rows, materialized %d", q.SQL, len(rows), len(res.Rows))
+	matchReference(t, q.SQL, "QueryStream", st.Columns(), rows, want, super)
+}
+
+// matchReference compares one entry point's answer with the
+// reference's: the same columns, the same row count, and the same row
+// multiset — or, with super set, rows drawn from it.
+func matchReference(t *testing.T, sql, path string, cols []string, rows []storage.Row, want *exec.Result, super map[string]int) {
+	t.Helper()
+	if !slices.Equal(cols, want.Columns) {
+		t.Fatalf("%s: %s columns %v, reference %v", sql, path, cols, want.Columns)
 	}
-	if q.Unordered {
-		super, err := fed.Query(ctx, q.Base)
-		if err != nil {
-			t.Fatalf("%s: superset: %v", q.Base, err)
-		}
-		sup := multiset(super.Rows)
+	if len(rows) != len(want.Rows) {
+		t.Fatalf("%s: %s returned %d rows, reference %d", sql, path, len(rows), len(want.Rows))
+	}
+	if super != nil {
 		for k, n := range multiset(rows) {
-			if sup[k] < n {
-				t.Fatalf("%s: stream row not in unlimited superset", q.SQL)
+			if super[k] < n {
+				t.Fatalf("%s: %s row %q not in the reference's unlimited superset", sql, path, k)
 			}
 		}
 		return
 	}
-	if !sameMultiset(multiset(rows), multiset(res.Rows)) {
-		t.Fatalf("%s: result multisets differ\nstream: %v\nmaterialized: %v",
-			q.SQL, multiset(rows), multiset(res.Rows))
+	if got := multiset(rows); !sameMultiset(got, multiset(want.Rows)) {
+		t.Fatalf("%s: %s multiset differs from the reference\ngot:       %v\nreference: %v",
+			sql, path, got, multiset(want.Rows))
 	}
 }
 
 // TestDifferentialStreamVsMaterialized runs the seeded 500-query corpus
-// through both executors on a healthy federation.
+// through both entry points on a healthy federation.
 func TestDifferentialStreamVsMaterialized(t *testing.T) {
 	fed, _ := hotelsFed(t)
+	ref := hotelsReference(t)
 	for _, q := range workload.HotelSelects(500, 1337) {
-		checkDifferential(t, fed, q)
+		checkDifferential(t, fed, ref, q)
 	}
 }
 
 // TestDifferentialUnderDegradation re-runs a corpus slice with a whole
-// fragment down and PartialResults on: both executors must agree on
-// the degraded result and mark the trace identically. Without
-// PartialResults both must fail typed rather than answer short.
+// fragment down and PartialResults on: both entry points must answer
+// what the reference without that fragment answers, and mark the trace
+// identically. Without PartialResults both must fail typed rather than
+// answer short.
 func TestDifferentialUnderDegradation(t *testing.T) {
 	fed, frags := hotelsFed(t)
 	for _, s := range frags[1].Replicas() {
@@ -165,8 +211,9 @@ func TestDifferentialUnderDegradation(t *testing.T) {
 	}
 
 	fed.PartialResults = true
+	ref := hotelsReference(t, 1)
 	for _, q := range workload.HotelSelects(150, 99) {
-		checkDifferential(t, fed, q)
+		checkDifferential(t, fed, ref, q)
 	}
 
 	// Both traces carry the same degradation record.

@@ -30,9 +30,10 @@ var metDMLRows = obs.Default().Counter("cohera_federation_dml_rows_total",
 // read-mostly, but operational content changes (orders, availability
 // updates) flow back through the same global schema:
 //
-//   - INSERT routes each row to the fragment whose predicate accepts it
-//     (the first fragment when none match) and writes every replica, so
-//     replicas stay in sync;
+//   - INSERT routes each row to the first fragment whose predicate
+//     accepts it, a fragment without a predicate accepting anything, and
+//     writes every replica, so replicas stay in sync; a row no fragment
+//     accepts fails with ErrRowOutsideFragment;
 //   - UPDATE and DELETE broadcast to all fragments that are not provably
 //     disjoint with the statement's predicate; every replica executes the
 //     statement so copies converge.
@@ -212,6 +213,10 @@ func (f *Federation) execInsert(ctx context.Context, s sqlparse.InsertStmt, trac
 	ev := &plan.Evaluator{}
 	emptyEnv := plan.NewRowEnv(nil, nil)
 	dr := &DMLResult{}
+	route, err := fragmentRouter(f.FragmentsOf(gt), def)
+	if err != nil {
+		return dr, err
+	}
 	for _, exprRow := range s.Rows {
 		if err := ctx.Err(); err != nil {
 			return dr, err
@@ -242,7 +247,7 @@ func (f *Federation) execInsert(ctx context.Context, s sqlparse.InsertStmt, trac
 		if err := def.Validate(row); err != nil {
 			return dr, err
 		}
-		frag, err := routeRow(f.FragmentsOf(gt), def, row, ev)
+		frag, err := route(row)
 		if err != nil {
 			return dr, err
 		}
@@ -319,23 +324,41 @@ func abandonAll(groups []*journal.Group, frag, stmtID string) error {
 	return nil
 }
 
-// routeRow picks the fragment whose predicate accepts the row; the first
-// fragment is the default home for rows no predicate claims.
-func routeRow(fragments []*Fragment, def *schema.Table, row storage.Row, ev *plan.Evaluator) (*Fragment, error) {
-	env := plan.NewRowEnv(def.ColumnNames(), row)
-	for _, frag := range fragments {
+// fragmentRouter returns the rule that homes a row of def in one of
+// fragments: the first whose predicate holds the row, a fragment
+// without a predicate holding anything. A row no fragment claims fails
+// with ErrRowOutsideFragment — homed anywhere, it would sit where
+// pruning cannot find it (DESIGN.md §11, the fragment invariant). The
+// predicates are bound once, for every row the rule routes.
+func fragmentRouter(fragments []*Fragment, def *schema.Table) (func(storage.Row) (*Fragment, error), error) {
+	var ev plan.Evaluator
+	sc := plan.NewScope(def, "")
+	holds := make([]plan.Pred, len(fragments))
+	for i, frag := range fragments {
 		if frag.Predicate == nil {
 			continue
 		}
-		v, err := ev.Eval(frag.Predicate, env)
+		h, err := ev.BindPred(frag.Predicate, sc)
 		if err != nil {
 			return nil, fmt.Errorf("federation: fragment %s predicate: %w", frag.ID, err)
 		}
-		if v.Truthy() {
-			return frag, nil
-		}
+		holds[i] = h
 	}
-	return fragments[0], nil
+	return func(row storage.Row) (*Fragment, error) {
+		for i, frag := range fragments {
+			if holds[i] == nil {
+				return frag, nil
+			}
+			ok, err := holds[i](row, 0)
+			if err != nil {
+				return nil, fmt.Errorf("federation: fragment %s predicate: %w", frag.ID, err)
+			}
+			if ok {
+				return frag, nil
+			}
+		}
+		return nil, fmt.Errorf("%w: no fragment of %s claims row %v", ErrRowOutsideFragment, def.Name, row)
+	}, nil
 }
 
 // siteWhereOutcome caches one site's single execution of a searched

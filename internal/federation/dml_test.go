@@ -2,7 +2,10 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"cohera/internal/sqlparse"
 )
 
 func TestFederatedInsertRouting(t *testing.T) {
@@ -73,16 +76,79 @@ func TestFederatedInsertSkipsDownReplica(t *testing.T) {
 	}
 }
 
+// TestFederatedInsertDefaultFragment: there is no default fragment. A
+// row no fragment predicate claims is refused with the typed error and
+// reaches no replica — homed in some fragment, it would sit where
+// pruning cannot find it.
 func TestFederatedInsertDefaultFragment(t *testing.T) {
-	fed, fragEast, _ := twoFragFed(t)
+	fed, fragEast, fragWest := twoFragFed(t)
 	ctx := context.Background()
-	// A row matching no predicate homes in the first fragment.
-	if _, dr, err := fed.Exec(ctx,
-		"INSERT INTO parts (sku, name, price, region) VALUES ('N1', 'thing', 1.0, 'north')"); err != nil || dr.Rows != 1 {
-		t.Fatalf("insert: %v", err)
+	_, _, err := fed.Exec(ctx,
+		"INSERT INTO parts (sku, name, price, region) VALUES ('N1', 'thing', 1.0, 'north')")
+	if !errors.Is(err, ErrRowOutsideFragment) {
+		t.Fatalf("insert of an unclaimed row: %v, want ErrRowOutsideFragment", err)
 	}
-	if n := fragEast.Replicas()[0].TableRows("parts"); n != 3 {
-		t.Errorf("default-routed rows = %d", n)
+	for _, frag := range []*Fragment{fragEast, fragWest} {
+		for _, s := range frag.Replicas() {
+			if n := s.TableRows("parts"); n != 2 {
+				t.Errorf("replica %s rows = %d, want 2 (untouched)", s.Name(), n)
+			}
+		}
+	}
+	res, err := fed.Query(ctx, "SELECT sku FROM parts WHERE sku = 'N1'")
+	if err != nil || len(res.Rows) != 0 {
+		t.Fatalf("read back = %v, %v; want no row", res, err)
+	}
+}
+
+// TestFederatedInsertNilPredicateFragment: a fragment without a
+// predicate claims every row, so a row the first fragment's predicate
+// refuses lands in the later catch-all fragment, and point, range and
+// DELETE statements all reach it there.
+func TestFederatedInsertNilPredicateFragment(t *testing.T) {
+	fed := New(NewAgoric())
+	sEast, sRest := NewSite("east-1"), NewSite("rest-1")
+	for _, s := range []*Site{sEast, sRest} {
+		if err := fed.AddSite(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eastPred, err := sqlparse.ParseExpr("region = 'east'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fragEast := NewFragment("east", eastPred, sEast)
+	fragRest := NewFragment("rest", nil, sRest)
+	if _, err := fed.DefineTable(partsDef(), fragEast, fragRest); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, sql := range []string{
+		"INSERT INTO parts (sku, name, price, region) VALUES ('E1', 'ink', 3.5, 'east')",
+		"INSERT INTO parts (sku, name, price, region) VALUES ('N1', 'thing', 1.0, 'north')",
+	} {
+		if _, dr, err := fed.Exec(ctx, sql); err != nil || dr.Rows != 1 {
+			t.Fatalf("%s: %+v, %v", sql, dr, err)
+		}
+	}
+	if e, r := sEast.TableRows("parts"), sRest.TableRows("parts"); e != 1 || r != 1 {
+		t.Fatalf("rows east=%d rest=%d, want 1 and 1 (north row in the catch-all)", e, r)
+	}
+	for _, sql := range []string{
+		"SELECT sku FROM parts WHERE region = 'north'",
+		"SELECT sku FROM parts WHERE sku = 'N1'",
+		"SELECT sku FROM parts WHERE price BETWEEN 0.5 AND 1.5",
+	} {
+		res, err := fed.Query(ctx, sql)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str() != "N1" {
+			t.Fatalf("%s = %v, %v; want N1", sql, res, err)
+		}
+	}
+	if _, dr, err := fed.Exec(ctx, "DELETE FROM parts WHERE region = 'north'"); err != nil || dr.Rows != 1 {
+		t.Fatalf("delete: %+v, %v", dr, err)
+	}
+	if n := sRest.TableRows("parts"); n != 0 {
+		t.Fatalf("catch-all rows after delete = %d, want 0", n)
 	}
 }
 

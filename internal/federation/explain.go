@@ -102,7 +102,7 @@ func pushCapsParts(c plan.PushCaps) string {
 // ExplainTable is one referenced table's decomposition.
 type ExplainTable struct {
 	Table      string
-	Streaming  bool   // true: incremental merge path; false: materialized
+	Streaming  bool   // true: the merge answers; false: a scratch database ("materialized")
 	Pushdown   string // predicate shipped to sites, "" when none
 	Projection []string
 	FullWidth  int
@@ -210,77 +210,36 @@ func (f *Federation) Explain(ctx context.Context, x sqlparse.ExplainStmt) (*Expl
 	return rep, nil
 }
 
-// explainSelect renders one SELECT's static decomposition.
+// explainSelect renders one SELECT's static decomposition: planSelect's
+// scans, each fragment's pruning, and the replicas' availability.
 func (f *Federation) explainSelect(ctx context.Context, sel sqlparse.SelectStmt) ([]ExplainTable, error) {
-	type ref struct {
-		alias string
-		gt    *GlobalTable
-	}
-	var refs []ref
-	addRef := func(tr sqlparse.TableRef) error {
-		gt, err := f.Table(tr.Name)
-		if err != nil {
-			return err
-		}
-		refs = append(refs, ref{alias: lower(tr.EffectiveName()), gt: gt})
-		return nil
-	}
-	if err := addRef(sel.From); err != nil {
+	p, err := f.planSelect(sel)
+	if err != nil {
 		return nil, err
 	}
-	for _, j := range sel.Joins {
-		if err := addRef(j.Table); err != nil {
-			return nil, err
-		}
-	}
-	streaming := len(refs) == 1 && StreamableSelect(sel)
-	single := len(refs) == 1
-	conjuncts := plan.Conjuncts(sel.Where)
-	aliases := make(map[string]aliasInfo, len(refs))
-	for _, r := range refs {
-		aliases[r.alias] = aliasInfo{table: lower(r.gt.Def.Name), def: r.gt.Def}
-	}
-	needed := neededColumns(sel, aliases)
-
 	var out []ExplainTable
-	for i, r := range refs {
+	for _, sc := range p.scans {
 		et := ExplainTable{
-			Table:     r.gt.Def.Name,
-			Streaming: streaming,
-			FullWidth: len(r.gt.Def.Columns),
+			Table:      sc.gt.Def.Name,
+			Streaming:  p.streaming,
+			FullWidth:  len(sc.gt.Def.Columns),
+			Projection: sc.cols,
 		}
-		var push sqlparse.Expr
-		if i == 0 || sel.Joins[i-1].Kind != sqlparse.JoinLeft {
-			local, _ := plan.SplitByTable(conjuncts, r.alias, single)
-			push = unqualify(plan.AndExprs(dropTextPredicates(local)))
+		if sc.push != nil {
+			et.Pushdown = sc.push.String()
 		}
-		if push != nil {
-			et.Pushdown = push.String()
-		}
-		if !f.DisableProjectionPushdown {
-			if want, ok := needed[lower(r.gt.Def.Name)]; ok {
-				if projected, pc := projectDef(r.gt.Def, want); projected != nil {
-					et.Projection = pc
-				}
-			}
-		}
-		frags := f.FragmentsOf(r.gt)
-		var gp *groupPlan
-		if single {
-			gp = planGroup(sel, r.gt, frags)
-		}
-		for _, frag := range frags {
-			ef := ExplainFragment{Table: r.gt.Def.Name, ID: frag.ID}
-			if gp != nil {
-				ef.Group = groupSummary(gp.g)
+		for _, frag := range sc.frags {
+			ef := ExplainFragment{Table: sc.gt.Def.Name, ID: frag.ID}
+			if sc.group != nil {
+				ef.Group = groupSummary(sc.group.g)
 			}
 			if frag.Predicate != nil {
 				ef.Predicate = frag.Predicate.String()
 			}
-			if frag.Predicate != nil && push != nil && disjoint(frag.Predicate, push) {
+			if frag.Predicate != nil && sc.push != nil && disjoint(frag.Predicate, sc.push) {
 				ef.Pruned = true
 			}
-			est := estimateRows(frag, r.gt.Def.Name)
+			est := estimateRows(frag, sc.gt.Def.Name)
 			ranked := f.optimizer().Rank(ctx, frag, est)
 			rank := make(map[*Site]int, len(ranked))
 			for ri, s := range ranked {

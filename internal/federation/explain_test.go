@@ -262,3 +262,38 @@ func containsMarker(sql, marker string) bool {
 	}
 	return false
 }
+
+// TestStreamableQueryBuildsNoScratch: Query of a streamable statement is
+// its merge stream, drained. Its stage tree holds the merge and
+// filter/limit stages and no local-exec, the stage a run over a scratch
+// database leaves; a statement the merge cannot answer alone still
+// leaves one.
+func TestStreamableQueryBuildsNoScratch(t *testing.T) {
+	fed, _ := hotelsFed(t)
+	stages := func(sql string) []obs.StageSnapshot {
+		t.Helper()
+		ctx, aq := obs.ActiveQueries().Register(context.Background(), "test", sql)
+		defer aq.Finish()
+		if _, _, err := fed.QueryTraced(ctx, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return aq.Stages().Snapshot()
+	}
+	sql := "SELECT hotel, city FROM hotels WHERE available > 2 LIMIT 5"
+	snaps := stages(sql)
+	for _, name := range []string{"filter/limit", "merge", "fragment"} {
+		if _, ok := stageByName(snaps, name); !ok {
+			t.Errorf("%s: no %s stage in %v", sql, name, renderStageTree(snaps))
+		}
+	}
+	if lim, _ := stageByName(snaps, "filter/limit"); lim.Rows != 5 {
+		t.Errorf("%s: filter/limit rows = %d, want 5", sql, lim.Rows)
+	}
+	if _, ok := stageByName(snaps, "local-exec"); ok {
+		t.Errorf("%s: a streamable Query built a scratch database: %v", sql, renderStageTree(snaps))
+	}
+	sql = "SELECT hotel, city FROM hotels WHERE available > 2 ORDER BY hotel"
+	if _, ok := stageByName(stages(sql), "local-exec"); !ok {
+		t.Errorf("%s: no local-exec stage", sql)
+	}
+}

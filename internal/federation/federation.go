@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,7 +136,8 @@ type GlobalTable struct {
 var ErrRoutingColumnUpdate = errors.New("federation: UPDATE assigns a fragment routing column")
 
 // ErrRowOutsideFragment rejects a LoadFragment row its fragment's
-// predicate does not hold (DESIGN.md §11, the fragment invariant).
+// predicate does not hold, and an INSERT row no fragment claims
+// (DESIGN.md §11, the fragment invariant).
 var ErrRowOutsideFragment = errors.New("federation: row outside its fragment's predicate")
 
 // withRouting returns routing plus the columns the predicates read, as
@@ -310,8 +312,8 @@ func (f *Federation) Admission() *admission.Controller { return f.gate }
 type admittedKey struct{}
 
 // admit charges the admission gate once per external request. Nested
-// federated calls — UNION branches, DML delegating a SELECT, the
-// materialized path under SelectStream — ride the outer grant, so one
+// federated calls — UNION branches, DML delegating a SELECT, Select
+// under SelectStream — ride the outer grant, so one
 // client request consumes exactly one slot. The returned release is
 // idempotent; on a shed it returns the gate's typed overload error.
 func (f *Federation) admit(ctx context.Context) (context.Context, func(), error) {
@@ -557,8 +559,9 @@ type QueryTrace struct {
 	FragmentErrors map[string]error
 	// PeakBufferedRows is the high-water mark of rows resident in the
 	// scatter-gather fan-in (batches in the channel or parked in a
-	// blocked send) — the bound the streaming benchmark records. The
-	// field settles when the gather (or stream) finishes.
+	// blocked send) — the bound the streaming benchmark records; the
+	// largest of the statement's merges. The field settles when the
+	// query (or stream) finishes.
 	PeakBufferedRows int
 	// StaleServed lists "table/fragment@site" entries where the replica
 	// that served a fragment had journaled write intents pending — the
@@ -723,52 +726,172 @@ func rowKey(r storage.Row) string {
 	return string(value.AppendRowKey(make([]byte, 0, 64), r))
 }
 
-// Select executes a parsed federated SELECT: decompose into per-fragment
-// subqueries with predicate pushdown, gather intermediate results at the
-// coordinator, and run the original statement over them. The execution
-// is wrapped in a span (QueryTrace.TraceID names the resulting tree)
-// and feeds the coordinator-side metrics.
-func (f *Federation) Select(ctx context.Context, sel sqlparse.SelectStmt) (*exec.Result, *QueryTrace, error) {
-	ctx, sp := obs.StartSpan(ctx, "federation.select")
+// selectRun is one federated SELECT's observability: its span, its
+// registry entry, the coordinator metrics and the slow-log record.
+// Select and SelectStream both start one, and settle it once when the
+// statement ends — Select on return, a stream when it settles.
+type selectRun struct {
+	f     *Federation
+	sp    *obs.Span
+	aq    *obs.ActiveQuery // nil when observability is off or the query nests
+	sql   string
+	start time.Time
+	trace *QueryTrace
+}
+
+// startSelect opens sel's run under a span named span.
+func (f *Federation) startSelect(ctx context.Context, sel sqlparse.SelectStmt, span string) (context.Context, *selectRun) {
+	ctx, sp := obs.StartSpan(ctx, span)
 	sp.Set("table", sel.From.Name)
 	if f.gate != nil {
 		sp.Set("tenant", admission.TenantOf(ctx))
 	}
-	ctx, aq := f.registerQuery(ctx, "select", sel.String())
-	defer aq.Finish()
-	aq.SetTraceID(sp.TraceID)
-	start := time.Now()
-	res, trace, err := f.doSelect(ctx, sel)
 	metQueries.Inc()
-	metQuerySeconds.Observe(time.Since(start))
-	if err != nil {
-		metQueryErrs.Inc()
-		sp.SetErr(err)
-	} else {
-		sp.Set("rows", strconv.Itoa(len(res.Rows)))
-		if trace.Degraded {
-			sp.Set("degraded", strconv.Itoa(len(trace.FragmentErrors)))
-			metDegraded.Inc()
-			metDegradedFragments.Add(int64(len(trace.FragmentErrors)))
-			obs.MarkDegraded(ctx)
-		}
-		if len(trace.StaleServed) > 0 {
-			obs.MarkStale(ctx)
-		}
-		trace.TraceID = sp.TraceID
-	}
-	sp.End()
-	if f.Slow != nil && aq != nil {
-		f.Slow.RecordStages(sel.String(), time.Since(start), sp.TraceID, aq.Stages().Snapshot())
-	}
-	return res, trace, err
+	ctx, aq := f.registerQuery(ctx, "select", sel.String())
+	aq.SetTraceID(sp.TraceID)
+	trace := &QueryTrace{TraceID: sp.TraceID, FragmentSites: make(map[string]string)}
+	return ctx, &selectRun{f: f, sp: sp, aq: aq, sql: sel.String(), start: time.Now(), trace: trace}
 }
 
-// doSelect is Select without the observability wrapper.
-func (f *Federation) doSelect(ctx context.Context, sel sqlparse.SelectStmt) (*exec.Result, *QueryTrace, error) {
-	trace := &QueryTrace{FragmentSites: make(map[string]string)}
+// settle ends the run: rows were returned, err (nil or io.EOF on
+// success) ended it, and merge, when set, is the stage whose counters
+// the span carries.
+func (r *selectRun) settle(rows int, err error, merge *obs.StageStats) {
+	elapsed := time.Since(r.start)
+	metQuerySeconds.Observe(elapsed)
+	if err != nil && err != io.EOF {
+		metQueryErrs.Inc()
+		r.sp.SetErr(err)
+	} else {
+		r.sp.Set("rows", strconv.Itoa(rows))
+		if r.trace.Degraded {
+			r.sp.Set("degraded", strconv.Itoa(len(r.trace.FragmentErrors)))
+			metDegraded.Inc()
+			metDegradedFragments.Add(int64(len(r.trace.FragmentErrors)))
+		}
+		r.sp.Set("peak_buffered_rows", strconv.Itoa(r.trace.PeakBufferedRows))
+	}
+	r.sp.SetStage(merge)
+	r.sp.End()
+	if r.f.Slow != nil && r.aq != nil {
+		r.f.Slow.RecordStages(r.sql, elapsed, r.sp.TraceID, r.aq.Stages().Snapshot())
+	}
+	r.aq.Finish()
+}
 
-	// Collect table references (FROM plus JOINs).
+// Select executes a parsed federated SELECT. planSelect decomposes it
+// into one scan per referenced table. A streamable statement is the
+// merge of its one scan, drained; anything else loads each scan's
+// merge into a scratch database and runs the statement there. The
+// execution is wrapped in a span (QueryTrace.TraceID names the
+// resulting tree) and feeds the coordinator-side metrics.
+func (f *Federation) Select(ctx context.Context, sel sqlparse.SelectStmt) (*exec.Result, *QueryTrace, error) {
+	if StreamableSelect(sel) {
+		st, trace, err := f.openSelect(ctx, sel, "federation.select")
+		if err != nil {
+			return nil, nil, err
+		}
+		rows, err := storage.CollectRows(st)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &exec.Result{Columns: st.Columns(), Rows: rows}, trace, nil
+	}
+	ctx, run := f.startSelect(ctx, sel, "federation.select")
+	var res *exec.Result
+	p, err := f.planSelect(sel)
+	if err == nil {
+		res, err = f.selectScratch(ctx, sel, p, run.trace)
+	}
+	if err != nil {
+		run.settle(0, err, nil)
+		return nil, nil, err
+	}
+	run.settle(len(res.Rows), nil, nil)
+	return res, run.trace, nil
+}
+
+// selectScratch answers a statement the merge cannot answer alone —
+// joins, aggregates, ORDER BY, DISTINCT, text predicates: each scan's
+// merge loads one table of a scratch database, and the statement (or,
+// under a grouping, its combine statement) runs there.
+func (f *Federation) selectScratch(ctx context.Context, sel sqlparse.SelectStmt, p *selectPlan, trace *QueryTrace) (*exec.Result, error) {
+	scratch := exec.NewDatabase()
+	scratch.SetSynonyms(f.syn)
+	for i := range p.scans {
+		sc := &p.scans[i]
+		tbl, err := scratch.CreateTable(sc.def.Clone(sc.def.Name))
+		if err != nil {
+			return nil, err
+		}
+		st := f.newMerge(ctx, sc, trace)
+		st.start(sc, -1)
+		if err := insertAll(tbl, st); err != nil {
+			return nil, err
+		}
+	}
+	stmt := sel
+	if g := p.scans[0].group; g != nil {
+		stmt = g.combine
+	}
+	_, lstage := obs.StartStage(ctx, "local-exec", lower(sel.From.Name))
+	res, err := scratch.Select(stmt)
+	if err != nil {
+		lstage.Fail(err)
+		return nil, err
+	}
+	lstage.AddRows(int64(len(res.Rows)))
+	lstage.Done()
+	return res, nil
+}
+
+// insertAll drains st into tbl and closes it. The merge has deduped
+// the rows by primary key, so each inserts.
+func insertAll(tbl *storage.Table, st storage.RowStream) error {
+	defer st.Close()
+	for {
+		row, err := st.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if _, err := tbl.Insert(row); err != nil {
+			return err
+		}
+	}
+}
+
+// tableScan is one table's share of a federated SELECT: what each of
+// its fragments is asked for, and the layout of the rows they ship.
+type tableScan struct {
+	alias string // the alias the statement first reads the table under
+	gt    *GlobalTable
+	frags []*Fragment   // the table's fragments, as planned
+	push  sqlparse.Expr // WHERE conjuncts the fragments apply, unqualified; nil for none
+	cols  []string      // shipped columns; nil ships every column
+	// def is the shipped layout: the table projected to cols — or, under
+	// a grouping, the partial table — with full-text flags only on the
+	// columns a text predicate reads.
+	def   *schema.Table
+	group *groupPlan // non-nil: the fragments fold to partial rows
+}
+
+// selectPlan is a SELECT decomposed into one scan per table it reads.
+type selectPlan struct {
+	scans     []tableScan
+	streaming bool // StreamableSelect: the merge answers the statement
+}
+
+// planSelect decomposes sel. The WHERE conjuncts local to one table are
+// pushed to that table's fragments (text predicates stay at the
+// coordinator, where the scratch tables' inverted indexes are); the
+// columns the statement reads ship, plus primary keys, which the merge
+// dedupes on; and a decomposable aggregate over a layout where no key
+// can reach the merge twice folds at the fragments. The executor and
+// EXPLAIN both plan through it, so EXPLAIN shows what runs.
+func (f *Federation) planSelect(sel sqlparse.SelectStmt) (*selectPlan, error) {
 	type ref struct {
 		alias string
 		gt    *GlobalTable
@@ -780,100 +903,67 @@ func (f *Federation) doSelect(ctx context.Context, sel sqlparse.SelectStmt) (*ex
 		if err != nil {
 			return err
 		}
-		refs = append(refs, ref{alias: strings.ToLower(tr.EffectiveName()), gt: gt})
+		refs = append(refs, ref{alias: lower(tr.EffectiveName()), gt: gt})
 		return nil
 	}
 	if err := addRef(sel.From); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, j := range sel.Joins {
 		if err := addRef(j.Table); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-
-	// Pushdown: WHERE conjuncts local to a single table, stripped of
-	// their qualifier so sites can evaluate them. Text predicates stay at
-	// the coordinator (sites fronting wrappers have no inverted index).
 	single := len(refs) == 1
 	conjuncts := plan.Conjuncts(sel.Where)
-	for i := range refs {
+	aliases := make(map[string]aliasInfo, len(refs))
+	for i, r := range refs {
+		aliases[r.alias] = aliasInfo{table: lower(r.gt.Def.Name), def: r.gt.Def}
 		// For LEFT-joined tables, pushing WHERE predicates changes
 		// semantics; only the FROM table and INNER-joined tables get them.
 		if i > 0 && sel.Joins[i-1].Kind == sqlparse.JoinLeft {
 			continue
 		}
-		local, _ := plan.SplitByTable(conjuncts, refs[i].alias, single)
-		local = dropTextPredicates(local)
-		refs[i].push = unqualify(plan.AndExprs(local))
-	}
-
-	// Projection pushdown: ship only the columns the statement touches
-	// (plus primary keys, which the scratch tables dedupe on). A table
-	// referenced under several aliases gets the union of their needs.
-	aliases := make(map[string]aliasInfo, len(refs))
-	for _, r := range refs {
-		aliases[r.alias] = aliasInfo{table: strings.ToLower(r.gt.Def.Name), def: r.gt.Def}
+		local, _ := plan.SplitByTable(conjuncts, r.alias, single)
+		refs[i].push = unqualify(plan.AndExprs(dropTextPredicates(local)))
 	}
 	needed := neededColumns(sel, aliases)
 
-	// A decomposable aggregate over a layout where no key can reach the
-	// merge twice folds at the fragments: the scratch table holds their
-	// partial rows and the combine statement runs instead of sel.
-	var gp *groupPlan
-	if single {
-		gp = planGroup(sel, refs[0].gt, f.FragmentsOf(refs[0].gt))
-	}
-
-	// Gather each referenced table's rows into the coordinator scratch
-	// database; fragments fetch concurrently.
-	scratch := exec.NewDatabase()
-	scratch.SetSynonyms(f.syn)
+	p := &selectPlan{streaming: StreamableSelect(sel)}
+	scanOf := make(map[*GlobalTable]int, len(refs))
 	for _, r := range refs {
-		if _, err := scratch.Table(r.gt.Def.Name); err == nil {
-			continue // same table referenced twice
+		// A table read under several aliases is scanned once, with the
+		// union of their columns; it keeps a pushed predicate only if
+		// every alias pushes the same one.
+		if i, ok := scanOf[r.gt]; ok {
+			if sc := &p.scans[i]; sc.push != nil && (r.push == nil || r.push.String() != sc.push.String()) {
+				sc.push = nil
+			}
+			continue
 		}
-		def := r.gt.Def
-		var cols []string
+		sc := tableScan{alias: r.alias, gt: r.gt, frags: f.FragmentsOf(r.gt), push: r.push, def: r.gt.Def}
 		if !f.DisableProjectionPushdown {
-			if want, ok := needed[strings.ToLower(def.Name)]; ok {
-				if projected, pc := projectDef(def, want); projected != nil {
-					def, cols = projected, pc
+			if want, ok := needed[lower(sc.def.Name)]; ok {
+				if projected, pc := projectDef(sc.def, want); projected != nil {
+					sc.def, sc.cols = projected, pc
 				}
 			}
 		}
-		// Building an inverted index over gathered rows is only worth it
-		// when the statement actually has a text predicate on this table;
-		// otherwise the scratch table skips FullText maintenance entirely.
-		def = stripUnusedFullText(def, textColumns(sel, strings.ToLower(def.Name), aliases))
-		var group *plan.Grouping
-		if gp != nil {
-			def, group = gp.def, gp.g
+		if single {
+			sc.group = planGroup(sel, sc.gt, sc.frags)
 		}
-		tbl, err := scratch.CreateTable(def.Clone(def.Name))
-		if err != nil {
-			return nil, nil, err
+		switch {
+		case sc.group != nil:
+			sc.def = sc.group.def
+		case !p.streaming:
+			// An inverted index over the scratch table is only worth
+			// building for a column a text predicate reads.
+			sc.def = stripUnusedFullText(sc.def, textColumns(sel, lower(sc.def.Name), aliases))
 		}
-		gctx, gstage := obs.StartStage(ctx, "gather", strings.ToLower(r.gt.Def.Name))
-		if err := f.gather(gctx, r.gt, r.push, cols, len(r.gt.Def.Columns), tbl, trace, group); err != nil {
-			gstage.Fail(err)
-			return nil, nil, err
-		}
-		gstage.Done()
+		scanOf[r.gt] = len(p.scans)
+		p.scans = append(p.scans, sc)
 	}
-	stmt := sel
-	if gp != nil {
-		stmt = gp.combine
-	}
-	_, lstage := obs.StartStage(ctx, "local-exec", strings.ToLower(sel.From.Name))
-	res, err := scratch.Select(stmt)
-	if err != nil {
-		lstage.Fail(err)
-		return nil, nil, err
-	}
-	lstage.AddRows(int64(len(res.Rows)))
-	lstage.Done()
-	return res, trace, nil
+	return p, nil
 }
 
 // aliasInfo records, for one query alias, the global table it names.
@@ -1067,123 +1157,6 @@ func projectDef(def *schema.Table, want map[string]bool) (*schema.Table, []strin
 		return nil, nil // key outside projection etc.: fall back to full width
 	}
 	return projected, names
-}
-
-// gather fans out one global table's fragment subqueries and loads the
-// rows into the scratch table, pulling each site's stream
-// incrementally: rows arrive in pooled batches over the scatter
-// fan-in, so the coordinator never holds a fragment's whole result
-// slice — in-flight memory is O(batch × fragments) even on the
-// materialized path. The exception is PartialResults mode, which
-// stages each fragment's rows until its completion record arrives
-// (O(fragment) extra memory) so a degraded result only ever contains
-// whole fragments. cols, when non-nil, is the projected column list
-// shipped from sites; fullWidth is the table's unprojected column
-// count, for the pushdown-savings accounting. With group set every
-// fragment delivers its partial rows (see pumpFragment) in its success
-// record, and dst is the keyless partial table they are inserted into.
-func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.Expr, cols []string, fullWidth int,
-	dst *storage.Table, trace *QueryTrace, group *plan.Grouping) error {
-	// Upsert dedupes by primary key, which absorbs the replayed prefix
-	// of a mid-stream replica failover; keyless tables must not replay.
-	// Partial rows never replay: a fragment's partials travel whole in
-	// its success record.
-	canReplay := group != nil || len(dst.Def().Key) > 0
-	counters := &streamCounters{}
-	stage := obs.StageFromContext(ctx)
-	ch, _, pruned := f.scatter(ctx, gt, push, cols, -1, clampFedBatch(f.StreamBatchRows), canReplay, counters, group)
-	var firstErr error
-	upsert := func(rows []storage.Row) {
-		for _, row := range rows {
-			var err error
-			if group != nil {
-				_, err = dst.Insert(row)
-			} else {
-				_, err = dst.Upsert(row)
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	// Under PartialResults a fragment's rows must not reach dst before
-	// the fragment's outcome is known: a stream that ships a prefix and
-	// then loses every replica is degraded around, and committing the
-	// prefix would leave nondeterministic partial fragment data in the
-	// result. Rows are staged per fragment and committed by the success
-	// record. Without PartialResults any fragment failure discards the
-	// whole scratch table, so batches flow straight into dst and the
-	// staging cost is not paid.
-	var staged map[string][]storage.Row
-	if f.PartialResults {
-		staged = make(map[string][]storage.Row)
-	}
-	for msg := range ch {
-		if !msg.done {
-			counters.add(-int64(len(msg.batch.Rows)))
-			stage.AddBatch(int64(len(msg.batch.Rows)), 0)
-			if staged != nil {
-				staged[msg.frag.ID] = append(staged[msg.frag.ID], msg.batch.Rows...)
-			} else {
-				upsert(msg.batch.Rows)
-			}
-			storage.PutBatch(msg.batch)
-			continue
-		}
-		trace.Failovers += msg.fail
-		metFailovers.Add(int64(msg.fail))
-		if msg.err != nil {
-			// Under PartialResults a fragment lost to unavailability is
-			// degraded around: its staged prefix is dropped, its typed
-			// error lands on the trace, and the live fragments still
-			// answer. Semantic errors always fail.
-			if f.PartialResults && isAvailabilityErr(msg.err) && ctx.Err() == nil {
-				delete(staged, msg.frag.ID)
-				trace.noteFragmentError(gt.Def.Name+"/"+msg.frag.ID, msg.err)
-				continue
-			}
-			if firstErr == nil {
-				firstErr = msg.err
-			}
-			continue
-		}
-		if staged != nil {
-			upsert(staged[msg.frag.ID])
-			delete(staged, msg.frag.ID)
-		}
-		upsert(msg.partials)
-		trace.FragmentSites[gt.Def.Name+"/"+msg.frag.ID] = msg.site.Name()
-		if msg.stale {
-			trace.StaleServed = append(trace.StaleServed, gt.Def.Name+"/"+msg.frag.ID+"@"+msg.site.Name())
-			metStaleReads.Inc()
-		}
-		// Shipping cost is what crossed the site boundary: the rows the
-		// site actually served (pre-residual) at the width it served them.
-		// Partial rows can be wider than the table; they save no cells.
-		metSiteRows(msg.site.Name()).Add(int64(msg.pushed))
-		full := max(fullWidth, msg.width)
-		trace.CellsShipped += msg.pushed * msg.width
-		trace.CellsWithoutPushdown += msg.pushed * full
-		metCellsShipped.Add(int64(msg.pushed * msg.width))
-		metCellsSaved.Add(int64(msg.pushed * (full - msg.width)))
-		trace.notePushed(gt.Def.Name+"/"+msg.frag.ID, msg.pushed, msg.pushed-msg.rows)
-	}
-	trace.PrunedFragments += pruned
-	metPruned.Add(int64(pruned))
-	if peak := int(counters.peak.Load()); peak > trace.PeakBufferedRows {
-		trace.PeakBufferedRows = peak
-	}
-	stage.NotePeak(counters.peak.Load())
-	// Producers that lose their context exit without a completion
-	// record (their sends would never be received), so a drained channel
-	// with no recorded error can still be a silent prefix. Surface the
-	// cancellation rather than return partial rows as success.
-	if firstErr == nil && ctx.Err() != nil {
-		// Cause keeps an operator kill typed (obs.ErrQueryCanceled)
-		// through the wrap; Err would flatten it to context.Canceled.
-		firstErr = fmt.Errorf("federation: gather interrupted: %w", context.Cause(ctx))
-	}
-	return firstErr
 }
 
 // estimateRows asks the fragment's first available replica for its

@@ -426,3 +426,24 @@ func TestLoadBalancingUnderConcurrency(t *testing.T) {
 		t.Errorf("no balancing: a=%d b=%d", sa, sb)
 	}
 }
+
+// TestSelfJoinScansEveryAlias: a table read under two aliases is scanned
+// once, so a predicate only one alias carries cannot be pushed to the
+// shared scan — the other alias must still see every row.
+func TestSelfJoinScansEveryAlias(t *testing.T) {
+	fed, _, _ := twoFragFed(t)
+	res, err := fed.Query(context.Background(),
+		"SELECT a.sku, b.sku FROM parts a JOIN parts b ON a.region <> b.region WHERE a.price < 50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a ∈ {E1, E2} (price < 50), b ∈ {W1, W2} (the other region).
+	if len(res.Rows) != 4 {
+		t.Fatalf("self-join rows = %v, want the 4 east×west pairs", res.Rows)
+	}
+	for _, r := range res.Rows {
+		if r[0].Str()[0] != 'E' || r[1].Str()[0] != 'W' {
+			t.Fatalf("self-join row %v, want an east a and a west b", r)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"cohera/internal/sqlparse"
@@ -15,15 +16,20 @@ import (
 // FuzzMergeDedupe drives the streaming merge's primary-key dedupe from
 // op bytes: a fragment shape (disjoint ranges, nil predicates,
 // overlapping ranges, or disjoint ranges co-hosted on one site), each
-// fragment's keys, and replay points where a preferred replica dies
-// mid-stream and the next one replays the fragment. Whatever the shape,
-// the merged result must hold each key of the map[string] reference
-// model exactly once, and nothing else.
+// fragment's keys, replay points where a preferred replica dies
+// mid-stream and the next one replays the fragment, and, from one last
+// byte, a fragment every replica of which dies mid-stream under
+// PartialResults. Whatever the shape, Query and QueryStream must each
+// hold every key of the map[string] reference model's surviving
+// fragments exactly once, and nothing else.
 func FuzzMergeDedupe(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 5, 1, 2, 3, 4, 5, 1, 3, 4, 1, 2, 3, 4, 1, 2})
 	f.Add([]byte{3, 1, 1, 4, 7, 7, 3, 9, 2, 4, 1, 8, 0, 5, 5, 2, 6, 3, 2, 9})
 	f.Add([]byte{2, 2, 2, 6, 1, 2, 3, 4, 5, 6, 2, 3, 1, 6, 6, 5, 4, 3, 2, 1})
 	f.Add([]byte{2, 3, 0, 4, 1, 2, 3, 4, 0, 4, 9, 8, 7, 6, 1, 2})
+	f.Add([]byte{1, 0, 0, 4, 1, 2, 3, 4, 1, 2, 3, 5, 6, 7, 0, 2})
+	f.Add([]byte{1, 1, 1, 4, 1, 2, 3, 4, 0, 4, 3, 4, 5, 6, 1, 2, 1})
+	f.Add([]byte{2, 3, 0, 3, 1, 2, 3, 0, 3, 1, 2, 3, 1, 1, 3, 4, 5, 6, 0, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		next := func() int {
 			if len(ops) == 0 {
@@ -57,7 +63,11 @@ func FuzzMergeDedupe(f *testing.F) {
 				l.flaky = append(l.flaky, next()%(len(l.keys)+1))
 			}
 		}
+		if lose := next(); lose > 0 {
+			layouts[(lose-1)%len(layouts)].lost = true
+		}
 		fed := dedupeFed(t, layouts, shape == 3)
+		fed.PartialResults = slices.ContainsFunc(layouts, func(l fragLayout) bool { return l.lost })
 		fed.StreamBatchRows = batch
 		expectEachKeyOnce(t, fed, layouts)
 	})

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cohera/internal/exec"
 	"cohera/internal/plan"
 	"cohera/internal/remote"
 	"cohera/internal/sqlparse"
@@ -24,8 +25,9 @@ import (
 // running a seeded corpus across three regimes of the same federation
 // — pushdown forced on (every site full-capability), forced off
 // (DisablePredicatePushdown), and capability-mixed (per-site PushCaps
-// overrides from eq-only to nothing) — on both executors, including
-// under fault-injected failover and degraded PartialResults.
+// overrides from eq-only to nothing) — on both entry points, each
+// checked against one engine holding every row (hotelsReference),
+// including under fault-injected failover and degraded PartialResults.
 
 // pushdownRegimes builds one hotels federation per pushdown regime.
 // The "mixed" regime overrides site capabilities so the planner's
@@ -68,9 +70,9 @@ func applyMixedCaps(t *testing.T, fed *Federation) {
 	}
 }
 
-// runBothPaths executes sql on one federation through both executors
-// and asserts they agree. A LIMIT without a total order (unordered)
-// lets each executor keep any satisfying subset, so those compare by
+// runBothPaths executes sql on one federation through both entry
+// points and asserts they agree. A LIMIT without a total order
+// (unordered) lets each keep any satisfying subset, so those compare by
 // cardinality only; everything else must be multiset-identical. The
 // streamed rows are returned.
 func runBothPaths(t *testing.T, fed *Federation, sql string, unordered bool) []storage.Row {
@@ -98,48 +100,21 @@ func runBothPaths(t *testing.T, fed *Federation, sql string, unordered bool) []s
 }
 
 // checkPushdownDifferential is the shared oracle: one generated query,
-// every regime, both executors — identical row multisets. A LIMIT
-// without a total order may legally keep any satisfying subset, so
-// those queries compare by count plus sub-multiset of the unlimited
-// superset (computed once, on the forced-off regime — the reference
-// where every predicate runs at the coordinator).
-func checkPushdownDifferential(t *testing.T, feds map[string]*Federation, q workload.GenQuery) {
+// every regime, both entry points — each answer the reference's.
+func checkPushdownDifferential(t *testing.T, feds map[string]*Federation, ref *exec.Database, q workload.GenQuery) {
 	t.Helper()
-	ref := runBothPaths(t, feds["off"], q.SQL, q.Unordered)
-	var super map[string]int
-	if q.Unordered {
-		superRes, err := feds["off"].Query(context.Background(), q.Base)
-		if err != nil {
-			t.Fatalf("%s: superset: %v", q.Base, err)
-		}
-		super = multiset(superRes.Rows)
-	}
-	for _, name := range []string{"on", "mixed"} {
-		rows := runBothPaths(t, feds[name], q.SQL, q.Unordered)
-		if len(rows) != len(ref) {
-			t.Fatalf("%s: regime %q returned %d rows, forced-off returned %d",
-				q.SQL, name, len(rows), len(ref))
-		}
-		if q.Unordered {
-			for k, n := range multiset(rows) {
-				if super[k] < n {
-					t.Fatalf("%s: regime %q emitted a row outside the unlimited superset", q.SQL, name)
-				}
-			}
-			continue
-		}
-		if !sameMultiset(multiset(rows), multiset(ref)) {
-			t.Fatalf("%s: regime %q multiset differs from forced-off", q.SQL, name)
-		}
+	for _, name := range []string{"off", "on", "mixed"} {
+		checkDifferential(t, feds[name], ref, q)
 	}
 }
 
 // TestPushdownDifferentialModes runs the seeded 650-query corpus
-// across all three pushdown regimes and both executors.
+// across all three pushdown regimes and both entry points.
 func TestPushdownDifferentialModes(t *testing.T) {
 	feds := pushdownRegimes(t)
+	ref := hotelsReference(t)
 	for _, q := range workload.HotelSelects(650, 20250809) {
-		checkPushdownDifferential(t, feds, q)
+		checkPushdownDifferential(t, feds, ref, q)
 	}
 }
 
@@ -168,8 +143,9 @@ func TestPushdownDifferentialUnderFaultInjection(t *testing.T) {
 			s.Breaker().FailureThreshold = 1 << 30
 		}
 	}
+	ref := hotelsReference(t)
 	for _, q := range workload.HotelSelects(150, 424242) {
-		checkPushdownDifferential(t, feds, q)
+		checkPushdownDifferential(t, feds, ref, q)
 	}
 }
 
@@ -188,8 +164,9 @@ func TestPushdownDifferentialDegraded(t *testing.T) {
 			s.SetDown(true)
 		}
 	}
+	ref := hotelsReference(t, 2)
 	for _, q := range workload.HotelSelects(150, 777) {
-		checkPushdownDifferential(t, feds, q)
+		checkPushdownDifferential(t, feds, ref, q)
 	}
 	// The degradation record agrees across regimes too.
 	for name, fed := range feds {

@@ -10,7 +10,6 @@ import (
 
 	"cohera/internal/journal"
 	"cohera/internal/obs"
-	"cohera/internal/plan"
 	"cohera/internal/schema"
 	"cohera/internal/storage"
 )
@@ -333,7 +332,7 @@ func (r *Reconciler) copyRepair(gt *GlobalTable, frags []*Fragment, frag *Fragme
 			return fmt.Errorf("federation: copy-repair raced a write in flight at %s", dst.Name())
 		}
 		// Remove the target's in-scope rows, then install the source's.
-		// Fragment scope means only the rows routeRow assigns here are
+		// Fragment scope means only the rows memberOf assigns here are
 		// doomed; whole-table scope truncates. Either way the swap runs
 		// through RestoreRows so it lands in the target's WAL as one
 		// commit-latch batch — a crash mid-repair replays to a state the
@@ -342,15 +341,18 @@ func (r *Reconciler) copyRepair(gt *GlobalTable, frags []*Fragment, frag *Fragme
 		if !wholeTable {
 			dstTbl, err := dst.DB().Table(gt.Def.Name)
 			if err == nil {
-				ev := &plan.Evaluator{}
+				in, err := memberOf(frags, gt.Def, frag)
+				if err != nil {
+					return err
+				}
 				var scanErr error
 				dstTbl.Scan(func(id int64, row storage.Row) bool {
-					routed, rerr := routeRow(frags, gt.Def, row, ev)
+					mine, rerr := in(row)
 					if rerr != nil {
 						scanErr = rerr
 						return false
 					}
-					if routed == frag {
+					if mine {
 						doomed = append(doomed, id)
 					}
 					return true
@@ -369,7 +371,7 @@ func (r *Reconciler) copyRepair(gt *GlobalTable, frags []*Fragment, frag *Fragme
 // fragmentDigest computes a replica's content digest at fragment
 // scope. With wholeTable scope (every replica of every fragment is
 // dedicated) the maintained O(1) table digest is used; otherwise the
-// fragment's membership is decided by routeRow — the same rule INSERT
+// fragment's membership is decided by memberOf — the same rule INSERT
 // uses to place rows — so digest scope and copy scope always agree. A
 // replica without the table digests as empty.
 func (r *Reconciler) fragmentDigest(site *Site, gt *GlobalTable, frags []*Fragment, frag *Fragment, wholeTable bool) storage.TableDigest {
@@ -380,11 +382,31 @@ func (r *Reconciler) fragmentDigest(site *Site, gt *GlobalTable, frags []*Fragme
 	if wholeTable {
 		return tbl.Digest()
 	}
-	ev := &plan.Evaluator{}
+	in, err := memberOf(frags, gt.Def, frag)
+	if err != nil {
+		return storage.TableDigest{}
+	}
 	return tbl.DigestFunc(func(row storage.Row) bool {
-		routed, rerr := routeRow(frags, gt.Def, row, ev)
-		return rerr == nil && routed == frag
+		mine, rerr := in(row)
+		return rerr == nil && mine
 	})
+}
+
+// memberOf reports whether a row of the table is frag's under the rule
+// INSERT places rows by (fragmentRouter). A row no fragment claims is
+// none's.
+func memberOf(frags []*Fragment, def *schema.Table, frag *Fragment) (func(storage.Row) (bool, error), error) {
+	route, err := fragmentRouter(frags, def)
+	if err != nil {
+		return nil, err
+	}
+	return func(row storage.Row) (bool, error) {
+		routed, err := route(row)
+		if errors.Is(err, ErrRowOutsideFragment) {
+			return false, nil
+		}
+		return routed == frag, err
+	}, nil
 }
 
 // fragmentRows snapshots the source replica's rows for a fragment.
@@ -396,19 +418,22 @@ func (r *Reconciler) fragmentRows(site *Site, gt *GlobalTable, frags []*Fragment
 		}
 		return nil, err
 	}
+	in := func(storage.Row) (bool, error) { return true, nil }
+	if !wholeTable {
+		if in, err = memberOf(frags, gt.Def, frag); err != nil {
+			return nil, err
+		}
+	}
 	var out []storage.Row
-	ev := &plan.Evaluator{}
 	var scanErr error
 	tbl.Scan(func(_ int64, row storage.Row) bool {
-		if !wholeTable {
-			routed, rerr := routeRow(frags, gt.Def, row, ev)
-			if rerr != nil {
-				scanErr = rerr
-				return false
-			}
-			if routed != frag {
-				return true
-			}
+		mine, rerr := in(row)
+		if rerr != nil {
+			scanErr = rerr
+			return false
+		}
+		if !mine {
+			return true
 		}
 		out = append(out, row)
 		return true
@@ -465,7 +490,7 @@ func (r *Reconciler) Status() []ReplicaState {
 // allDedicated reports whether every replica site of every fragment
 // hosts exactly one fragment of the table — the layout where a site's
 // local table IS the fragment and the O(1) whole-table digest applies.
-// Any co-hosting site forces routeRow-scoped digests for the whole
+// Any co-hosting site forces memberOf-scoped digests for the whole
 // table so replicas with different layouts remain comparable.
 func allDedicated(frags []*Fragment, gt *GlobalTable) bool {
 	hostCount := make(map[*Site]int)

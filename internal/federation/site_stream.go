@@ -155,7 +155,7 @@ func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlpa
 		return nil, fmt.Errorf("%w: source %s: %w", ErrSiteFailure, src.Name(), err)
 	}
 	// Classification sits below the fuse so connector failures map to
-	// ErrSiteFailure (the gather loop's failover signal) while residual
+	// ErrSiteFailure (the fragment pump's failover signal) while residual
 	// evaluation errors stay plain query errors.
 	st = &classifyStream{inner: st, src: src.Name()}
 	spec := plan.FuseSpec{Limit: -1}
@@ -205,7 +205,7 @@ func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlpa
 }
 
 // classifyStream maps a source stream's mid-transfer failures to
-// ErrSiteFailure so the gather loop can fail over to a replica.
+// ErrSiteFailure so the fragment pump can fail over to a replica.
 type classifyStream struct {
 	inner  storage.RowStream
 	src    string

@@ -45,7 +45,10 @@ type fragMsg struct {
 	stale  bool  // serving site had journaled intents pending (done messages)
 	err    error // fragment failure (done messages)
 
-	partials []storage.Row // a grouped fragment's partial rows (successful done messages)
+	// held is a held fragment's rows (successful done messages): a
+	// grouped fragment's partial rows, or every row of a fragment under
+	// PartialResults. See pumpFragment.
+	held []storage.Row
 }
 
 // streamCounters tracks rows resident in the fan-in channel, and the
@@ -65,18 +68,17 @@ func (c *streamCounters) add(n int64) {
 	}
 }
 
-// scatter fans one global table's fragment subqueries out to producer
+// scatter fans one scan's fragment subqueries out to producer
 // goroutines and returns the fan-in channel. The channel is closed
 // after every producer has sent its done message. canReplay permits
 // mid-stream failover to the next replica — sound only when the
 // consumer dedupes by primary key, since the replacement replica
-// replays rows the failed stream already shipped. With group set the
-// fragments fold to partial rows instead of shipping batches.
-func (f *Federation) scatter(ctx context.Context, gt *GlobalTable, push sqlparse.Expr, cols []string,
-	limit int, batchRows int, canReplay bool, counters *streamCounters, group *plan.Grouping) (ch <-chan fragMsg, active, pruned int) {
+// replays rows the failed stream already shipped.
+func (f *Federation) scatter(ctx context.Context, sc *tableScan, limit int, canReplay bool,
+	counters *streamCounters) (ch <-chan fragMsg, active, pruned int) {
 	var frags []*Fragment
-	for _, frag := range f.FragmentsOf(gt) {
-		if frag.Predicate != nil && push != nil && disjoint(frag.Predicate, push) {
+	for _, frag := range sc.frags {
+		if frag.Predicate != nil && sc.push != nil && disjoint(frag.Predicate, sc.push) {
 			pruned++
 			continue
 		}
@@ -89,7 +91,7 @@ func (f *Federation) scatter(ctx context.Context, gt *GlobalTable, push sqlparse
 		wg.Add(1)
 		go func(frag *Fragment) {
 			defer wg.Done()
-			f.pumpFragment(ctx, gt, frag, push, cols, limit, batchRows, canReplay, counters, out, group, turn)
+			f.pumpFragment(ctx, sc, frag, limit, canReplay, counters, out, turn)
 		}(frag)
 	}
 	go func() {
@@ -112,15 +114,22 @@ func (f *Federation) scatter(ctx context.Context, gt *GlobalTable, push sqlparse
 // first K rows of a partially filtered stream are not the first K of
 // the filtered one.
 //
-// With group set the fragment folds instead of shipping batches: a
-// replica that advertises grouping and applies the whole predicate
-// returns the partial rows itself, any other ships its rows and the
-// pump folds them with the same kernel. Either way the pump holds the
-// fragment's partials and sends them only in its success record, so a
-// failover throws the dead replica's partials away and asks again.
-func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fragment,
-	push sqlparse.Expr, cols []string, limit int, batchRows int, canReplay bool,
-	counters *streamCounters, out chan<- fragMsg, group *plan.Grouping, turn chan struct{}) {
+// A held fragment sends no batches: the pump keeps its rows and sends
+// them only in its success record, so a failover throws the dead
+// replica's rows away and asks again, and a fragment that fails sends
+// none. Grouped fragments are held — a replica that advertises grouping
+// and applies the whole predicate returns the partial rows itself, any
+// other ships its rows and the pump folds them with the same kernel —
+// and under PartialResults every fragment is, so a degraded result
+// holds only whole fragments, at the cost of one fragment's rows of
+// coordinator memory per pump.
+func (f *Federation) pumpFragment(ctx context.Context, sc *tableScan, frag *Fragment, limit int, canReplay bool,
+	counters *streamCounters, out chan<- fragMsg, turn chan struct{}) {
+	gt, group := sc.gt, (*plan.Grouping)(nil)
+	if sc.group != nil {
+		group = sc.group.g
+	}
+	hold := group != nil || f.PartialResults
 	gctx, gsp := obs.StartSpan(ctx, "federation.gatherstream")
 	gsp.Set("table", gt.Def.Name)
 	gsp.Set("fragment", frag.ID)
@@ -170,6 +179,12 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 		gsp.SetStage(fstage)
 		send(m)
 	}
+	var held []storage.Row
+	keep := func(m fragMsg) bool {
+		held = append(held, m.batch.Rows...)
+		storage.PutBatch(m.batch)
+		return true
+	}
 
 	ranked := f.optimizer().Rank(gctx, frag, estimateRows(frag, gt.Def.Name))
 	if len(ranked) == 0 {
@@ -183,14 +198,14 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 	for _, site := range ranked {
 		// Capability split, re-done per replica: a failover can land on a
 		// site with different capabilities than the one that just died.
-		sitePush, siteResid := push, sqlparse.Expr(nil)
-		siteCols, siteLimit := cols, -1
+		sitePush, siteResid := sc.push, sqlparse.Expr(nil)
+		siteCols, siteLimit := sc.cols, -1
 		siteGroup := false
 		if f.DisablePredicatePushdown {
-			sitePush, siteResid = nil, push
+			sitePush, siteResid = nil, sc.push
 		} else {
 			caps := site.PushCaps()
-			sitePush, siteResid = plan.SplitPushable(push, caps)
+			sitePush, siteResid = plan.SplitPushable(sc.push, caps)
 			if !caps.Project {
 				siteCols = nil
 			}
@@ -229,10 +244,10 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 		// pushed-vs-residual accounting.
 		siteWidth := len(st.Columns())
 		var fuse *plan.FusedStream
-		if !siteGroup && (siteResid != nil || (cols != nil && siteCols == nil)) {
+		if !siteGroup && (siteResid != nil || (sc.cols != nil && siteCols == nil)) {
 			spec := plan.FuseSpec{Where: siteResid, Limit: -1}
-			if cols != nil && siteCols == nil {
-				idx, perr := projectIdx(st.Columns(), cols)
+			if sc.cols != nil && siteCols == nil {
+				idx, perr := projectIdx(st.Columns(), sc.cols)
 				if perr != nil {
 					//lint:ignore errdrop the open already failed; close is best-effort cleanup
 					_ = st.Close()
@@ -246,12 +261,16 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 			st = fuse
 		}
 		var shipped, pushedRows int
-		var partials []storage.Row
 		var pumpErr error
+		held = nil
 		if group != nil {
-			partials, pushedRows, shipped, pumpErr = foldFragment(st, fuse, group, siteGroup, fstage)
+			held, pushedRows, shipped, pumpErr = foldFragment(st, fuse, group, siteGroup, fstage)
 		} else {
-			shipped, pumpErr = pumpStream(gctx, st, fstage, batchRows, send, turn)
+			emit := send
+			if hold {
+				emit = keep
+			}
+			shipped, pumpErr = pumpStream(gctx, st, fstage, clampFedBatch(f.StreamBatchRows), emit, turn)
 			pushedRows = shipped
 			if fuse != nil {
 				pushedRows = int(fuse.RowsIn())
@@ -259,7 +278,7 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 		}
 		if pumpErr == nil {
 			finish(fragMsg{site: site, rows: shipped, pushed: pushedRows, width: siteWidth,
-				fail: fails, stale: frag.PendingAt(site) > 0, partials: partials})
+				fail: fails, stale: frag.PendingAt(site) > 0, held: held})
 			return
 		}
 		if gctx.Err() != nil {
@@ -271,11 +290,12 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 			}
 			return
 		}
-		// A stream that broke mid-flight may have shipped a prefix. With
-		// primary-key dedupe downstream the next replica's full replay is
-		// absorbed, so availability failures keep failing over; without a
-		// key a replay would duplicate rows, so the fragment fails.
-		if canReplay && isAvailabilityErr(pumpErr) {
+		// A stream that broke mid-flight may have shipped a prefix. A held
+		// fragment shipped nothing, and with primary-key dedupe downstream
+		// the next replica's full replay is absorbed, so availability
+		// failures keep failing over; otherwise a replay would duplicate
+		// rows, so the fragment fails.
+		if (hold || canReplay) && isAvailabilityErr(pumpErr) {
 			fails++
 			lastErr = pumpErr
 			continue
@@ -453,18 +473,18 @@ func (f *Federation) QueryStream(ctx context.Context, sql string) (storage.RowSt
 // so coordinator memory is O(batch × fragments) instead of O(total
 // rows), and LIMIT cancels the remaining producers as soon as it is
 // satisfied. Non-streamable statements (joins, aggregates, ORDER BY,
-// text search) run the materialized path and stream the finished
-// result. The caller must Close the stream; the returned trace's
-// fields settle once the stream ends (EOF, error, or Close).
+// text search) run through Select and stream the finished result. The
+// caller must Close the stream; the returned trace's fields settle once
+// the stream ends (EOF, error, or Close).
 func (f *Federation) SelectStream(ctx context.Context, sel sqlparse.SelectStmt) (storage.RowStream, *QueryTrace, error) {
 	ctx, release, err := f.admit(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !StreamableSelect(sel) {
-		// Materialized fallback: the coordinator work is done when
-		// Select returns, so the slot is released here; the returned
-		// stream is a pure in-memory replay.
+		// The coordinator work is done when Select returns, so the slot
+		// is released here; the returned stream is a pure in-memory
+		// replay.
 		defer release()
 		res, trace, err := f.Select(ctx, sel)
 		if err != nil {
@@ -472,75 +492,27 @@ func (f *Federation) SelectStream(ctx context.Context, sel sqlparse.SelectStmt) 
 		}
 		return storage.NewSliceStream(res.Columns, res.Rows), trace, nil
 	}
-	ctx, sp := obs.StartSpan(ctx, "federation.selectstream")
-	sp.Set("table", sel.From.Name)
-	if f.gate != nil {
-		sp.Set("tenant", admission.TenantOf(ctx))
-	}
-	metQueries.Inc()
-	ctx, aq := f.registerQuery(ctx, "select", sel.String())
-	aq.SetTraceID(sp.TraceID)
-
-	st, trace, err := f.openSelectStream(ctx, sel, sp, aq)
+	st, trace, err := f.openSelect(ctx, sel, "federation.selectstream")
 	if err != nil {
 		release()
-		metQueryErrs.Inc()
-		sp.SetErr(err)
-		sp.End()
-		aq.Finish()
 		return nil, nil, err
 	}
-	trace.TraceID = sp.TraceID
 	// The admission slot rides the stream: it frees when the caller
 	// drains or closes it, so a slow consumer exerts backpressure at
 	// the gate (new work queues or sheds) instead of inflating buffers.
 	return admission.NewTrackedStream(st, release), trace, nil
 }
 
-// openSelectStream builds the merge stream for a streamable SELECT.
-// aq is the stream's registry entry (nil when observability is off);
-// the stream owns it and unregisters it when it settles.
-func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectStmt, sp *obs.Span, aq *obs.ActiveQuery) (storage.RowStream, *QueryTrace, error) {
-	gt, err := f.Table(sel.From.Name)
+// openSelect starts a streamable SELECT's run under a span named span
+// and returns its merge stream, which settles the run when it ends.
+func (f *Federation) openSelect(ctx context.Context, sel sqlparse.SelectStmt, span string) (*fedStream, *QueryTrace, error) {
+	ctx, run := f.startSelect(ctx, sel, span)
+	p, err := f.planSelect(sel)
 	if err != nil {
+		run.settle(0, err, nil)
 		return nil, nil, err
 	}
-	alias := lower(sel.From.EffectiveName())
-	trace := &QueryTrace{FragmentSites: make(map[string]string)}
-
-	// Predicate pushdown, as in the materialized path: all conjuncts are
-	// local to the single table; text predicates were excluded by
-	// StreamableSelect.
-	conjuncts := plan.Conjuncts(sel.Where)
-	local, _ := plan.SplitByTable(conjuncts, alias, true)
-	push := unqualify(plan.AndExprs(dropTextPredicates(local)))
-
-	// Projection pushdown: ship only the referenced columns plus the
-	// primary key the merge dedupes on.
-	def := gt.Def
-	var cols []string
-	if !f.DisableProjectionPushdown {
-		aliases := map[string]aliasInfo{alias: {table: lower(gt.Def.Name), def: gt.Def}}
-		if want, ok := neededColumns(sel, aliases)[lower(gt.Def.Name)]; ok {
-			if projected, pc := projectDef(gt.Def, want); projected != nil {
-				def, cols = projected, pc
-			}
-		}
-	}
-
-	items, err := expandFedStars(sel.Items, alias, def)
-	if err != nil {
-		return nil, nil, err
-	}
-	var keyIdx []int
-	for _, k := range def.Key {
-		ci := def.ColumnIndex(k)
-		if ci < 0 {
-			keyIdx = nil
-			break
-		}
-		keyIdx = append(keyIdx, ci)
-	}
+	sc := &p.scans[0]
 
 	// The consumer side is two stages: "filter/limit" (projection,
 	// OFFSET/LIMIT — the rows the caller actually sees) over "merge"
@@ -554,28 +526,22 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 		limitDetail += " offset " + strconv.Itoa(sel.Offset)
 	}
 	ctx, limitStage := obs.StartStage(ctx, "filter/limit", limitDetail)
-	ctx, mergeStage := obs.StartStage(ctx, "merge", lower(sel.From.Name))
+	s := f.newMerge(ctx, sc, run.trace)
+	s.run, s.limitStage = run, limitStage
 
-	sctx, cancel := context.WithCancel(ctx)
-	s := &fedStream{
-		f: f, ctx: ctx, cancel: cancel, sp: sp, start: time.Now(),
-		aq: aq, sql: sel.String(), limitStage: limitStage, mergeStage: mergeStage,
-		trace: trace, counters: &streamCounters{},
-		table: gt.Def.Name, fullWidth: len(gt.Def.Columns),
-		cols: fedItemNames(items), keyIdx: keyIdx, remain: -1,
-	}
 	// The merge is compiled before any fragment is asked, so a
 	// reference that does not bind fails the same way whether the table
 	// is full, empty or pruned away: from the first Next, as FuseStream
 	// reports one.
-	if s.proj, err = compileMerge(sel.Where, items, alias, def); err != nil {
-		none := make(chan fragMsg)
-		close(none)
-		s.ch = none
-		s.fail(err)
-		return s, trace, nil
+	items, err := expandFedStars(sel.Items, sc.alias, sc.def)
+	if err == nil {
+		s.proj, err = compileMerge(sel.Where, items, sc.alias, sc.def)
 	}
-
+	if err != nil {
+		s.fail(err)
+		return s, run.trace, nil
+	}
+	s.cols, s.skip = fedItemNames(items), sel.Offset
 	// Each fragment may hold the whole answer, so a per-site limit must
 	// cover OFFSET+LIMIT rows; the PK dedupe and this stream's own
 	// offset/limit do the rest.
@@ -584,18 +550,8 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 		fragLimit = sel.Limit + sel.Offset
 		s.remain = sel.Limit
 	}
-	s.skip = sel.Offset
-
-	if len(keyIdx) > 0 {
-		s.seen = &keySet{}
-	}
-	var active, pruned int
-	s.ch, active, pruned = f.scatter(sctx, gt, push, cols, fragLimit, clampFedBatch(f.StreamBatchRows),
-		len(keyIdx) > 0, s.counters, nil)
-	s.waiting = active
-	trace.PrunedFragments += pruned
-	metPruned.Add(int64(pruned))
-	return s, trace, nil
+	s.start(sc, fragLimit)
+	return s, run.trace, nil
 }
 
 // compileMerge binds a streamable SELECT to the shipped row layout def,
@@ -681,8 +637,8 @@ func (p *projection) apply(rows []storage.Row) (int, error) {
 }
 
 // expandFedStars expands * / alias.* select items against the shipped
-// schema, mirroring the executor's expansion so streamed and
-// materialized results name columns identically.
+// schema, mirroring the executor's expansion so the merge and the
+// scratch database name columns identically.
 func expandFedStars(items []sqlparse.SelectItem, alias string, def *schema.Table) ([]sqlparse.SelectItem, error) {
 	var out []sqlparse.SelectItem
 	for _, it := range items {
@@ -725,37 +681,36 @@ func fedItemNames(items []sqlparse.SelectItem) []string {
 }
 
 // fedStream is the coordinator side of the streaming scatter-gather:
-// the single consumer of the fan-in channel. It trusts the pushdown
-// split — every row arriving passed its fragment's pushed predicate or
-// its pump's fused residual, so no WHERE is checked here — projects the
-// select items through the projection compiled at open, dedupes by
-// primary key (first copy wins), applies OFFSET/LIMIT, and folds
+// the single consumer of a scan's fan-in channel, for a streamable
+// SELECT and for each table Select loads into its scratch database
+// alike. It trusts the pushdown split — every row arriving passed its
+// fragment's pushed predicate or its pump's fused residual, so no WHERE
+// is checked here — dedupes by primary key (first copy wins), projects
+// the select items through the projection compiled at open (the
+// identity for a scratch load), applies OFFSET/LIMIT, and folds
 // producers' completion records into the query trace.
 //
-// The dedupe set is the one deliberate exception to the O(batch ×
-// fragments) memory bound: keyed streams record one encoded key per
-// distinct shipped row, in a keySet that keeps no string per key.
-// Nothing keeps a key inside one fragment — predicates may overlap or
-// be nil, a site hosting two fragments ships both, a mid-stream
-// replica failover replays the failed stream's prefix, and a row no
-// predicate claimed homes in the first fragment, so a fragment added
-// later that covers its key can receive a second copy. Keyless tables
-// carry no set at all. See DESIGN.md "Streaming execution".
+// The dedupe set and held fragments (see pumpFragment) are the
+// deliberate exceptions to the O(batch × fragments) memory bound. Keyed
+// streams record one encoded key per distinct shipped row, in a keySet
+// that keeps no string per key. Nothing keeps a key
+// inside one fragment — predicates may overlap or be nil, a site
+// hosting two fragments ships both, and a mid-stream replica failover
+// replays the failed stream's prefix. Keyless tables carry no set at
+// all. See DESIGN.md "Streaming execution".
 type fedStream struct {
 	f        *Federation
 	ctx      context.Context
 	cancel   context.CancelFunc
-	sp       *obs.Span
-	start    time.Time
 	trace    *QueryTrace
 	ch       <-chan fragMsg
 	counters *streamCounters
 
-	aq         *obs.ActiveQuery // registry entry; finished when the stream settles
-	sql        string           // statement text, for the slow-query log
-	limitStage *obs.StageStats  // rows surviving OFFSET/LIMIT
-	mergeStage *obs.StageStats  // rows arriving over the fan-in
-	limitRows  int64            // emitted rows not yet flushed to limitStage
+	run        *selectRun      // the statement's run, settled with the stream; nil for a scratch load
+	limitStage *obs.StageStats // rows surviving OFFSET/LIMIT
+	mergeStage *obs.StageStats // rows arriving over the fan-in
+	limitRows  int64           // emitted rows not yet flushed to limitStage
+	emitted    int             // rows returned by Next
 
 	table     string
 	fullWidth int // unprojected width, for pushdown accounting
@@ -773,6 +728,40 @@ type fedStream struct {
 	err     error
 	closed  bool
 	settled bool
+}
+
+// newMerge returns the merge of one scan, emitting its shipped rows
+// whole; start sets its producers going.
+func (f *Federation) newMerge(ctx context.Context, sc *tableScan, trace *QueryTrace) *fedStream {
+	ctx, mergeStage := obs.StartStage(ctx, "merge", lower(sc.gt.Def.Name))
+	s := &fedStream{
+		f: f, ctx: ctx, cancel: func() {}, trace: trace, counters: &streamCounters{},
+		mergeStage: mergeStage, table: sc.gt.Def.Name, fullWidth: len(sc.gt.Def.Columns),
+		cols: sc.def.ColumnNames(), proj: projection{ident: true}, remain: -1,
+	}
+	for _, k := range sc.def.Key {
+		ci := sc.def.ColumnIndex(k)
+		if ci < 0 {
+			s.keyIdx = nil
+			break
+		}
+		s.keyIdx = append(s.keyIdx, ci)
+	}
+	if len(s.keyIdx) > 0 {
+		s.seen = &keySet{}
+	}
+	return s
+}
+
+// start fans the scan out to its fragments; limit, when ≥ 0, caps each
+// fragment's scan.
+func (s *fedStream) start(sc *tableScan, limit int) {
+	var sctx context.Context
+	sctx, s.cancel = context.WithCancel(s.ctx)
+	var pruned int
+	s.ch, s.waiting, pruned = s.f.scatter(sctx, sc, limit, s.seen != nil, s.counters)
+	s.trace.PrunedFragments += pruned
+	metPruned.Add(int64(pruned))
 }
 
 // Columns implements storage.RowStream.
@@ -825,31 +814,36 @@ func (s *fedStream) Next() (storage.Row, error) {
 		}
 		if msg.done {
 			s.waiting--
-			s.noteDone(msg)
+			if s.noteDone(msg) {
+				s.consume(msg.held)
+			}
 			continue
 		}
-		s.consumeBatch(msg.batch)
+		s.counters.add(-int64(len(msg.batch.Rows)))
+		s.consume(msg.batch.Rows)
+		storage.PutBatch(msg.batch)
 	}
 }
 
-// consumeBatch turns one shipped batch into pending output rows. The
-// row headers move into pending before the batch returns to the pool.
-func (s *fedStream) consumeBatch(b *storage.Batch) {
-	s.counters.add(-int64(len(b.Rows)))
-	s.mergeStage.AddBatch(int64(len(b.Rows)), 0)
+// consume turns shipped rows into pending output rows. The row headers
+// move into pending, so the caller may return their batch to the pool.
+func (s *fedStream) consume(rows []storage.Row) {
+	if len(rows) == 0 {
+		return
+	}
+	s.mergeStage.AddBatch(int64(len(rows)), 0)
 	s.flushLimitRows()
 	s.pending, s.pos = s.pending[:0], 0
 	if s.seen == nil {
-		s.pending = append(s.pending, b.Rows...)
+		s.pending = append(s.pending, rows...)
 	} else {
-		for _, r := range b.Rows {
+		for _, r := range rows {
 			s.keyBuf = appendKey(s.keyBuf[:0], r, s.keyIdx)
 			if s.seen.insert(s.keyBuf) {
 				s.pending = append(s.pending, r)
 			}
 		}
 	}
-	storage.PutBatch(b)
 	n, err := s.proj.apply(s.pending)
 	s.pending = s.pending[:n]
 	if err != nil {
@@ -858,21 +852,23 @@ func (s *fedStream) consumeBatch(b *storage.Batch) {
 }
 
 // noteDone folds one fragment's completion record into the trace —
-// the single-consumer discipline that keeps QueryTrace race-free.
-func (s *fedStream) noteDone(m fragMsg) {
+// the single-consumer discipline that keeps QueryTrace race-free — and
+// reports whether the fragment succeeded.
+func (s *fedStream) noteDone(m fragMsg) bool {
 	s.trace.Failovers += m.fail
 	metFailovers.Add(int64(m.fail))
 	if m.err != nil {
 		// Under PartialResults a fragment lost to unavailability is
 		// degraded around: its typed error lands on the trace and the
-		// live fragments still answer. Semantic errors always fail.
+		// live fragments still answer. Its rows were held, so none of
+		// them reached the merge. Semantic errors always fail.
 		if s.f.PartialResults && isAvailabilityErr(m.err) && s.ctx.Err() == nil {
 			s.trace.noteFragmentError(s.table+"/"+m.frag.ID, m.err)
 			obs.MarkDegraded(s.ctx)
-			return
+			return false
 		}
 		s.fail(m.err)
-		return
+		return false
 	}
 	s.trace.FragmentSites[s.table+"/"+m.frag.ID] = m.site.Name()
 	if m.stale {
@@ -882,12 +878,15 @@ func (s *fedStream) noteDone(m fragMsg) {
 	}
 	// Shipping cost is what crossed the site boundary: the rows the
 	// site actually served (pre-residual) at the width it served them.
+	// Partial rows can be wider than the table; they save no cells.
+	full := max(s.fullWidth, m.width)
 	metSiteRows(m.site.Name()).Add(int64(m.pushed))
 	s.trace.CellsShipped += m.pushed * m.width
-	s.trace.CellsWithoutPushdown += m.pushed * s.fullWidth
+	s.trace.CellsWithoutPushdown += m.pushed * full
 	metCellsShipped.Add(int64(m.pushed * m.width))
-	metCellsSaved.Add(int64(m.pushed * (s.fullWidth - m.width)))
+	metCellsSaved.Add(int64(m.pushed * (full - m.width)))
 	s.trace.notePushed(s.table+"/"+m.frag.ID, m.pushed, m.pushed-m.rows)
+	return true
 }
 
 // finishEOF ends the stream after the last producer message — unless
@@ -901,7 +900,7 @@ func (s *fedStream) finishEOF() error {
 	if s.ctx.Err() != nil {
 		// Cause keeps an operator kill typed (obs.ErrQueryCanceled)
 		// through the wrap; Err would flatten it to context.Canceled.
-		s.fail(fmt.Errorf("federation: streaming select interrupted: %w", context.Cause(s.ctx)))
+		s.fail(fmt.Errorf("federation: merge of %s interrupted: %w", s.table, context.Cause(s.ctx)))
 		return s.err
 	}
 	return s.finish(io.EOF)
@@ -912,6 +911,7 @@ func (s *fedStream) finishEOF() error {
 func (s *fedStream) flushLimitRows() {
 	if s.limitRows > 0 {
 		s.limitStage.AddRows(s.limitRows)
+		s.emitted += int(s.limitRows)
 		s.limitRows = 0
 	}
 }
@@ -923,9 +923,9 @@ func (s *fedStream) fail(err error) {
 	}
 }
 
-// finish settles the trace, metrics and span exactly once; it returns
-// the terminal value Next should report (err, or io.EOF for a clean
-// end).
+// finish settles the merge's stages and the trace's buffering peak,
+// and with them the statement's run, exactly once; it returns the
+// terminal value Next should report (err, or io.EOF for a clean end).
 func (s *fedStream) finish(err error) error {
 	if s.settled {
 		return err
@@ -933,29 +933,18 @@ func (s *fedStream) finish(err error) error {
 	s.settled = true
 	s.cancel()
 	s.flushLimitRows()
-	s.trace.PeakBufferedRows = int(s.counters.peak.Load())
-	metQuerySeconds.Observe(time.Since(s.start))
+	peak := s.counters.peak.Load()
+	s.trace.PeakBufferedRows = max(s.trace.PeakBufferedRows, int(peak))
 	if err != nil && err != io.EOF {
-		metQueryErrs.Inc()
-		s.sp.SetErr(err)
 		s.limitStage.Fail(err)
-	} else {
-		if s.trace.Degraded {
-			s.sp.Set("degraded", strconv.Itoa(len(s.trace.FragmentErrors)))
-			metDegraded.Inc()
-			metDegradedFragments.Add(int64(len(s.trace.FragmentErrors)))
-		}
-		s.sp.Set("peak_buffered_rows", strconv.Itoa(s.trace.PeakBufferedRows))
+		s.mergeStage.Fail(err)
 	}
-	s.mergeStage.NotePeak(s.counters.peak.Load())
+	s.mergeStage.NotePeak(peak)
 	s.mergeStage.Done()
 	s.limitStage.Done()
-	s.sp.SetStage(s.mergeStage)
-	s.sp.End()
-	if s.f.Slow != nil && s.aq != nil {
-		s.f.Slow.RecordStages(s.sql, time.Since(s.start), s.trace.TraceID, s.aq.Stages().Snapshot())
+	if s.run != nil {
+		s.run.settle(s.emitted, err, s.mergeStage)
 	}
-	s.aq.Finish()
 	return err
 }
 
@@ -968,6 +957,9 @@ func (s *fedStream) Close() error {
 	s.closed = true
 	//lint:ignore errdrop Close reports success; the stream's terminal error belongs to Next
 	s.finish(nil)
+	if s.ch == nil {
+		return nil // never started
+	}
 	for msg := range s.ch {
 		if msg.batch != nil {
 			s.counters.add(-int64(len(msg.batch.Rows)))

@@ -71,11 +71,13 @@ func (replicaOrder) Rank(_ context.Context, frag *Fragment, _ int) []*Site { ret
 // fragLayout describes one parts fragment of a dedupe test: its
 // predicate ("" for none), the keys it holds, and, per flaky replica
 // ranked ahead of its stored one, how many rows that replica ships
-// before it dies.
+// before it dies. A lost fragment's last replica ships every row and
+// dies too, so no replica can serve the fragment.
 type fragLayout struct {
 	pred  string
 	keys  []int
 	flaky []int
+	lost  bool
 }
 
 // keyedRow is a parts row whose every cell follows from its key, so the
@@ -87,8 +89,8 @@ func keyedRow(k int) storage.Row {
 // dedupeFed builds a parts federation from fragment layouts, ranking
 // replicas in the order listed. Each flaky replica ships its prefix in
 // an order of its own, so a replay does not simply repeat the first
-// rows. With hub set, one site is every fragment's stored replica, and
-// its subqueries ship all fragments' rows.
+// rows. With hub set, one site is every surviving fragment's stored
+// replica, and its subqueries ship all their rows.
 func dedupeFed(tb testing.TB, layouts []fragLayout, hub bool) *Federation {
 	tb.Helper()
 	fed := New(replicaOrder{})
@@ -110,12 +112,12 @@ func dedupeFed(tb testing.TB, layouts []fragLayout, hub bool) *Federation {
 			loads[i] = append(loads[i], keyedRow(k))
 		}
 		var reps []*Site
-		for j, n := range l.flaky {
+		flaky := func(name string, n, j int) *Site {
 			var prefix []storage.Row
 			for x := range loads[i] {
 				prefix = append(prefix, loads[i][(x+j+1)%len(loads[i])])
 			}
-			s := newSite(fmt.Sprintf("f%d-flaky%d", i, j))
+			s := newSite(name)
 			s.AddSource(&flakySource{
 				def:  partsDef(),
 				rows: prefix[:min(n, len(prefix))],
@@ -123,10 +125,16 @@ func dedupeFed(tb testing.TB, layouts []fragLayout, hub bool) *Federation {
 					return errors.New("replica died mid-transfer")
 				},
 			})
-			reps = append(reps, s)
+			return s
+		}
+		for j, n := range l.flaky {
+			reps = append(reps, flaky(fmt.Sprintf("f%d-flaky%d", i, j), n, j))
 		}
 		stored := shared
-		if stored == nil {
+		switch {
+		case l.lost:
+			stored = flaky(fmt.Sprintf("f%d-lost", i), len(loads[i]), len(l.flaky))
+		case stored == nil:
 			stored = newSite(fmt.Sprintf("f%d", i))
 		}
 		var pred sqlparse.Expr
@@ -149,40 +157,65 @@ func dedupeFed(tb testing.TB, layouts []fragLayout, hub bool) *Federation {
 	return fed
 }
 
-// expectEachKeyOnce streams SELECT * over a dedupeFed and checks the
-// result against the map[string] reference model of the layouts: every
-// key exactly once, as its keyed row, and nothing else.
+// expectEachKeyOnce runs SELECT * over a dedupeFed through QueryStream
+// and Query and checks each answer against the reference model: every
+// key of a surviving fragment exactly once, as the row keyedRow builds,
+// and nothing else. It returns QueryStream's trace.
 func expectEachKeyOnce(tb testing.TB, fed *Federation, layouts []fragLayout) *QueryTrace {
 	tb.Helper()
 	want := map[string]bool{}
-	for _, l := range layouts {
+	lost := map[string]bool{}
+	for i, l := range layouts {
+		if l.lost {
+			lost[fmt.Sprintf("parts/f%d", i)] = true
+			continue
+		}
 		for _, k := range l.keys {
 			want[keyedRow(k)[0].Str()] = true
 		}
 	}
-	st, trace, err := fed.QueryStream(context.Background(), "SELECT * FROM parts")
+	ctx := context.Background()
+	st, trace, err := fed.QueryStream(ctx, "SELECT * FROM parts")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rows, err := storage.CollectRows(st)
+	streamed, err := storage.CollectRows(st)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	got := map[string]int{}
-	for _, r := range rows {
-		sku := r[0].Str()
-		got[sku]++
-		if got[sku] > 1 {
-			tb.Fatalf("key %s emitted twice", sku)
-		}
-		var k int
-		if _, err := fmt.Sscanf(sku, "K%d", &k); err != nil || !want[sku] ||
-			!sameMultiset(multiset([]storage.Row{r}), multiset([]storage.Row{keyedRow(k)})) {
-			tb.Fatalf("row %v is not in the reference model", r)
-		}
+	res, qtrace, err := fed.QueryTraced(ctx, "SELECT * FROM parts")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if len(got) != len(want) {
-		tb.Fatalf("%d distinct keys, want %d", len(got), len(want))
+	for path, run := range map[string]struct {
+		rows  []storage.Row
+		trace *QueryTrace
+	}{"QueryStream": {streamed, trace}, "Query": {res.Rows, qtrace}} {
+		got := map[string]int{}
+		for _, r := range run.rows {
+			sku := r[0].Str()
+			got[sku]++
+			if got[sku] > 1 {
+				tb.Fatalf("%s: key %s emitted twice", path, sku)
+			}
+			var k int
+			if _, err := fmt.Sscanf(sku, "K%d", &k); err != nil || !want[sku] ||
+				!sameMultiset(multiset([]storage.Row{r}), multiset([]storage.Row{keyedRow(k)})) {
+				tb.Fatalf("%s: row %v is not in the reference model", path, r)
+			}
+		}
+		if len(got) != len(want) {
+			tb.Fatalf("%s: %d distinct keys, want %d", path, len(got), len(want))
+		}
+		if run.trace.Degraded != (len(lost) > 0) || len(run.trace.FragmentErrors) != len(lost) {
+			tb.Fatalf("%s: degraded=%v fragment errors %v, want lost %v",
+				path, run.trace.Degraded, run.trace.FragmentErrors, lost)
+		}
+		for key, fe := range run.trace.FragmentErrors {
+			if !lost[key] || !errors.Is(fe, ErrNoReplica) {
+				tb.Fatalf("%s: fragment error %s: %v, want a lost fragment's ErrNoReplica", path, key, fe)
+			}
+		}
 	}
 	return trace
 }
@@ -497,52 +530,72 @@ func TestGatherParentCancelNotPartialSuccess(t *testing.T) {
 }
 
 // TestPartialResultsExcludesMidStreamFailedFragment asserts a degraded
-// materialized result contains only whole surviving fragments: a
-// fragment that ships a prefix and then loses its only replica must
-// contribute no rows, while its typed error lands on the trace.
+// result contains only whole surviving fragments, through Query and
+// QueryStream alike: a fragment that ships a prefix and then loses its
+// only replica must contribute no rows, while its typed error lands on
+// the trace.
 func TestPartialResultsExcludesMidStreamFailedFragment(t *testing.T) {
-	fed := New(NewAgoric())
-	east := NewSite("east-ok")
-	west := NewSite("west-flaky")
-	for _, s := range []*Site{east, west} {
-		if err := fed.AddSite(s); err != nil {
+	entries := map[string]func(*Federation, string) ([]storage.Row, *QueryTrace, error){
+		"Query": func(fed *Federation, sql string) ([]storage.Row, *QueryTrace, error) {
+			res, trace, err := fed.QueryTraced(context.Background(), sql)
+			if err != nil {
+				return nil, nil, err
+			}
+			return res.Rows, trace, nil
+		},
+		"QueryStream": func(fed *Federation, sql string) ([]storage.Row, *QueryTrace, error) {
+			st, trace, err := fed.QueryStream(context.Background(), sql)
+			if err != nil {
+				return nil, nil, err
+			}
+			rows, err := storage.CollectRows(st)
+			return rows, trace, err
+		},
+	}
+	for name, run := range entries {
+		fed := New(NewAgoric())
+		east := NewSite("east-ok")
+		west := NewSite("west-flaky")
+		for _, s := range []*Site{east, west} {
+			if err := fed.AddSite(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		west.AddSource(&flakySource{
+			def:  partsDef(),
+			rows: []storage.Row{row("W1", "drill", 99, "west"), row("W2", "forklift", 12000, "west")},
+			onEnd: func(context.Context) error {
+				return errors.New("replica died mid-transfer")
+			},
+		})
+		fragEast := NewFragment("east", nil, east)
+		fragWest := NewFragment("west", nil, west)
+		if _, err := fed.DefineTable(partsDef(), fragEast, fragWest); err != nil {
 			t.Fatal(err)
 		}
-	}
-	west.AddSource(&flakySource{
-		def:  partsDef(),
-		rows: []storage.Row{row("W1", "drill", 99, "west"), row("W2", "forklift", 12000, "west")},
-		onEnd: func(context.Context) error {
-			return errors.New("replica died mid-transfer")
-		},
-	})
-	fragEast := NewFragment("east", nil, east)
-	fragWest := NewFragment("west", nil, west)
-	if _, err := fed.DefineTable(partsDef(), fragEast, fragWest); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.LoadFragment("parts", fragEast, []storage.Row{
-		row("E1", "ink", 3.5, "east"),
-		row("E2", "pen", 1.2, "east"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	fed.StreamBatchRows = 1 // ship the west prefix row by row before the failure
-	fed.PartialResults = true
+		if err := fed.LoadFragment("parts", fragEast, []storage.Row{
+			row("E1", "ink", 3.5, "east"),
+			row("E2", "pen", 1.2, "east"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fed.StreamBatchRows = 1 // ship the west prefix row by row before the failure
+		fed.PartialResults = true
 
-	res, trace, err := fed.QueryTraced(context.Background(), "SELECT sku FROM parts")
-	if err != nil {
-		t.Fatalf("degraded select: %v", err)
-	}
-	got := sortedFirstCol(res.Rows)
-	if len(got) != 2 || got[0] != "E1" || got[1] != "E2" {
-		t.Fatalf("degraded rows = %v, want exactly [E1 E2] (no partial west prefix)", got)
-	}
-	if !trace.Degraded {
-		t.Fatal("trace must be marked degraded")
-	}
-	if fe := trace.FragmentErrors["parts/west"]; fe == nil || !errors.Is(fe, ErrNoReplica) {
-		t.Fatalf("fragment error = %v, want ErrNoReplica", fe)
+		rows, trace, err := run(fed, "SELECT sku FROM parts")
+		if err != nil {
+			t.Fatalf("%s: degraded select: %v", name, err)
+		}
+		got := sortedFirstCol(rows)
+		if len(got) != 2 || got[0] != "E1" || got[1] != "E2" {
+			t.Fatalf("%s: degraded rows = %v, want exactly [E1 E2] (no partial west prefix)", name, got)
+		}
+		if !trace.Degraded {
+			t.Fatalf("%s: trace must be marked degraded", name)
+		}
+		if fe := trace.FragmentErrors["parts/west"]; fe == nil || !errors.Is(fe, ErrNoReplica) {
+			t.Fatalf("%s: fragment error = %v, want ErrNoReplica", name, fe)
+		}
 	}
 }
 
