@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
+	"cohera/internal/storage"
 	"cohera/internal/value"
 )
 
@@ -371,6 +374,50 @@ func TestIndexAccessPath(t *testing.T) {
 			t.Error("exclusive bound included boundary row")
 		}
 	}
+}
+
+// TestNaNComparesAsOneValue: a stored NaN equals only NaN and orders
+// after every other number, so neither a scan nor an index lets it
+// match a predicate on an ordinary number.
+func TestNaNComparesAsOneValue(t *testing.T) {
+	db := NewDatabase()
+	exec1(t, db, "CREATE TABLE m (id INTEGER NOT NULL, w FLOAT, PRIMARY KEY (id))")
+	tbl, _ := db.Table("m")
+	for i, w := range []float64{math.NaN(), 2.5, 7} {
+		if _, err := tbl.Insert(storage.Row{value.NewInt(int64(i)), value.NewFloat(w)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := func(sql string) string {
+		t.Helper()
+		var out []string
+		for _, row := range exec1(t, db, sql).Rows {
+			out = append(out, row[0].String())
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	check := func(how string) {
+		t.Helper()
+		for sql, want := range map[string]string{
+			"SELECT id FROM m WHERE w = 2.5":               "1",
+			"SELECT id FROM m WHERE w = 7":                 "2",
+			"SELECT id FROM m WHERE w BETWEEN 1 AND 3":     "1",
+			"SELECT id FROM m WHERE w < 100":               "1,2",
+			"SELECT id FROM m WHERE w > 5":                 "0,2",
+			"SELECT id FROM m WHERE w <> 2.5":              "0,2",
+			"SELECT id FROM m WHERE w NOT BETWEEN 1 AND 3": "0,2",
+		} {
+			if got := ids(sql); got != want {
+				t.Errorf("%s: %s = [%s], want [%s]", how, sql, got, want)
+			}
+		}
+	}
+	check("scan")
+	if err := tbl.CreateIndex("w"); err != nil {
+		t.Fatal(err)
+	}
+	check("index")
 }
 
 func TestInsertCoercion(t *testing.T) {

@@ -361,19 +361,25 @@ func compare(op sqlparse.BinaryOp, l, r *value.Value) (tri, error) {
 	if err != nil {
 		return triNull, err
 	}
+	return triOf(holds(op, c)), nil
+}
+
+// holds reports whether a comparison operator holds for the sign c of
+// a three-way comparison of its operands.
+func holds(op sqlparse.BinaryOp, c int) bool {
 	switch op {
 	case sqlparse.OpEq:
-		return triOf(c == 0), nil
+		return c == 0
 	case sqlparse.OpNe:
-		return triOf(c != 0), nil
+		return c != 0
 	case sqlparse.OpLt:
-		return triOf(c < 0), nil
+		return c < 0
 	case sqlparse.OpLe:
-		return triOf(c <= 0), nil
+		return c <= 0
 	case sqlparse.OpGt:
-		return triOf(c > 0), nil
+		return c > 0
 	default:
-		return triOf(c >= 0), nil
+		return c >= 0
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"cohera/internal/schema"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 	"cohera/internal/value"
+	"cohera/internal/workload"
 )
 
 // scanTable is a ten-row table: sku S0..S9, qty 0..9, note NULL on odd
@@ -179,5 +181,59 @@ func TestFuseStreamBindError(t *testing.T) {
 	defer st.Close()
 	if _, err := st.Next(); !errors.Is(err, ErrUnknownColumn) {
 		t.Fatalf("Next = %v, want ErrUnknownColumn", err)
+	}
+}
+
+// BenchmarkScanTable prices the scan kernel alone: one 5 000-row
+// catalog shard (the catalog's seven columns, qty rewritten to
+// i % 1000), scanned for the standing benchmark's filter, for its
+// search scope, and with no predicate. ns/row is per stored row
+// visited.
+func BenchmarkScanTable(b *testing.B) {
+	const rows = 5000
+	sup := workload.Suppliers(1, rows, 0.05, 1)[0]
+	data, err := workload.GroundTruthRows(sup, value.DefaultCurrencyTable())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl := storage.NewTable(workload.CatalogDef())
+	for i, r := range data {
+		r[0] = value.NewString(fmt.Sprintf("P%07d", i))
+		r[6] = value.NewInt(int64(i % 1000))
+		if _, err := tbl.Insert(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct{ name, where string }{
+		{"filter", "qty >= 500 AND qty < 501"},
+		{"search", fmt.Sprintf("category = '%s' AND qty < 200", data[0][3].Str())},
+		{"all", ""},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			spec := ScanSpec{Limit: -1}
+			if bc.where != "" {
+				if spec.Where, err = sqlparse.ParseExpr(bc.where); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := ScanTable(ctx, tbl.Cursor(), spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := st.Next(); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
+				st.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }

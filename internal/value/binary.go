@@ -3,7 +3,6 @@ package value
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 )
 
 // The binary encoding is the one disk format of a Value: WAL records,
@@ -39,7 +38,7 @@ func AppendBinary(dst []byte, v Value) []byte {
 	case KindInt, KindTime:
 		dst = binary.AppendVarint(dst, v.n)
 	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.n))
 	case KindString:
 		dst = AppendString(dst, v.s)
 	case KindMoney, KindDuration:
@@ -205,7 +204,7 @@ func (d *Decoder) Value() Value {
 			d.Corrupt()
 			break
 		}
-		v.f = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
+		v.n = int64(binary.LittleEndian.Uint64(d.buf[d.off:]))
 		d.off += 8
 	case KindString:
 		v.s = d.Str()

@@ -2,6 +2,7 @@ package value
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"testing"
 	"time"
@@ -25,10 +26,42 @@ func binaryCases() []Value {
 }
 
 // identical reports bit-for-bit equality, which Equal is not (NaN
-// payloads and the sign of zero).
+// payloads and the sign of zero): a float's bits live in n.
 func identical(a, b Value) bool {
-	return a.kind == b.kind && a.n == b.n && a.s == b.s &&
-		math.Float64bits(a.f) == math.Float64bits(b.f)
+	return a.kind == b.kind && a.n == b.n && a.s == b.s
+}
+
+// TestBinaryGolden pins the disk format byte for byte: WAL records,
+// journal frames and checkpoints written by any earlier build must
+// decode, so no change to Value's layout may move these bytes.
+func TestBinaryGolden(t *testing.T) {
+	for _, c := range []struct {
+		v   Value
+		hex string
+	}{
+		{Null, "00"},
+		{NewBool(true), "0101"},
+		{NewInt(-1), "0201"},
+		{NewInt(300), "02d804"},
+		{NewFloat(1.5), "03000000000000f83f"},
+		{NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef)), "03efbeadde0000f87f"},
+		{NewFloat(math.Inf(1)), "03000000000000f07f"},
+		{NewFloat(math.Inf(-1)), "03000000000000f0ff"},
+		{NewFloat(math.Copysign(0, -1)), "030000000000000080"},
+		{NewString("drill"), "04056472696c6c"},
+		{NewMoney(9950, "USD"), "05bc9b0103555344"},
+		{NewTime(time.Date(2001, 5, 21, 9, 30, 0, 7, time.UTC)), "068ec097f4aae4debe1b"},
+		{NewDuration(48*time.Hour, BusinessDays), "078080f0a9a4ca4e08627573696e657373"},
+	} {
+		if got := hex.EncodeToString(AppendBinary(nil, c.v)); got != c.hex {
+			t.Errorf("%v (%s) encodes as %s, want %s", c.v, c.v.Kind(), got, c.hex)
+		}
+		b, _ := hex.DecodeString(c.hex)
+		d := NewDecoder(b)
+		if got := d.Value(); d.Finish() != nil || !identical(got, c.v) {
+			t.Errorf("%s decodes as %v (%s), err %v; want %v", c.hex, got, got.Kind(), d.Err(), c.v)
+		}
+	}
 }
 
 func TestBinaryRoundTrip(t *testing.T) {

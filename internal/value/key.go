@@ -25,7 +25,7 @@ func AppendKey(dst []byte, v Value) []byte {
 	case KindInt, KindTime:
 		dst = strconv.AppendInt(dst, v.n, 10)
 	case KindFloat:
-		f := v.f
+		f := v.float()
 		if math.IsNaN(f) {
 			f = math.NaN() // canonical NaN so Equal values share a key
 		}
