@@ -2,7 +2,8 @@
 // endpoints: it assembles the same handler stack coherad serves —
 // obs.Handler in front of a remote.Server publishing one table — runs a
 // fetch through it to move the metrics, then asserts that the retired
-// POST /fetch answers 404, that /healthz answers 200, that /metrics
+// POST /fetch answers 404, that a raw POST /fetchstream answers frames
+// ending in the eof terminator, that /healthz answers 200, that /metrics
 // emits non-empty, well-formed Prometheus text counting the fetch on
 // /fetchstream, and that the query-observability surface works end to
 // end: an EXPLAIN ANALYZE whose per-fragment row counts sum to the
@@ -17,6 +18,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,7 +44,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "coherasmoke: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("coherasmoke: /healthz ok, /metrics well-formed, explain+queries+cancel ok, group pushdown ok")
+	fmt.Println("coherasmoke: /fetchstream frames ok, /healthz ok, /metrics well-formed, explain+queries+cancel ok, group pushdown ok")
 }
 
 func run() error {
@@ -75,6 +77,9 @@ func run() error {
 		return fmt.Errorf("fetch: no rows")
 	}
 	if err := checkFetchRetired(ts.URL); err != nil {
+		return err
+	}
+	if err := checkRawStream(ts.URL); err != nil {
 		return err
 	}
 
@@ -356,6 +361,38 @@ func checkFetchRetired(base string) error {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		return fmt.Errorf("POST /fetch: status %d, want 404", resp.StatusCode)
+	}
+	return nil
+}
+
+// checkRawStream reads a raw POST /fetchstream as a peer of another
+// build would: the body must be frames in their content type, each a
+// kind byte, a uvarint length and the payload, the last an M frame
+// holding {"eof":true}.
+func checkRawStream(base string) error {
+	resp, err := http.Post(base+"/fetchstream", "application/json", strings.NewReader(`{"table":"catalog"}`))
+	if err != nil {
+		return fmt.Errorf("POST /fetchstream: %w", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("POST /fetchstream: reading body: %w", err)
+	}
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-cohera-frames" {
+		return fmt.Errorf("POST /fetchstream: status %d, Content-Type %q; want 200 and application/x-cohera-frames", resp.StatusCode, ct)
+	}
+	var kind byte
+	var payload []byte
+	for len(body) > 0 {
+		n, w := binary.Uvarint(body[1:])
+		if w <= 0 || n > uint64(len(body)-1-w) {
+			return fmt.Errorf("POST /fetchstream: malformed frame header % x", body[:min(len(body), 12)])
+		}
+		kind, payload, body = body[0], body[1+w:1+w+int(n)], body[1+w+int(n):]
+	}
+	if kind != 'M' || string(payload) != `{"eof":true}` {
+		return fmt.Errorf("POST /fetchstream: last frame %q %q, want M {\"eof\":true}", kind, payload)
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ import (
 // and off. The pushed plan evaluates the filter and projection inside
 // the remote scan and ships only matching cells; the unpushed plan
 // ships every row to the coordinator's residual stage. We report rows
-// decoded by the client, NDJSON payload bytes moved, and p50 latency.
+// decoded by the client, frame bytes moved, and p50 latency.
 func E17PushdownWire(cfg Config) (Table, error) {
 	rows, reps := 1_000_000, 5
 	if cfg.Quick {

@@ -420,6 +420,48 @@ func TestNaNComparesAsOneValue(t *testing.T) {
 	check("index")
 }
 
+// TestNegativeZeroIsZero: 0 and -0 are Equal, so every keyed operator
+// (DISTINCT, GROUP BY, the hash index) must treat them as one value,
+// as a scan's comparison already does.
+func TestNegativeZeroIsZero(t *testing.T) {
+	db := NewDatabase()
+	exec1(t, db, "CREATE TABLE m (id INTEGER NOT NULL, w FLOAT, PRIMARY KEY (id))")
+	tbl, _ := db.Table("m")
+	var negID int64
+	for i, w := range []float64{0, math.Copysign(0, -1), 1} {
+		id, err := tbl.Insert(storage.Row{value.NewInt(int64(i)), value.NewFloat(w)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			negID = id
+		}
+	}
+	check := func(how string) {
+		t.Helper()
+		if r := exec1(t, db, "SELECT DISTINCT w FROM m"); len(r.Rows) != 2 {
+			t.Errorf("%s: DISTINCT w = %v, want 0 and 1", how, r.Rows)
+		}
+		r := exec1(t, db, "SELECT w, COUNT(*) FROM m GROUP BY w ORDER BY w")
+		if len(r.Rows) != 2 || r.Rows[0][1].Int() != 2 {
+			t.Errorf("%s: GROUP BY w = %v, want one group of two for 0", how, r.Rows)
+		}
+		if r := exec1(t, db, "SELECT id FROM m WHERE w = 0"); len(r.Rows) != 2 {
+			t.Errorf("%s: WHERE w = 0 = %v, want ids 0 and 1", how, r.Rows)
+		}
+	}
+	check("scan")
+	if err := tbl.CreateHashIndex("w"); err != nil {
+		t.Fatal(err)
+	}
+	check("hash index")
+	// An update that flips the sign keeps the row under its one key.
+	if err := tbl.Update(negID, storage.Row{value.NewInt(1), value.NewFloat(0)}); err != nil {
+		t.Fatal(err)
+	}
+	check("hash index after a sign flip")
+}
+
 func TestInsertCoercion(t *testing.T) {
 	db := NewDatabase()
 	if _, err := db.Exec("CREATE TABLE quotes (id INTEGER NOT NULL, price MONEY, at TIMESTAMP, PRIMARY KEY (id))"); err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"cohera/internal/schema"
@@ -146,6 +147,33 @@ func TestRecoverKeylessTableUpdateDelete(t *testing.T) {
 	}
 	if got := mustLen(t, db2, "notes"); got != wantLen {
 		t.Fatalf("len = %d, want %d", got, wantLen)
+	}
+}
+
+// TestReplayMatchesKeylessRowsBitForBit: a keyless table's WAL records
+// find their row by its whole image, which is lossless, so a delete of
+// −0 removes the −0 row and not the +0 row that Equal (and the
+// equality key) cannot tell from it.
+func TestReplayMatchesKeylessRowsBitForBit(t *testing.T) {
+	db := NewDatabase()
+	def := schema.MustTable("m", []schema.Column{{Name: "w", Kind: value.KindFloat}})
+	tbl, err := db.CreateTable(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := value.NewFloat(math.Copysign(0, -1))
+	for _, w := range []value.Value{value.NewFloat(0), negZero} {
+		if _, err := tbl.Insert(storage.Row{w}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.applyRecord(wal.Record{Kind: wal.KindDel, Table: "m", Values: storage.Row{negZero}}); err != nil {
+		t.Fatal(err)
+	}
+	var left []float64
+	tbl.Scan(func(_ int64, r storage.Row) bool { left = append(left, r[0].Float()); return true })
+	if len(left) != 1 || math.Signbit(left[0]) {
+		t.Fatalf("after replaying the delete of -0 the table holds %v, want only +0", left)
 	}
 }
 

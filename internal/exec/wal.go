@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -344,9 +345,15 @@ func resolveRow(t *storage.Table, row storage.Row) (int64, error) {
 		id, _, err := t.GetByKey(keyVals...)
 		return id, err
 	}
+	// WAL images are lossless, so the match is bit for bit: the binary
+	// encoding, not value.Key, which folds -0 into +0 and NaN payloads
+	// into one NaN.
+	want := value.AppendRow(nil, row)
+	var buf []byte
 	found := int64(-1)
 	t.Scan(func(id int64, r storage.Row) bool {
-		if rowsEqual(r, row) {
+		buf = value.AppendRow(buf[:0], r)
+		if bytes.Equal(buf, want) {
 			found = id
 			return false
 		}
@@ -356,17 +363,4 @@ func resolveRow(t *storage.Table, row storage.Row) (int64, error) {
 		return 0, fmt.Errorf("%w: no row matching wal image", storage.ErrNoRow)
 	}
 	return found, nil
-}
-
-// rowsEqual compares rows by stable value encoding.
-func rowsEqual(a, b storage.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if value.Key(a[i]) != value.Key(b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -237,7 +237,7 @@ func TestDifferentialUnderDegradation(t *testing.T) {
 }
 
 // TestDifferentialTruncationIsTyped injects a mid-transfer truncation
-// into the NDJSON wire under a remote-backed single-replica fragment:
+// into the frame wire under a remote-backed single-replica fragment:
 // the stream must end in a typed error carrying remote.ErrTruncated,
 // never a silent short result.
 func TestDifferentialTruncationIsTyped(t *testing.T) {

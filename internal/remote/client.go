@@ -139,7 +139,7 @@ func (e *statusError) Error() string {
 // is at capacity, and an immediate retry is the start of a retry storm;
 // honoring the Retry-After hint is the caller's (scheduler's) job.
 func retryableError(err error) bool {
-	if errors.Is(err, admission.ErrOverloaded) || errors.Is(err, errFetchTooLarge) {
+	if errors.Is(err, admission.ErrOverloaded) || errors.Is(err, errFetchTooLarge) || errors.Is(err, errNotFrames) {
 		return false
 	}
 	var se *statusError

@@ -3,9 +3,10 @@
 // rows on the /fetchstream push stream), and the client side presents
 // each remote table as a wrapper.Source with σ/π/limit/γ pushdown, so a
 // federation can span processes and machines exactly the way the
-// paper's cross-enterprise setting demands. The wire format is JSON with
-// kind-tagged values so money, durations and timestamps survive the
-// trip.
+// paper's cross-enterprise setting demands. Requests, schemas and
+// stream metadata are JSON; rows travel as frames of the binary Value
+// encoding the disk uses (frame.go), so money, durations, timestamps
+// and every float bit survive the trip.
 package remote
 
 import (
@@ -20,8 +21,7 @@ import (
 )
 
 // wireValue is the JSON encoding of one value.Value in a request
-// filter. Rows use the same shape but go through the hand-written codec
-// in rowcodec.go.
+// filter. Rows travel in the binary encoding instead (frame.go).
 type wireValue struct {
 	Kind string `json:"k"`
 	// I carries ints, money minor units, unix-nano timestamps and
@@ -139,7 +139,7 @@ func decodePushCaps(w *wirePushCaps) plan.PushCaps {
 }
 
 // wirePushedAck is the server's receipt for pushed σ/π/limit, sent as
-// the first NDJSON chunk of a /fetchstream response when the request
+// the first frame of a /fetchstream response when the request
 // carried push fields. Its absence is the old-server signal: the client
 // then assumes nothing was applied and re-evaluates locally.
 type wirePushedAck struct {

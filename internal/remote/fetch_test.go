@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"cohera/internal/resilience"
 	"cohera/internal/storage"
+	"cohera/internal/value"
 	"cohera/internal/wrapper"
 )
 
@@ -33,16 +35,14 @@ func fakePeer(t *testing.T, fetch http.HandlerFunc, opts ...DialOption) *Source 
 	return streamSource(t, hs, opts...)
 }
 
-// partsLine is one /fetchstream chunk of full-width parts rows.
-func partsLine(skus ...string) string {
-	cells := make([]string, len(skus))
+// partsFrame is one /fetchstream chunk of full-width parts rows.
+func partsFrame(skus ...string) []byte {
+	rows := make([]storage.Row, len(skus))
 	for i, s := range skus {
-		cells[i] = fmt.Sprintf(`[{"k":"string","s":%q},{"k":"float","f":1.5},{"k":"int","i":%d}]`, s, i)
+		rows[i] = storage.Row{value.NewString(s), value.NewFloat(1.5), value.NewInt(int64(i))}
 	}
-	return `{"rows":[` + strings.Join(cells, ",") + "]}\n"
+	return rowsFrame(rows...)
 }
-
-const eofLine = `{"eof":true}` + "\n"
 
 func skus(rows []storage.Row) []string {
 	out := make([]string, len(rows))
@@ -56,17 +56,18 @@ func skus(rows []storage.Row) []string {
 // columns, case-insensitively and in order. A shorter or reordered list
 // fails the open instead of reshaping the stream to the peer's word.
 func TestLyingProjectionAckFailsOpen(t *testing.T) {
+	sku, price := value.NewString("P1"), value.NewFloat(1.5)
 	for _, tc := range []struct {
-		ack  string
-		line string
-		ok   bool
+		ack string
+		row storage.Row
+		ok  bool
 	}{
-		{`["sku"]`, `{"rows":[[{"k":"string","s":"P1"}]]}` + "\n", false},
-		{`["price","sku"]`, `{"rows":[[{"k":"float","f":1.5},{"k":"string","s":"P1"}]]}` + "\n", false},
-		{`["SKU","Price"]`, `{"rows":[[{"k":"string","s":"P1"},{"k":"float","f":1.5}]]}` + "\n", true},
+		{`["sku"]`, storage.Row{sku}, false},
+		{`["price","sku"]`, storage.Row{price, sku}, false},
+		{`["SKU","Price"]`, storage.Row{sku, price}, true},
 	} {
 		src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprint(w, `{"pushed":{"cols":`+tc.ack+"}}\n"+tc.line+eofLine)
+			serveFrames(w, jsonFrame(`{"pushed":{"cols":`+tc.ack+`}}`), rowsFrame(tc.row), eofFrame)
 		})
 		st, applied, err := src.FetchPushStream(context.Background(), nil, wrapper.Pushdown{Cols: []string{"sku", "price"}})
 		if !tc.ok {
@@ -95,7 +96,7 @@ func TestFetchRetries5xx(t *testing.T) {
 			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
 			return
 		}
-		fmt.Fprint(w, partsLine("P1", "P2")+eofLine)
+		serveFrames(w, partsFrame("P1", "P2"), eofFrame)
 	}, WithRetry(resilience.Retry{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}))
 	rows, err := src.Fetch(context.Background(), nil)
 	if err != nil || len(rows) != 2 {
@@ -112,10 +113,10 @@ func TestFetchRetriesTruncationWithoutDuplicates(t *testing.T) {
 	var hits atomic.Int64
 	src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) == 1 {
-			fmt.Fprint(w, partsLine("P1", "P2")) // no terminator
+			serveFrames(w, partsFrame("P1", "P2")) // no terminator
 			return
 		}
-		fmt.Fprint(w, partsLine("P1", "P2")+partsLine("P3")+eofLine)
+		serveFrames(w, partsFrame("P1", "P2"), partsFrame("P3"), eofFrame)
 	}, WithRetry(resilience.Retry{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}))
 	rows, err := src.Fetch(context.Background(), nil)
 	if err != nil {
@@ -143,7 +144,7 @@ func TestFetchTimeoutEndsStalledStream(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, partsLine("P1"))
+		serveFrames(w, partsFrame("P1"))
 		w.(http.Flusher).Flush()
 		select {
 		case <-r.Context().Done():
@@ -166,23 +167,23 @@ func TestFetchTimeoutEndsStalledStream(t *testing.T) {
 }
 
 // TestFetchBodyCap: a body past maxFetchBytes fails the Fetch, and the
-// client stops reading there. Each string cell is written as \u0041
-// escapes, so the rows held before the cap are a sixth of the bytes
-// read.
+// client stops reading there. Each frame is one 128 KiB row; the budget
+// is checked against a frame's declared length before its payload is
+// read or allocated.
 func TestFetchBodyCap(t *testing.T) {
 	const ceiling = 2 * maxFetchBytes
-	line := `{"rows":[[{"k":"string","s":"` + strings.Repeat(`\u0041`, 1<<17) +
-		`"},{"k":"float","f":1.5},{"k":"int","i":1}]]}` + "\n"
+	frame := rowsFrame(storage.Row{value.NewString(strings.Repeat("A", 1<<17)), value.NewFloat(1.5), value.NewInt(1)})
 	var written atomic.Int64
 	src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", framesContentType)
 		for written.Load() < ceiling {
-			n, err := fmt.Fprint(w, line)
+			n, err := w.Write(frame)
 			written.Add(int64(n))
 			if err != nil || r.Context().Err() != nil {
 				return
 			}
 		}
-		fmt.Fprint(w, eofLine)
+		w.Write(eofFrame)
 	}, WithRetry(resilience.Retry{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}))
 	rows, err := src.Fetch(context.Background(), nil)
 	if !errors.Is(err, errFetchTooLarge) || rows != nil {
@@ -192,5 +193,16 @@ func TestFetchBodyCap(t *testing.T) {
 	// long before its ceiling (socket buffers hold a few MiB).
 	if got := written.Load(); got > maxFetchBytes+16<<20 {
 		t.Fatalf("server wrote %d bytes before the client hung up, cap %d", got, maxFetchBytes)
+	}
+
+	// A header that declares more than the budget has left fails at
+	// once: the client never waits for, or allocates, that payload.
+	src = fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		serveFrames(w, frame, binary.AppendUvarint([]byte{frameRows}, maxFetchBytes))
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	})
+	if _, err := src.Fetch(context.Background(), nil); !errors.Is(err, errFetchTooLarge) {
+		t.Fatalf("Fetch after an oversized header = %v, want errFetchTooLarge", err)
 	}
 }

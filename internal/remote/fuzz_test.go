@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 
 	"cohera/internal/obs"
@@ -14,38 +15,41 @@ import (
 	"cohera/internal/value"
 )
 
-// FuzzDecodeStream feeds arbitrary bytes to the NDJSON chunk decoder
-// as if they were a /fetchstream response body. Invariants: the
-// decoder never panics, every yielded row has exactly the schema's
-// width, the stream always terminates in io.EOF or a typed error
-// (never runs forever), the terminal error is sticky, and Close always
-// succeeds.
+// FuzzDecodeStream feeds arbitrary bytes to the frame reader as if
+// they were a /fetchstream response body. Invariants: the decoder never
+// panics, every yielded row has exactly the schema's width, the stream
+// always terminates in io.EOF or a typed error (never runs forever),
+// the terminal error is sticky, and Close always succeeds.
 func FuzzDecodeStream(f *testing.F) {
 	// Seeds are what a server writes, so the fuzzer starts from bodies
 	// that yield rows.
-	line := func(rows ...storage.Row) string { return string(appendRows(nil, rows)) + "\n" }
-	meta := func(c streamChunk) string {
-		b, err := json.Marshal(c)
+	body := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	meta := func(c streamChunk) []byte {
+		b, err := metaFrame(c)
 		if err != nil {
 			f.Fatal(err)
 		}
-		return string(b) + "\n"
+		return b
 	}
 	r1 := storage.Row{value.NewInt(1), value.NewString("a")}
-	r2 := storage.Row{value.NewInt(-7), value.NewString("<&> é\n")}
+	r2 := storage.Row{value.NewInt(-7), value.NewString("<&> é\n\xff")}
 	r3 := storage.Row{value.NewInt(3), value.Null}
+	long := storage.Row{value.NewInt(4), value.NewString(strings.Repeat("x", 200))}
 	eof := meta(streamChunk{EOF: true})
-	f.Add([]byte(line(r1, r2) + line(r3) + line(r1) + eof))                                             // multi-chunk
-	f.Add([]byte(meta(streamChunk{Pushed: &wirePushedAck{Where: true, Limit: true}}) + line(r2) + eof)) // ack first
-	f.Add([]byte(line(r1) + meta(streamChunk{Error: "disk on fire"})))                                  // error line
-	f.Add([]byte(line(r3) + `{"eof":true,"trailer":{"stages":[{"name":"scan","rows":1}]}}` + "\n"))     // eof with an unknown member
-	f.Add([]byte(line(r1, r2)))                                                                         // missing terminator
-	f.Add([]byte(line(r1)[:20]))                                                                        // cut mid-chunk
-	f.Add([]byte(`{"rows":[[{"k":"int","i":1}]]}` + "\n" + eof))                                        // short row
-	f.Add([]byte(`{"rows":[[{"k":"nosuchkind"},{"k":"string","s":"a"}]]}` + "\n" + eof))
-	f.Add([]byte("\n\n\n"))
+	f.Add(body(rowsFrame(r1, r2), rowsFrame(r3), rowsFrame(r1), eof))                                     // multi-chunk
+	f.Add(body(meta(streamChunk{Pushed: &wirePushedAck{Where: true, Limit: true}}), rowsFrame(r2), eof))  // ack first
+	f.Add(body(rowsFrame(r1), meta(streamChunk{Error: "disk on fire"})))                                  // error frame
+	f.Add(body(rowsFrame(r3), jsonFrame(`{"eof":true,"trailer":{"stages":[{"name":"scan","rows":1}]}}`))) // eof with an unknown member
+	f.Add(body(rowsFrame(r1, r2)))                                                                        // missing terminator
+	f.Add(body(rowsFrame(r1), rowsFrame(long)[:2]))                                                       // cut mid-header
+	f.Add(body(rowsFrame(r1), rowsFrame(r2)[:6]))                                                         // cut mid-payload
+	f.Add(body(rowsFrame(storage.Row{value.NewInt(1)}), eof))                                             // short row
+	f.Add(body([]byte{frameRows, 4, 2, 9, 4, 0}, eof))                                                    // unknown value kind
+	f.Add(body([]byte{'X', 1, 0}, eof))                                                                   // unknown frame kind
 	f.Add([]byte(""))
-	f.Add([]byte(`not json at all`))
+	f.Add(body([]byte{frameRows, 0x80, 0}, eof))                                // a length not in its shortest form
+	f.Add(body(binary.AppendUvarint([]byte{frameRows}, maxStreamFrame+1), eof)) // a frame past the cap
+	f.Add([]byte(`{"eof":true}` + "\n"))                                        // an NDJSON body
 
 	def := schema.MustTable("fuzzed", []schema.Column{
 		{Name: "id", Kind: value.KindInt, NotNull: true},
@@ -53,15 +57,13 @@ func FuzzDecodeStream(f *testing.F) {
 	}, "id")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 		_, sp := obs.StartSpan(context.Background(), "remote.fetchstream")
 		metStreamInflight("client").Add(1)
 		cs := &clientStream{
 			def:  def,
 			cols: def.ColumnNames(),
 			body: io.NopCloser(bytes.NewReader(nil)),
-			sc:   sc,
+			br:   bufio.NewReader(bytes.NewReader(data)),
 			sp:   sp,
 		}
 		var terminal error

@@ -125,8 +125,8 @@ func TestGroupAckMustEcho(t *testing.T) {
 						`{"name":"bucket","kind":"int"}],"key":["id"],"push":{"classes":["range"],"group":true}}]`)
 					return
 				}
-				fmt.Fprint(w, `{"pushed":{"where":true,"group":`+tc.ack+`}}`+"\n"+
-					`{"rows":[[{"k":"int","i":1},{"k":"int","i":2}]]}`+"\n"+`{"eof":true}`+"\n")
+				serveFrames(w, jsonFrame(`{"pushed":{"where":true,"group":`+tc.ack+`}}`),
+					rowsFrame(storage.Row{value.NewInt(1), value.NewInt(2)}), eofFrame)
 			}))
 			defer hs.Close()
 			where, err := sqlparse.ParseExpr("id < 5")

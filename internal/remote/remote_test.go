@@ -3,8 +3,10 @@ package remote
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,5 +257,90 @@ func TestFederationOverTheWire(t *testing.T) {
 	}
 	if m, _ := res.Rows[0][0].Money(); m != 12345 {
 		t.Errorf("live update invisible over the wire: %v", res.Rows[0][0])
+	}
+}
+
+// TestNDJSONPeerFailsOver: a replica that answers /fetchstream in the
+// NDJSON format of earlier releases is refused at open, so its fragment
+// fails over to the next replica on Query and QueryStream; with no
+// other replica the query fails typed, never short.
+func TestNDJSONPeerFailsOver(t *testing.T) {
+	tbl := quotesTable(t)
+	good := NewServer()
+	good.PublishTable(tbl, "sku")
+	hsGood := httptest.NewServer(good)
+	defer hsGood.Close()
+	var oldHits atomic.Int64
+	old := NewServer()
+	old.PublishTable(tbl, "sku")
+	hsOld := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/fetchstream" {
+			old.ServeHTTP(w, r)
+			return
+		}
+		// What such a peer answers `SELECT sku` with: the projection
+		// ack, the projected rows, the terminator.
+		oldHits.Add(1)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprint(w, `{"pushed":{"cols":["sku"]}}`+"\n"+
+			`{"rows":[[{"k":"string","s":"P1"}],[{"k":"string","s":"P2"}]]}`+"\n"+`{"eof":true}`+"\n")
+	}))
+	defer hsOld.Close()
+
+	ctx := context.Background()
+	// federate puts one fragment on a replica per URL; the first is
+	// the cheapest bid, so it is tried first.
+	federate := func(urls ...string) *federation.Federation {
+		fed := federation.New(federation.NewAgoric())
+		var sites []*federation.Site
+		for i, url := range urls {
+			sources, err := Dial(url, "").Tables(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			site := federation.NewSite(fmt.Sprintf("replica-%d", i))
+			site.SetCost(federation.CostModel{Latency: time.Duration(i) * time.Millisecond})
+			if err := fed.AddSite(site); err != nil {
+				t.Fatal(err)
+			}
+			site.AddSource(sources[0])
+			sites = append(sites, site)
+		}
+		if _, err := fed.DefineTable(tbl.Def().Clone("quotes"), federation.NewFragment("all", nil, sites...)); err != nil {
+			t.Fatal(err)
+		}
+		return fed
+	}
+	const sql = "SELECT sku FROM quotes"
+
+	fed := federate(hsOld.URL, hsGood.URL)
+	res, err := fed.Query(ctx, sql)
+	if err != nil || len(res.Rows) != tbl.Len() || oldHits.Load() == 0 {
+		t.Fatalf("Query = %v, %v after %d NDJSON answers; want %d rows from the other replica", res, err, oldHits.Load(), tbl.Len())
+	}
+	hits := oldHits.Load()
+	fed = federate(hsOld.URL, hsGood.URL)
+	st, _, err := fed.QueryStream(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := storage.CollectRows(st); err != nil || len(rows) != tbl.Len() || oldHits.Load() == hits {
+		t.Fatalf("QueryStream = %d rows, %v after %d NDJSON answers; want %d rows from the other replica", len(rows), err, oldHits.Load()-hits, tbl.Len())
+	}
+
+	fed = federate(hsOld.URL)
+	if res, err := fed.Query(ctx, sql); !errors.Is(err, errNotFrames) || !errors.Is(err, federation.ErrSiteFailure) {
+		t.Fatalf("Query over one NDJSON replica = %v, %v; want a site failure carrying errNotFrames", res, err)
+	}
+	st, _, err = fed.QueryStream(ctx, sql)
+	if err == nil {
+		var rows []storage.Row
+		rows, err = storage.CollectRows(st)
+		if err == nil {
+			t.Fatalf("QueryStream over one NDJSON replica drained clean with %d rows", len(rows))
+		}
+	}
+	if !errors.Is(err, errNotFrames) {
+		t.Fatalf("QueryStream over one NDJSON replica = %v; want errNotFrames in the chain", err)
 	}
 }

@@ -40,7 +40,7 @@ var metServerSeconds = obs.Default().Histogram("cohera_remote_server_seconds",
 // stored tables, wrapped ERPs, even other federations' views) over HTTP:
 //
 //	GET  /tables             → JSON list of wireSchema
-//	POST /fetchstream        → {table, filters[], batch_rows, where, cols, limit, group} → NDJSON chunks
+//	POST /fetchstream        → {table, filters[], batch_rows, where, cols, limit, group} → frames (frame.go)
 //	POST /digest             → {table} → {hash, rows} content digest
 //	GET  /debug/replication  → per-table digests for operator comparison
 //	GET  /healthz            → 200 ok

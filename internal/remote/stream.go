@@ -20,6 +20,7 @@ import (
 	"cohera/internal/schema"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
+	"cohera/internal/value"
 	"cohera/internal/wrapper"
 )
 
@@ -42,21 +43,16 @@ func streamProjection(have, want []string) ([]int, error) {
 	return idx, nil
 }
 
-// The chunked-transfer wire format: POST /fetchstream answers with
-// newline-delimited JSON (NDJSON). Each line is one streamChunk — a
-// batch of rows, a mid-stream error, or the {"eof":true} terminator.
-// The terminator is load-bearing: a connection that dies mid-transfer
-// ends the body without it, and the client reports ErrTruncated instead
-// of passing off a prefix as the full result.
+// POST /fetchstream answers with frames (frame.go): row chunks, then
+// the {"eof":true} terminator. The terminator is load-bearing: a
+// connection that dies mid-transfer ends the body without it, and the
+// client reports ErrTruncated instead of passing off a prefix as the
+// full result.
 
 // ErrTruncated reports a stream body that ended before the EOF
 // terminator — the transport died mid-transfer. Consumers must treat
 // the rows received so far as incomplete.
 var ErrTruncated = errors.New("remote: stream truncated before eof terminator")
-
-// maxStreamLine bounds one NDJSON line on the client. A line carries at
-// most maxStreamBatchRows encoded rows.
-const maxStreamLine = 64 << 20
 
 // maxStreamBatchRows caps the negotiated batch size so a hostile client
 // cannot make the server buffer unbounded rows per chunk.
@@ -84,17 +80,16 @@ type streamRequest struct {
 	Group *wireGrouping `json:"group,omitempty"`
 }
 
-// streamChunk is every member of a /fetchstream NDJSON line except its
-// rows, which the row codec (rowcodec.go) writes and reads by hand. A
-// line carries rows, a pushdown ack, a mid-stream error, or the
-// terminator; old clients see an ack line as zero rows and skip it.
+// streamChunk is the JSON of a /fetchstream M frame: a pushdown ack, a
+// mid-stream error, or the terminator. Members a newer peer adds are
+// skipped.
 type streamChunk struct {
 	Pushed *wirePushedAck `json:"pushed,omitempty"`
 	Error  string         `json:"error,omitempty"`
 	EOF    bool           `json:"eof,omitempty"`
 }
 
-// metStreamBatches counts NDJSON chunks by side ("server" encodes,
+// metStreamBatches counts row chunks by side ("server" encodes,
 // "client" decodes).
 func metStreamBatches(side string) *obs.Counter {
 	return obs.Default().Counter("cohera_stream_batches_total",
@@ -102,7 +97,7 @@ func metStreamBatches(side string) *obs.Counter {
 		obs.Labels{"side": side})
 }
 
-// metStreamBytes counts NDJSON payload bytes by side.
+// metStreamBytes counts frame bytes, headers included, by side.
 func metStreamBytes(side string) *obs.Counter {
 	return obs.Default().Counter("cohera_stream_bytes_total",
 		"Payload bytes moved through the streaming wire protocol.",
@@ -152,7 +147,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handleFetchStream streams a source's rows as NDJSON chunks. Each
+// handleFetchStream streams a source's rows as frames. Each row
 // chunk is flushed as soon as it is full, so a slow consumer exerts
 // backpressure on the producing scan through the socket's window
 // instead of forcing the server to buffer the whole result.
@@ -288,19 +283,25 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 	scan := storage.InstrumentStream(st, encStage, storage.TimingSample)
 	defer scan.Close()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", framesContentType)
 	cw := &countingWriter{w: w}
 	defer func() { metStreamBytes("server").Add(cw.n) }()
-	enc := json.NewEncoder(cw)
 	flusher, _ := w.(http.Flusher)
-	// The ack must be the first line: the client reads it synchronously
-	// to learn what was applied before it sees any rows.
-	if ack != nil {
-		if err := enc.Encode(streamChunk{Pushed: ack}); err != nil {
-			return
+	writeMeta := func(c streamChunk) error {
+		frame, err := metaFrame(c)
+		if err == nil {
+			_, err = cw.Write(frame)
 		}
 		if flusher != nil {
 			flusher.Flush()
+		}
+		return err
+	}
+	// The ack must be the first frame: the client reads it synchronously
+	// to learn what was applied before it sees any rows.
+	if ack != nil {
+		if err := writeMeta(streamChunk{Pushed: ack}); err != nil {
+			return
 		}
 	}
 	peak := 0
@@ -311,11 +312,11 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		sp.End()
 	}()
 
-	// Rows are encoded as they arrive into one reused buffer; a full
-	// chunk goes out in one write, the same bytes and the same write
-	// boundaries as encoding/json's Encoder.
-	var line []byte
-	n := 0 // rows in line
+	// Rows are encoded as they arrive into one reused buffer, behind
+	// the room its frame header takes; a full chunk goes out in one
+	// write and one flush.
+	buf := make([]byte, frameHeaderRoom)
+	n := 0 // rows in buf
 	var sentBytes int64
 	emit := func() bool {
 		if n == 0 {
@@ -324,14 +325,13 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		if n > peak {
 			peak = n
 		}
-		line = append(line, rowsClose+"\n"...)
-		if _, err := cw.Write(line); err != nil {
+		if _, err := cw.Write(sealFrame(buf, frameRows)); err != nil {
 			return false // consumer went away; stop producing
 		}
 		metStreamBatches("server").Inc()
 		encStage.AddBatch(0, cw.n-sentBytes)
 		sentBytes = cw.n
-		line, n = line[:0], 0
+		buf, n = buf[:frameHeaderRoom], 0
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -344,27 +344,19 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			//lint:ignore errdrop the stream is already committed as 200; a failed terminator reads as truncation on the client
-			_ = enc.Encode(streamChunk{EOF: true})
+			_ = writeMeta(streamChunk{EOF: true})
 			metStreamPeakBatch.Observe(time.Duration(peak))
-			if flusher != nil {
-				flusher.Flush()
-			}
 			return
 		}
 		if err != nil {
-			// Buffered rows are dropped: an error chunk tells the client
+			// Buffered rows are dropped: an error frame tells the client
 			// the result is broken, so a partial flush would only move
 			// rows it must discard.
-			//lint:ignore errdrop the stream is already committed as 200; the error chunk is best-effort
-			_ = enc.Encode(streamChunk{Error: err.Error()})
+			//lint:ignore errdrop the stream is already committed as 200; the error frame is best-effort
+			_ = writeMeta(streamChunk{Error: err.Error()})
 			return
 		}
-		if n == 0 {
-			line = append(line, rowsOpen...)
-		} else {
-			line = append(line, ',')
-		}
-		line = appendRow(line, row)
+		buf = value.AppendRow(buf, row)
 		n++
 		if n >= batchRows && !emit() {
 			return
@@ -467,8 +459,16 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 		sp.End()
 		return nil, wrapper.Applied{}, se
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
+	// A peer that answers in another format (an NDJSON release) is
+	// refused here, so the caller fails over instead of misreading it.
+	if ct := resp.Header.Get("Content-Type"); ct != framesContentType {
+		//lint:ignore errdrop the open is failing; close is best-effort cleanup
+		_ = resp.Body.Close()
+		err := fmt.Errorf("%w: Content-Type %q, want %q", errNotFrames, ct, framesContentType)
+		sp.SetErr(err)
+		sp.End()
+		return nil, wrapper.Applied{}, err
+	}
 	metStreamInflight("client").Add(1)
 	// The decode stage is a leaf under the wrapper.fetch stage: rows and
 	// bytes are counted per chunk as they come off the wire, before the
@@ -479,7 +479,7 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 		cols:     s.def.ColumnNames(),
 		filters:  local,
 		body:     resp.Body,
-		sc:       sc,
+		br:       bufio.NewReaderSize(resp.Body, 64<<10),
 		sp:       sp,
 		stage:    stage,
 		maxBytes: maxBytes,
@@ -487,7 +487,7 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 	cs.rebindFilters()
 	var applied wrapper.Applied
 	if !push.Empty() {
-		// Read the first line now: a push-aware server leads with its
+		// Read the first frame now: a push-aware server leads with its
 		// ack, an old server leads with rows (stashed for Next). Either
 		// way the receipt is known before the caller sees the stream.
 		if ack := cs.awaitAck(); ack != nil {
@@ -535,8 +535,8 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 	return cs, applied, nil
 }
 
-// clientStream decodes NDJSON chunks from an open /fetchstream response
-// into rows, one chunk in memory at a time.
+// clientStream decodes frames from an open /fetchstream response into
+// rows, one chunk in memory at a time.
 type clientStream struct {
 	def     *schema.Table
 	cols    []string
@@ -545,13 +545,14 @@ type clientStream struct {
 	// -1 skips a filter whose column the rows no longer carry.
 	filterIdx []int
 	body      io.ReadCloser
-	sc        *bufio.Scanner
+	br        *bufio.Reader
 	sp        *obs.Span
 	stage     *obs.StageStats
+	payload   []byte     // the current frame's payload, reused
 	dec       rowDecoder // rows are decoded len(cols) wide
 
-	// read counts body bytes scanned so far, blank lines included;
-	// past maxBytes (when > 0) the stream fails with errFetchTooLarge.
+	// read counts body bytes so far; past maxBytes (when > 0) the
+	// stream fails with errFetchTooLarge.
 	read, maxBytes int64
 
 	// stash holds a chunk read ahead of its turn (the ack probe hit
@@ -583,67 +584,60 @@ func (c *clientStream) rebindFilters() {
 	}
 }
 
-// chunk is one decoded NDJSON line.
+// chunk is one decoded frame: rows of an R frame, or an M frame's meta.
 type chunk struct {
 	rows []storage.Row
 	meta streamChunk
-	size int // line length, for byte accounting
+	size int // frame length, for byte accounting
 }
 
-// readChunk scans and decodes the next NDJSON line. ok=false means a
-// terminal condition was recorded in c.err (truncation or corruption);
-// empty lines are skipped.
+// readChunk reads and decodes the next frame. ok=false means a terminal
+// condition was recorded in c.err: truncation, a frame past its cap or
+// the byte budget, corruption, or a row of the wrong width.
 func (c *clientStream) readChunk() (ch chunk, ok bool) {
-	for {
-		// Time the chunk fetch+decode exactly: chunks are coarse enough
-		// (hundreds of rows) that two clock reads per chunk are free, and
-		// the wait on sc.Scan is precisely this stage's blocked-upstream
-		// (network/server) time.
-		chunkStart := time.Now()
-		if !c.sc.Scan() {
-			// The body ended (or broke) before the eof terminator:
-			// report truncation, never a silent short result.
-			if scanErr := c.sc.Err(); scanErr != nil {
-				c.err = fmt.Errorf("%w: %v", ErrTruncated, scanErr)
-			} else {
-				c.err = ErrTruncated
-			}
-			return ch, false
-		}
-		raw := c.sc.Bytes()
-		c.read += int64(len(raw)) + 1
-		if c.maxBytes > 0 && c.read > c.maxBytes {
-			c.err = fmt.Errorf("%w: %s past %d bytes", errFetchTooLarge, c.def.Name, c.maxBytes)
-			return ch, false
-		}
-		line := bytes.TrimSpace(raw)
-		if len(line) == 0 {
-			continue
-		}
-		var err error
-		ch.rows, ch.meta, err = c.dec.decode(line, len(c.cols))
-		var syn *syntaxError
-		switch {
-		case err == nil:
-		case !errors.As(err, &syn):
-			// Well-formed, but the cells do not fit the stream.
-			c.err = err
-			return ch, false
-		case !c.sc.Scan():
-			// An undecodable final line is a connection cut
-			// mid-chunk, not corruption: classify it as truncation
-			// so callers see one typed error for "body ended early".
-			c.err = fmt.Errorf("%w: partial final chunk: %v", ErrTruncated, err)
-			return ch, false
-		default:
-			c.err = fmt.Errorf("remote: decoding stream chunk: %w", err)
-			return ch, false
-		}
-		ch.size = len(line)
-		metStreamBytes("client").Add(int64(ch.size))
-		c.stage.BlockedUpstream(time.Since(chunkStart))
-		return ch, true
+	// Time the frame fetch+decode exactly: chunks are coarse enough
+	// (hundreds of rows) that two clock reads per chunk are free, and
+	// the wait on the body is precisely this stage's blocked-upstream
+	// (network/server) time.
+	chunkStart := time.Now()
+	kind, size, hdr, err := readFrameHeader(c.br)
+	if err != nil {
+		c.err = err
+		return ch, false
 	}
+	// Both caps are checked before anything is allocated.
+	if size > maxStreamFrame {
+		c.err = fmt.Errorf("remote: stream frame of %d bytes past the %d-byte cap", size, maxStreamFrame)
+		return ch, false
+	}
+	c.read += int64(hdr) + int64(size)
+	if c.maxBytes > 0 && c.read > c.maxBytes {
+		c.err = fmt.Errorf("%w: %s past %d bytes", errFetchTooLarge, c.def.Name, c.maxBytes)
+		return ch, false
+	}
+	c.payload = slices.Grow(c.payload[:0], int(size))[:size]
+	if _, err := io.ReadFull(c.br, c.payload); err != nil {
+		c.err = truncation(err)
+		return ch, false
+	}
+	switch kind {
+	case frameRows:
+		ch.rows, err = c.dec.decode(c.payload, len(c.cols))
+	case frameMeta:
+		if jerr := json.Unmarshal(c.payload, &ch.meta); jerr != nil {
+			err = corruptFrame(kind, jerr)
+		}
+	default:
+		err = fmt.Errorf("remote: unknown stream frame kind %q", kind)
+	}
+	if err != nil {
+		c.err = err
+		return ch, false
+	}
+	ch.size = hdr + int(size)
+	metStreamBytes("client").Add(int64(ch.size))
+	c.stage.BlockedUpstream(time.Since(chunkStart))
+	return ch, true
 }
 
 // awaitAck reads the first chunk looking for a pushdown ack. A non-ack
@@ -692,8 +686,9 @@ func (c *clientStream) Next() (storage.Row, error) {
 			c.err = io.EOF
 			return nil, c.err
 		}
-		if ch.meta.Pushed != nil && len(ch.rows) == 0 {
-			// A stray ack chunk mid-stream carries no rows; skip it.
+		if ch.rows == nil {
+			// A stray ack mid-stream, or an empty chunk, carries no
+			// rows; skip it.
 			continue
 		}
 		rows := ch.rows

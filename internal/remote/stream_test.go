@@ -163,8 +163,7 @@ func TestFetchStreamTruncation(t *testing.T) {
 			fmt.Fprint(w, `[{"name":"numbers","columns":[{"name":"id","kind":"int","not_null":true}],"key":["id"]}]`)
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprint(w, `{"rows":[[{"k":"int","i":1}],[{"k":"int","i":2}]]}`+"\n")
+		serveFrames(w, rowsFrame(storage.Row{value.NewInt(1)}, storage.Row{value.NewInt(2)}))
 	}))
 	defer hs.Close()
 	src := streamSource(t, hs)
@@ -189,15 +188,14 @@ func TestFetchStreamTruncation(t *testing.T) {
 }
 
 // TestFetchStreamServerError asserts a mid-stream server failure
-// arrives as an error chunk, typed as a failure rather than EOF.
+// arrives as an error frame, typed as a failure rather than EOF.
 func TestFetchStreamServerError(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/tables" {
 			fmt.Fprint(w, `[{"name":"numbers","columns":[{"name":"id","kind":"int","not_null":true}],"key":["id"]}]`)
 			return
 		}
-		fmt.Fprint(w, `{"rows":[[{"k":"int","i":1}]]}`+"\n")
-		fmt.Fprint(w, `{"error":"disk on fire"}`+"\n")
+		serveFrames(w, rowsFrame(storage.Row{value.NewInt(1)}), jsonFrame(`{"error":"disk on fire"}`))
 	}))
 	defer hs.Close()
 	src := streamSource(t, hs)

@@ -4,7 +4,7 @@ import "sync"
 
 // DefaultBatchRows is the row-batch size streaming layers use when the
 // caller does not configure one. Large enough to amortize per-batch
-// overhead (one NDJSON line, one channel send), small enough that
+// overhead (one wire frame, one channel send), small enough that
 // per-query coordinator memory stays O(batch × fragments).
 const DefaultBatchRows = 256
 

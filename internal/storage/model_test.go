@@ -404,10 +404,10 @@ func checkTableModel(t testing.TB, tbl *Table, m *tableModel, where string) {
 	}
 }
 
-// sameRow compares rows by their key encoding, which tells -0.0 from
-// +0.0 where Equal does not.
+// sameRow compares rows by their binary encoding, which tells -0.0
+// from +0.0 where Equal does not.
 func sameRow(a, b Row) bool {
-	return bytes.Equal(value.AppendRowKey(nil, a), value.AppendRowKey(nil, b))
+	return bytes.Equal(value.AppendRow(nil, a), value.AppendRow(nil, b))
 }
 
 func TestTableAgainstModel(t *testing.T) {

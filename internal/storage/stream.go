@@ -7,7 +7,7 @@ import (
 
 // RowStream is the pull-based iterator every streaming layer speaks:
 // the local executor produces them over table scans, the remote client
-// produces them over NDJSON chunk responses, and the federation merges
+// produces them over framed chunk responses, and the federation merges
 // per-fragment streams into one. The contract:
 //
 //   - Next returns the next row, or (nil, io.EOF) when the stream is

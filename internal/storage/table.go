@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"cohera/internal/ir"
@@ -338,8 +337,7 @@ func (t *Table) reindexLocked(id int64, from, to Row) {
 
 // cellMove returns column ci of the from and to rows (NULL for a nil
 // row) and whether an index on it must move: whether value.Key of the
-// two differs. Equal stands in for comparing keys without building
-// them; it differs from key equality only in folding -0.0 into +0.0.
+// two differs, which Equal answers without building the keys.
 func cellMove(from, to Row, ci int) (o, n value.Value, moved bool) {
 	o, n = value.Null, value.Null
 	if from != nil {
@@ -348,11 +346,7 @@ func cellMove(from, to Row, ci int) (o, n value.Value, moved bool) {
 	if to != nil {
 		n = to[ci]
 	}
-	if !o.Equal(n) {
-		return o, n, true
-	}
-	signFlip := o.Kind() == value.KindFloat && o.Float() == 0 && math.Signbit(o.Float()) != math.Signbit(n.Float())
-	return o, n, signFlip
+	return o, n, !o.Equal(n)
 }
 
 // hashRemove drops id from hash bucket k, and the bucket once empty.

@@ -23,7 +23,12 @@ import (
 //	DURATION  zig-zag varint nanoseconds, then the semantics tag as TEXT
 //
 // Strings and byte slices elsewhere in a record use the same uvarint
-// length prefix (AppendString, Decoder.Str).
+// length prefix (AppendString, Decoder.Str). Every varint is written in
+// its shortest form, and the Decoder refuses any other, so a byte
+// string that decodes re-encodes to itself.
+//
+// The same encoding is the /fetchstream wire format (package remote):
+// a row chunk is rows written by AppendRow, back to back.
 
 // ErrCorrupt is the error a Decoder reports once it has met bytes the
 // binary encoding cannot have produced.
@@ -76,6 +81,9 @@ func AppendRow(dst []byte, row []Value) []byte {
 // the bytes allocates more than the bytes left could hold.
 type Decoder struct {
 	buf []byte
+	// in, when non-empty, holds the same bytes as buf: strings are
+	// sliced out of it instead of copied.
+	in  string
 	off int
 	err error
 }
@@ -83,6 +91,19 @@ type Decoder struct {
 // NewDecoder returns a decoder over b. Strings it returns are copies;
 // Rest and Bytes alias b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+
+// NewDecoderIn returns a decoder over b whose strings are substrings of
+// s, which must hold b's bytes (typically s is string(b), made once).
+// Decoding n strings then costs no allocation instead of n, and every
+// string returned keeps all of s alive: use it where the values live
+// no longer than their batch, never for a record whose buffer must not
+// be pinned.
+func NewDecoderIn(b []byte, s string) *Decoder {
+	if len(s) != len(b) {
+		panic("value: NewDecoderIn over a string of another length")
+	}
+	return &Decoder{buf: b, in: s}
+}
 
 // Err returns the first decoding error.
 func (d *Decoder) Err() error { return d.err }
@@ -119,13 +140,18 @@ func (d *Decoder) Byte() byte {
 	return b
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint in its shortest form.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 { // one byte: lengths, counts, small ints
+		d.off++
+		return uint64(d.buf[d.off-1])
+	}
 	x, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	// A longer form ends in a zero byte: its last 7-bit group is empty.
+	if n <= 0 || n > 1 && d.buf[d.off+n-1] == 0 {
 		d.Corrupt()
 		return 0
 	}
@@ -133,17 +159,13 @@ func (d *Decoder) Uvarint() uint64 {
 	return x
 }
 
-// Varint reads a zig-zag signed varint.
+// Varint reads a zig-zag signed varint in its shortest form.
 func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+	ux := d.Uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	x, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.Corrupt()
-		return 0
-	}
-	d.off += n
 	return x
 }
 
@@ -155,7 +177,7 @@ func (d *Decoder) Count(minSize int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n > uint64((len(d.buf)-d.off)/minSize) {
+	if left := uint64(len(d.buf) - d.off); n > left || minSize > 1 && n > left/uint64(minSize) {
 		d.Corrupt()
 		return 0
 	}
@@ -173,11 +195,15 @@ func (d *Decoder) Bytes() []byte {
 	return b
 }
 
-// Str reads a length-prefixed string.
+// Str reads a length-prefixed string: a copy, or a substring of the
+// decoder's string under NewDecoderIn.
 func (d *Decoder) Str() string {
 	b := d.Bytes()
-	if len(b) == 0 {
+	switch {
+	case len(b) == 0:
 		return ""
+	case d.in != "":
+		return d.in[d.off-len(b) : d.off]
 	}
 	return string(b)
 }

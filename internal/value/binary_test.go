@@ -107,6 +107,8 @@ func TestBinaryRejectsBadBytes(t *testing.T) {
 		"short float":   {byte(KindFloat), 1, 2, 3},
 		"long string":   {byte(KindString), 5, 'a'},
 		"varint runs":   append([]byte{byte(KindInt)}, bytes.Repeat([]byte{0xff}, 11)...),
+		"long varint":   {byte(KindInt), 0x82, 0x00},
+		"long length":   {byte(KindString), 0x81, 0x00, 'a'},
 		"trailing byte": {byte(KindNull), 0},
 	} {
 		d := NewDecoder(b)
@@ -125,5 +127,33 @@ func TestBinaryRejectsBadBytes(t *testing.T) {
 	d.Value()
 	if v := d.Value(); !v.IsNull() || d.Err() == nil {
 		t.Fatalf("read %v after a failure", v)
+	}
+}
+
+// TestDecoderInSlicesStrings: under NewDecoderIn the values read back
+// as NewDecoder's copies do, and reading them allocates nothing: every
+// string is a substring of the one string given.
+func TestDecoderInSlicesStrings(t *testing.T) {
+	cases := binaryCases()
+	enc := AppendRow(nil, cases)
+	s := string(enc)
+	d := NewDecoderIn(enc, s)
+	back := d.Row()
+	if err := d.Finish(); err != nil || len(back) != len(cases) {
+		t.Fatalf("row: %d values, err %v", len(back), err)
+	}
+	for i, v := range back {
+		if !identical(v, cases[i]) {
+			t.Errorf("cell %d: %v, want %v", i, v, cases[i])
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		d := NewDecoderIn(enc, s)
+		d.Count(1)
+		for range cases {
+			d.Value()
+		}
+	}); n != 0 {
+		t.Errorf("decoding %d values in place allocated %v times", len(cases), n)
 	}
 }

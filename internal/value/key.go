@@ -26,8 +26,11 @@ func AppendKey(dst []byte, v Value) []byte {
 		dst = strconv.AppendInt(dst, v.n, 10)
 	case KindFloat:
 		f := v.float()
-		if math.IsNaN(f) {
+		switch {
+		case math.IsNaN(f):
 			f = math.NaN() // canonical NaN so Equal values share a key
+		case f == 0:
+			f = 0 // and +0 for -0
 		}
 		dst = strconv.AppendUint(dst, math.Float64bits(f), 16)
 	case KindString:

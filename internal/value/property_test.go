@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -89,5 +90,28 @@ func TestNormalizeDeliveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: two values share a key exactly when they are Equal, over
+// floats that include both zeros, NaNs with different payloads and the
+// infinities — the cases where bits and equality part. The set is
+// small enough to check every pair.
+func TestKeyMatchesEqualProperty(t *testing.T) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	}
+	vals := []Value{Null, NewInt(0), NewInt(1), NewString("0")}
+	for _, f := range floats {
+		vals = append(vals, NewFloat(f))
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if a.Equal(b) != (Key(a) == Key(b)) {
+				t.Errorf("%v (%s) and %v (%s): Equal %v, keys %q and %q", a, a.Kind(), b, b.Kind(), a.Equal(b), Key(a), Key(b))
+			}
+		}
 	}
 }

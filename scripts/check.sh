@@ -36,9 +36,10 @@
 #                                compiles against internal/...; the root
 #                                ./... does not reach it, so vet it and
 #                                run its -quick self-test here
-#   7. go test -fuzz ... 10s     fuzz smoke: parser, NDJSON stream
-#                                decoder, the row codec against its
-#                                encoding/json reference, WAL replay,
+#   7. go test -fuzz ... 10s     fuzz smoke: parser, the /fetchstream
+#                                frame reader over any body, the row
+#                                frame codec (bit-exact round trips,
+#                                accepted frames re-encode), WAL replay,
 #                                the binary disk codec (WAL records,
 #                                snapshots, journal intents) against
 #                                its JSON reference, the pushdown split
