@@ -151,8 +151,8 @@ func (db *Database) loadSnapshotV1(b []byte) error {
 			if d.Values(row) == nil {
 				return fmt.Errorf("exec: decoding snapshot table %q row %d: %w", ts.Name, i, d.Err())
 			}
-			if _, err := t.Insert(row); err != nil {
-				return fmt.Errorf("exec: snapshot table %q row %d: %w", ts.Name, i, err)
+			if err := restoreRow(t, i, row); err != nil {
+				return err
 			}
 		}
 	}
@@ -180,12 +180,32 @@ func (db *Database) loadSnapshotV0(b []byte) error {
 			if err != nil {
 				return err
 			}
-			if _, err := t.Insert(row); err != nil {
-				return fmt.Errorf("exec: snapshot table %q row %d: %w", st.Schema.Name, ri, err)
+			if err := restoreRow(t, ri, row); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// restoreRow inserts row i of a snapshot table. A snapshot holds rows,
+// not writes, so two rows under one key leave no later one to keep:
+// restore fails and names them. Releases that keyed FLOAT 0 and -0
+// apart could write such a file; the error says so (DESIGN §12).
+func restoreRow(t *storage.Table, i int, row storage.Row) error {
+	_, err := t.Insert(row)
+	if err == nil {
+		return nil
+	}
+	name := t.Def().Name
+	if errors.Is(err, storage.ErrDuplicateKey) {
+		for _, ki := range t.Def().KeyIndexes() {
+			if v := row[ki]; v.Kind() == value.KindFloat && v.Float() == 0 {
+				return fmt.Errorf("exec: snapshot table %q row %d: %w: key column %q holds both 0 and -0, which are one key (DESIGN §12)", name, i, err, t.Def().Columns[ki].Name)
+			}
+		}
+	}
+	return fmt.Errorf("exec: snapshot table %q row %d: %w", name, i, err)
 }
 
 // restoreTable creates a snapshot table and its declared indexes;

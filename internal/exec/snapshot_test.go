@@ -2,6 +2,9 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"cohera/internal/schema"
 	"cohera/internal/storage"
 	"cohera/internal/value"
+	"cohera/internal/wal"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -123,6 +127,39 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	if err := demo.LoadSnapshot(&buf); err == nil {
 		t.Error("load over existing tables should fail")
+	}
+}
+
+// A FLOAT key holding both 0 and -0 was two rows under releases that
+// keyed the zeros apart. Their snapshot has no later row to keep, so
+// restore fails, typed, and names the cause; a checkpoint restores
+// through the same loader.
+func TestSnapshotWithBothZeroKeysFailsRestore(t *testing.T) {
+	def := schema.MustTable("m", []schema.Column{
+		{Name: "w", Kind: value.KindFloat, NotNull: true},
+		{Name: "note", Kind: value.KindString},
+	}, "w")
+	file := func(keys ...float64) []byte {
+		b := binary.AppendUvarint([]byte{snapshotBinary}, 1)
+		b = wal.AppendSchema(b, walSchema(def))
+		b = appendNames(appendNames(b, nil), nil)
+		b = binary.AppendUvarint(b, uint64(len(keys)))
+		for _, k := range keys {
+			b = value.AppendBinary(b, value.NewFloat(k))
+			b = value.AppendBinary(b, value.NewString("row"))
+		}
+		return b
+	}
+	err := NewDatabase().LoadSnapshot(bytes.NewReader(file(0, math.Copysign(0, -1))))
+	if !errors.Is(err, storage.ErrDuplicateKey) || !strings.Contains(err.Error(), `key column "w" holds both 0 and -0`) {
+		t.Fatalf("restore of both zeros = %v, want a duplicate key naming 0 and -0", err)
+	}
+	db := NewDatabase()
+	if err := db.LoadSnapshot(bytes.NewReader(file(math.Copysign(0, -1), 1))); err != nil {
+		t.Fatalf("restore of one zero: %v", err)
+	}
+	if res := exec1(t, db, "SELECT note FROM m WHERE w = 0"); len(res.Rows) != 1 {
+		t.Errorf("w = 0 after restore = %v, want the -0 row", res.Rows)
 	}
 }
 
