@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"cohera/internal/bench"
 	"cohera/internal/exec"
 	"cohera/internal/federation"
 	"cohera/internal/ir"
@@ -17,45 +16,7 @@ import (
 	"cohera/internal/workload"
 )
 
-// One benchmark per experiment in DESIGN.md's index. Each runs the same
-// code path as cmd/coherabench in quick mode; the full sweeps and their
-// printed tables are recorded in EXPERIMENTS.md.
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	var run func(bench.Config) (bench.Table, error)
-	for _, e := range bench.All() {
-		if e.ID == id {
-			run = e.Run
-		}
-	}
-	if run == nil {
-		b.Fatalf("no experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		cfg := bench.Quick()
-		cfg.Seed = int64(i + 1)
-		if _, err := run(cfg); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-}
-
-func BenchmarkE1Staleness(b *testing.B)      { benchExperiment(b, "E1") }
-func BenchmarkE2Hybrid(b *testing.B)         { benchExperiment(b, "E2") }
-func BenchmarkE2bSemanticCache(b *testing.B) { benchExperiment(b, "E2b") }
-func BenchmarkE3OptimizerScale(b *testing.B) { benchExperiment(b, "E3") }
-func BenchmarkE4LoadBalance(b *testing.B)    { benchExperiment(b, "E4") }
-func BenchmarkE5Availability(b *testing.B)   { benchExperiment(b, "E5") }
-func BenchmarkE6FuzzySearch(b *testing.B)    { benchExperiment(b, "E6") }
-func BenchmarkE7TaxonomyMatch(b *testing.B)  { benchExperiment(b, "E7") }
-func BenchmarkE8Pipeline(b *testing.B)       { benchExperiment(b, "E8") }
-func BenchmarkE9Syndication(b *testing.B)    { benchExperiment(b, "E9") }
-func BenchmarkE10ScaleOut(b *testing.B)      { benchExperiment(b, "E10") }
-func BenchmarkE11Pushdown(b *testing.B)      { benchExperiment(b, "E11") }
-func BenchmarkE12Remote(b *testing.B)        { benchExperiment(b, "E12") }
-
-// --- Micro-benchmarks on the hot paths the experiments exercise ---
+// Micro-benchmarks on the engine's hot paths.
 
 // BenchmarkLocalSelect measures the single-site executor on an indexed
 // point query.

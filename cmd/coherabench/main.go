@@ -1,60 +1,31 @@
-// Command coherabench runs the experiment suite (E1–E18 in DESIGN.md)
-// and prints each result table. By default it runs the full sweeps used
-// to produce EXPERIMENTS.md; -quick shrinks them for a fast smoke run.
+// Command coherabench runs the experiment suite (E1–E10 and E2b in
+// DESIGN.md) and prints each result table. By default it runs the full
+// sweeps used to produce EXPERIMENTS.md; -quick shrinks them for a fast
+// smoke run.
 //
 //	coherabench                  # all experiments, full sweeps
 //	coherabench -quick           # all experiments, small sweeps
 //	coherabench -e E3,E5         # a subset
 //	coherabench -seed 7          # different deterministic seed
-//	coherabench -json out.json   # machine-readable report with
-//	                             # per-experiment median wall clock
-//	coherabench -reps 5          # repetitions behind each median
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"cohera/internal/bench"
 )
 
-// report is the -json output: one entry per experiment with the median
-// wall clock across -reps runs and the final run's result table.
-type report struct {
-	Generated   string             `json:"generated"`
-	Seed        int64              `json:"seed"`
-	Quick       bool               `json:"quick"`
-	Reps        int                `json:"reps"`
-	Experiments []experimentReport `json:"experiments"`
-}
-
-type experimentReport struct {
-	ID            string     `json:"id"`
-	Desc          string     `json:"desc"`
-	MedianSeconds float64    `json:"median_seconds"`
-	Headers       []string   `json:"headers"`
-	Rows          [][]string `json:"rows"`
-	Notes         string     `json:"notes,omitempty"`
-}
-
 func main() {
 	var (
-		quick    = flag.Bool("quick", false, "run reduced sweeps")
-		only     = flag.String("e", "", "comma-separated experiment ids (default: all)")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
-		jsonPath = flag.String("json", "", "write a machine-readable report to this file")
-		reps     = flag.Int("reps", 1, "runs per experiment; medians go in the -json report")
+		quick = flag.Bool("quick", false, "run reduced sweeps")
+		only  = flag.String("e", "", "comma-separated experiment ids (default: all)")
+		seed  = flag.Int64("seed", 1, "deterministic seed")
 	)
 	flag.Parse()
-	if *reps < 1 {
-		fmt.Fprintln(os.Stderr, "-reps must be >= 1")
-		os.Exit(2)
-	}
 
 	cfg := bench.Full()
 	if *quick {
@@ -68,57 +39,23 @@ func main() {
 			want[strings.ToUpper(strings.TrimSpace(id))] = true
 		}
 	}
-	rep := report{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Seed:      *seed,
-		Quick:     *quick,
-		Reps:      *reps,
-	}
+	ran := 0
 	for _, e := range bench.All() {
 		if len(want) > 0 && !want[strings.ToUpper(e.ID)] {
 			continue
 		}
-		var (
-			t     bench.Table
-			walls []float64
-		)
-		for r := 0; r < *reps; r++ {
-			start := time.Now()
-			var err error
-			t, err = e.Run(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-				os.Exit(1)
-			}
-			walls = append(walls, time.Since(start).Seconds())
+		start := time.Now()
+		t, err := e.Run(cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
+			os.Exit(1)
 		}
-		sort.Float64s(walls)
-		median := walls[(len(walls)-1)/2]
 		t.Print(os.Stdout)
-		fmt.Printf("  (%s; median %.3fs over %d run(s))\n", e.Desc, median, *reps)
-		rep.Experiments = append(rep.Experiments, experimentReport{
-			ID:            t.ID,
-			Desc:          e.Desc,
-			MedianSeconds: median,
-			Headers:       t.Headers,
-			Rows:          t.Rows,
-			Notes:         t.Notes,
-		})
+		fmt.Printf("  (%s in %s)\n", e.Desc, time.Since(start).Round(time.Millisecond))
+		ran++
 	}
-	if len(rep.Experiments) == 0 {
+	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no experiments matched %q\n", *only)
 		os.Exit(1)
-	}
-	if *jsonPath != "" {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "encode report: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", *jsonPath)
 	}
 }

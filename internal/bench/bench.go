@@ -1,12 +1,12 @@
 // Package bench implements the experiment harness: one function per
-// experiment in DESIGN.md's index (E1–E18), each returning a printable
+// experiment in DESIGN.md's index (E1–E10, E2b), each returning a printable
 // table. The paper (an industrial overview) publishes no numbered tables
 // or figures, so each experiment operationalizes one of its testable
 // claims; EXPERIMENTS.md records claim vs. measurement.
 //
 // All experiments are deterministic given their Config seed. Scale knobs
-// let the same code run as quick testing.B benchmarks and as the full
-// sweeps in cmd/coherabench.
+// let the same code run as quick tests (TestAllExperimentsQuick) and as
+// the full sweeps in cmd/coherabench.
 package bench
 
 import (
@@ -71,12 +71,12 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Config scales every experiment. Quick() keeps unit benchmarks fast;
+// Config scales every experiment. Quick() keeps the tests fast;
 // Full() reproduces the sweep ranges documented in EXPERIMENTS.md.
 type Config struct {
 	// Seed drives every generator.
 	Seed int64
-	// Quick shrinks sweeps for use inside testing.B.
+	// Quick shrinks sweeps for use inside tests.
 	Quick bool
 }
 
@@ -107,13 +107,5 @@ func All() []Experiment {
 		{"E8", E8Pipeline, "wrapper + transformation pipeline throughput at supplier scale"},
 		{"E9", E9Syndication, "buyer-dependent quoting throughput and formats"},
 		{"E10", E10ScaleOut, "throughput vs replica count at fixed offered load"},
-		{"E11", E11Pushdown, "ablation: projection pushdown on wide catalog rows"},
-		{"E12", E12Remote, "in-process vs HTTP federation overhead"},
-		{"E13", E13Streaming, "streaming vs collected scatter-gather memory and latency"},
-		{"E14", E14AntiEntropy, "anti-entropy repair time vs outage size, replay vs copy-repair"},
-		{"E15", E15Instrumentation, "query observability overhead: instrumented vs bare streamed scan"},
-		{"E16", E16Durability, "durability cost and recovery: fsync policy vs DML, replay vs checkpoint restore"},
-		{"E17", E17PushdownWire, "σ/π pushdown on the wire: rows decoded, payload bytes, p50 vs selectivity"},
-		{"E18", E18Admission, "open-loop offered load vs p50/p99 with and without admission control"},
 	}
 }

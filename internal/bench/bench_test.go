@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,5 +93,147 @@ func TestE5Shape(t *testing.T) {
 	}
 	if avail["fragmented+replicated"] <= avail["central"] {
 		t.Errorf("frag+repl (%s) should beat central (%s)", avail["fragmented+replicated"], avail["central"])
+	}
+}
+
+// percent parses a table cell such as "73%".
+func percent(t *testing.T, cell string) float64 {
+	t.Helper()
+	f, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+	if err != nil {
+		t.Fatalf("cell %q: %v", cell, err)
+	}
+	return f
+}
+
+// TestE2Shape verifies that answers fetched on demand are never stale,
+// with or without a view for the static attributes, while a full
+// snapshot serves stale availability.
+func TestE2Shape(t *testing.T) {
+	tb, err := E2Hybrid(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := map[string]int{}
+	for _, row := range tb.Rows {
+		var n, checks int
+		if _, err := fmt.Sscanf(row[2], "%d/%d", &n, &checks); err != nil {
+			t.Fatalf("%s: stale cell %q: %v", row[0], row[2], err)
+		}
+		stale[row[0]] = n
+	}
+	for _, live := range []string{"pure on-demand", "hybrid (view + live)"} {
+		if n, ok := stale[live]; !ok || n != 0 {
+			t.Errorf("%s: %d stale answers (present %v), want 0", live, n, ok)
+		}
+	}
+	if stale["pure materialized"] == 0 {
+		t.Error("pure materialized: 0 stale answers, want some under churn")
+	}
+}
+
+// TestE4Shape verifies that the agoric optimizer spreads subqueries
+// more evenly than the centralized snapshot and routes to a machine
+// that joins mid-run, which the centralized snapshot never does.
+func TestE4Shape(t *testing.T) {
+	tb, err := E4LoadBalance(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov := map[string]float64{}
+	share := map[string]float64{}
+	for _, row := range tb.Rows {
+		key := row[0] + "/" + row[1]
+		c, err := strconv.ParseFloat(row[3], 64)
+		if err != nil {
+			t.Fatalf("%s: CoV cell %q: %v", key, row[3], err)
+		}
+		cov[key] = c
+		if row[1] == "after join" {
+			share[row[0]] = percent(t, row[4])
+		}
+	}
+	for _, phase := range []string{"steady", "after join"} {
+		a, c := cov["agoric/"+phase], cov["centralized/"+phase]
+		if a >= c {
+			t.Errorf("%s: agoric CoV %.2f, want below centralized %.2f", phase, a, c)
+		}
+	}
+	if share["agoric"] <= 0 {
+		t.Errorf("agoric new-site share = %.0f%%, want > 0", share["agoric"])
+	}
+	if share["centralized"] != 0 {
+		t.Errorf("centralized new-site share = %.0f%%, want 0", share["centralized"])
+	}
+}
+
+// TestE6Shape verifies that synonyms recover canonical-name queries,
+// fuzzy matching recovers typo queries, and MATCHES (both) is at least
+// as good overall as either alone.
+func TestE6Shape(t *testing.T) {
+	tb, err := E6FuzzySearch(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const canonical, typo, overall = 2, 3, 4
+	rows := map[string][]string{}
+	for _, row := range tb.Rows {
+		rows[row[0]] = row
+	}
+	at := func(mode string, col int) float64 {
+		row, ok := rows[mode]
+		if !ok {
+			t.Fatalf("no %q row", mode)
+		}
+		return percent(t, row[col])
+	}
+	if s, p := at("synonym", canonical), at("plain", canonical); s < p {
+		t.Errorf("canonical queries: synonym recall %.0f%% < plain %.0f%%", s, p)
+	}
+	if f, p := at("fuzzy", typo), at("plain", typo); f <= p {
+		t.Errorf("typo queries: fuzzy recall %.0f%%, want above plain %.0f%%", f, p)
+	}
+	both := at("both (MATCHES)", overall)
+	for _, mode := range []string{"plain", "synonym", "fuzzy"} {
+		if o := at(mode, overall); both < o {
+			t.Errorf("overall: MATCHES recall %.0f%% < %s %.0f%%", both, mode, o)
+		}
+	}
+}
+
+// TestE7Shape verifies that the matcher's top suggestion is right for
+// at least 90% of categories at up to 40% label noise, and that the
+// categories left for a human are fewer than mapping all by hand.
+func TestE7Shape(t *testing.T) {
+	tb, err := E7TaxonomyMatch(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, row := range tb.Rows {
+		if strings.Contains(row[0], "@") {
+			continue // scale sweep: its edits column is a wall clock
+		}
+		if percent(t, row[0]) > 40 {
+			continue
+		}
+		checked++
+		if acc := percent(t, row[2]); acc < 90 {
+			t.Errorf("noise %s: accuracy@1 %.0f%%, want ≥ 90%%", row[0], acc)
+		}
+		edits, err := strconv.Atoi(row[3])
+		if err != nil {
+			t.Fatalf("noise %s: edits cell %q: %v", row[0], row[3], err)
+		}
+		manual, err := strconv.Atoi(row[4])
+		if err != nil {
+			t.Fatalf("noise %s: baseline cell %q: %v", row[0], row[4], err)
+		}
+		if edits >= manual {
+			t.Errorf("noise %s: %d human edits, want fewer than the manual %d", row[0], edits, manual)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no noise row at or below 40%")
 	}
 }

@@ -158,7 +158,7 @@ func (f *Federation) tracedDML(ctx context.Context, kind, table, sql string,
 		sp.Set("tenant", admission.TenantOf(ctx))
 	}
 	defer sp.End()
-	ctx, aq := f.registerQuery(ctx, kind, sql)
+	ctx, aq := obs.ActiveQueries().Register(ctx, kind, sql)
 	defer aq.Finish()
 	aq.SetTraceID(sp.TraceID)
 	trace := &QueryTrace{TraceID: sp.TraceID, FragmentSites: make(map[string]string)}

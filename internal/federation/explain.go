@@ -170,7 +170,7 @@ func (f *Federation) Explain(ctx context.Context, x sqlparse.ExplainStmt) (*Expl
 	// ANALYZE: register the explain itself so the whole run's stages
 	// collect under one registry entry (the inner Select's registration
 	// no-ops via the nested guard), then execute and drain.
-	ctx, aq := f.registerQuery(ctx, "explain", "EXPLAIN ANALYZE "+rep.SQL)
+	ctx, aq := obs.ActiveQueries().Register(ctx, "explain", "EXPLAIN ANALYZE "+rep.SQL)
 	defer aq.Finish()
 	start := time.Now()
 	switch s := x.Stmt.(type) {

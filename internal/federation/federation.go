@@ -218,10 +218,10 @@ type Federation struct {
 	// any LIMIT, which is only sound below a complete filter) at the
 	// coordinator: sites ship unfiltered fragments and the residual
 	// stage re-evaluates the full predicate. The differential harness
-	// and bench E17 compare runs with this on and off; leave false. Set
-	// before serving queries. Fragment pruning still uses the predicate
-	// — skipping a provably disjoint fragment is a planning decision,
-	// not an evaluation site.
+	// compares runs with this on and off; leave false. Set before
+	// serving queries. Fragment pruning still uses the predicate —
+	// skipping a provably disjoint fragment is a planning decision, not
+	// an evaluation site.
 	DisablePredicatePushdown bool
 
 	// PartialResults opts federated SELECTs into graceful degradation:
@@ -237,12 +237,6 @@ type Federation struct {
 	// scatter-gather (coordinator memory is O(batch × fragments));
 	// 0 means storage.DefaultBatchRows. Set before serving queries.
 	StreamBatchRows int
-
-	// DisableQueryObservability turns off in-flight query registration
-	// (obs.ActiveQueries) and with it all per-operator stage accounting
-	// — kept as an ablation switch so the instrumentation overhead can
-	// be measured (bench E15); leave false. Set before serving queries.
-	DisableQueryObservability bool
 
 	// Slow, when set, receives a record for every finished federated
 	// SELECT at or above its threshold, carrying the trace id and the
@@ -658,19 +652,6 @@ func (f *Federation) QueryTraced(ctx context.Context, sql string) (*exec.Result,
 	}
 }
 
-// registerQuery enters a query into the process-wide in-flight
-// registry (obs.ActiveQueries), unless observability is disabled. The
-// returned context cancels with a typed cause when an operator kills
-// the query; the returned handle is nil when registration was skipped
-// or the context already carries a registered query (its methods
-// no-op, so callers use it unconditionally).
-func (f *Federation) registerQuery(ctx context.Context, kind, sql string) (context.Context, *obs.ActiveQuery) {
-	if f.DisableQueryObservability {
-		return ctx, nil
-	}
-	return obs.ActiveQueries().Register(ctx, kind, sql)
-}
-
 // Union executes a federated UNION chain: each branch federates
 // independently; plain UNION deduplicates the combined rows.
 func (f *Federation) Union(ctx context.Context, u sqlparse.UnionStmt) (*exec.Result, *QueryTrace, error) {
@@ -680,7 +661,7 @@ func (f *Federation) Union(ctx context.Context, u sqlparse.UnionStmt) (*exec.Res
 	ctx, sp := obs.StartSpan(ctx, "federation.union")
 	sp.Set("branches", strconv.Itoa(len(u.Selects)))
 	defer sp.End()
-	ctx, aq := f.registerQuery(ctx, "union", u.String())
+	ctx, aq := obs.ActiveQueries().Register(ctx, "union", u.String())
 	defer aq.Finish()
 	aq.SetTraceID(sp.TraceID)
 	ctx, ustage := obs.StartStage(ctx, "union", strconv.Itoa(len(u.Selects))+" branches")
@@ -747,7 +728,7 @@ func (f *Federation) startSelect(ctx context.Context, sel sqlparse.SelectStmt, s
 		sp.Set("tenant", admission.TenantOf(ctx))
 	}
 	metQueries.Inc()
-	ctx, aq := f.registerQuery(ctx, "select", sel.String())
+	ctx, aq := obs.ActiveQueries().Register(ctx, "select", sel.String())
 	aq.SetTraceID(sp.TraceID)
 	trace := &QueryTrace{TraceID: sp.TraceID, FragmentSites: make(map[string]string)}
 	return ctx, &selectRun{f: f, sp: sp, aq: aq, sql: sel.String(), start: time.Now(), trace: trace}

@@ -54,11 +54,11 @@ func pushdownRegimes(t *testing.T) map[string]*Federation {
 func applyMixedCaps(t *testing.T, fed *Federation) {
 	t.Helper()
 	overrides := map[string]*plan.PushCaps{
-		"h0-0": {Classes: []plan.FilterClass{plan.ClassEq}},      // eq-only, no π, no limit
-		"h1-0": {},                                               // nothing pushable
-		"h1-1": nil,                                              // full (default)
+		"h0-0": {Classes: []plan.FilterClass{plan.ClassEq}}, // eq-only, no π, no limit
+		"h1-0": {},                                          // nothing pushable
+		"h1-1": nil,                                         // full (default)
 		"h2-0": {Classes: []plan.FilterClass{plan.ClassRange, plan.ClassLike, plan.ClassNull}, Project: true},
-		"h3-0": {Project: true, Limit: true},                     // π and limit but no σ
+		"h3-0": {Project: true, Limit: true},                        // π and limit but no σ
 		"h3-1": {Classes: plan.FullPushCaps().Classes, Limit: true}, // σ and limit but no π
 	}
 	for name, caps := range overrides {

@@ -160,11 +160,8 @@ func (r *Reconciler) RunOnce(ctx context.Context) (RepairReport, error) {
 	// Repair passes register in the in-flight registry like queries do:
 	// /debug/queries shows a long-running pass, and an operator cancel
 	// stops it between repairs with a typed cause.
-	if !r.f.DisableQueryObservability {
-		var aq *obs.ActiveQuery
-		ctx, aq = obs.ActiveQueries().Register(ctx, "repair", "anti-entropy pass")
-		defer aq.Finish()
-	}
+	ctx, aq := obs.ActiveQueries().Register(ctx, "repair", "anti-entropy pass")
+	defer aq.Finish()
 	var rep RepairReport
 	for _, gt := range r.f.GlobalTables() {
 		if err := ctx.Err(); err != nil {

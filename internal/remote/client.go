@@ -52,11 +52,10 @@ var (
 
 // Client talks to a remote Server.
 type Client struct {
-	base        string
-	token       string
-	http        *http.Client
-	retry       *resilience.Retry
-	streamBatch int
+	base  string
+	token string
+	http  *http.Client
+	retry *resilience.Retry
 }
 
 // DialOption customizes a Client.
@@ -79,18 +78,6 @@ func WithTimeout(d time.Duration) DialOption {
 // fault.RoundTripper plugs into. nil restores the default transport.
 func WithTransport(rt http.RoundTripper) DialOption {
 	return func(c *Client) { c.http.Transport = rt }
-}
-
-// WithStreamBatch asks /fetchstream servers for n rows per chunk.
-// 0 (the default) accepts the server's choice; the server clamps
-// oversized asks.
-func WithStreamBatch(n int) DialOption {
-	return func(c *Client) {
-		if n < 0 {
-			n = 0
-		}
-		c.streamBatch = n
-	}
 }
 
 // WithRetry installs a retry policy for idempotent reads (Tables,

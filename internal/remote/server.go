@@ -40,7 +40,7 @@ var metServerSeconds = obs.Default().Histogram("cohera_remote_server_seconds",
 // stored tables, wrapped ERPs, even other federations' views) over HTTP:
 //
 //	GET  /tables             → JSON list of wireSchema
-//	POST /fetchstream        → {table, filters[], batch_rows, where, cols, limit, group} → frames (frame.go)
+//	POST /fetchstream        → {table, filters[], where, cols, limit, group} → frames (frame.go)
 //	POST /digest             → {table} → {hash, rows} content digest
 //	GET  /debug/replication  → per-table digests for operator comparison
 //	GET  /healthz            → 200 ok
@@ -52,8 +52,8 @@ type Server struct {
 	// It must be set before the server starts serving; handlers read it
 	// without synchronization.
 	Token string
-	// StreamBatchRows is the rows-per-chunk /fetchstream uses when the
-	// client does not ask for a size; 0 means storage.DefaultBatchRows.
+	// StreamBatchRows is the rows-per-chunk /fetchstream uses; 0 means
+	// storage.DefaultBatchRows, and sizes above 8192 are capped.
 	// Like Token it must be set before serving.
 	StreamBatchRows int
 	// DisablePushdown makes the server behave like one that predates

@@ -54,8 +54,8 @@ func streamProjection(have, want []string) ([]int, error) {
 // the rows received so far as incomplete.
 var ErrTruncated = errors.New("remote: stream truncated before eof terminator")
 
-// maxStreamBatchRows caps the negotiated batch size so a hostile client
-// cannot make the server buffer unbounded rows per chunk.
+// maxStreamBatchRows caps the server's configured batch size so one
+// chunk never buffers unbounded rows.
 const maxStreamBatchRows = 8192
 
 // streamRequest is the body of POST /fetchstream. The pushdown fields
@@ -65,9 +65,6 @@ const maxStreamBatchRows = 8192
 type streamRequest struct {
 	Table   string       `json:"table"`
 	Filters []wireFilter `json:"filters,omitempty"`
-	// BatchRows asks the server for a specific rows-per-chunk; 0 lets
-	// the server choose.
-	BatchRows int `json:"batch_rows,omitempty"`
 	// Where is a pushed predicate in SQL text form (bare column refs);
 	// the server parses and applies it before encoding rows.
 	Where string `json:"where,omitempty"`
@@ -120,12 +117,8 @@ var metStreamPeakBatch = obs.Default().HistogramBuckets("cohera_stream_peak_batc
 	batchRowBuckets, nil)
 
 // clampBatchRows resolves the effective rows-per-chunk from the
-// client's ask and the server's default.
-func clampBatchRows(asked, serverDefault int) int {
-	n := asked
-	if n <= 0 {
-		n = serverDefault
-	}
+// server's configured size.
+func clampBatchRows(n int) int {
 	if n <= 0 {
 		n = storage.DefaultBatchRows
 	}
@@ -268,7 +261,7 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		ack = &wirePushedAck{Where: push.Where != nil, Cols: push.Cols, Limit: push.Limit > 0,
 			Group: encodeGrouping(push.Group)}
 	}
-	batchRows := clampBatchRows(req.BatchRows, s.StreamBatchRows)
+	batchRows := clampBatchRows(s.StreamBatchRows)
 	metStreamInflight("server").Add(1)
 	defer metStreamInflight("server").Add(-1)
 
@@ -383,7 +376,7 @@ func (s *Source) FetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown, maxBytes int64) (storage.RowStream, wrapper.Applied, error) {
 	ctx, sp := obs.StartSpan(ctx, "remote.fetchstream")
 	sp.Set("table", s.def.Name)
-	req := streamRequest{Table: s.def.Name, BatchRows: s.client.streamBatch}
+	req := streamRequest{Table: s.def.Name}
 	if push.Where != nil {
 		req.Where = push.Where.String()
 	}

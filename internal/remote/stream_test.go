@@ -233,17 +233,16 @@ func TestFetchStreamNotFound(t *testing.T) {
 	}
 }
 
-// TestClampBatchRows pins the batch-size negotiation table.
+// TestClampBatchRows pins the server's rows-per-chunk table.
 func TestClampBatchRows(t *testing.T) {
-	for _, tc := range []struct{ asked, serverDefault, want int }{
-		{0, 0, storage.DefaultBatchRows},
-		{0, 64, 64},
-		{16, 64, 16},
-		{1 << 20, 0, maxStreamBatchRows},
-		{-3, 0, storage.DefaultBatchRows},
+	for _, tc := range []struct{ serverDefault, want int }{
+		{0, storage.DefaultBatchRows},
+		{64, 64},
+		{1 << 20, maxStreamBatchRows},
+		{-3, storage.DefaultBatchRows},
 	} {
-		if got := clampBatchRows(tc.asked, tc.serverDefault); got != tc.want {
-			t.Errorf("clampBatchRows(%d, %d) = %d, want %d", tc.asked, tc.serverDefault, got, tc.want)
+		if got := clampBatchRows(tc.serverDefault); got != tc.want {
+			t.Errorf("clampBatchRows(%d) = %d, want %d", tc.serverDefault, got, tc.want)
 		}
 	}
 }

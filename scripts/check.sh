@@ -4,6 +4,8 @@
 # the first broken stage.
 #
 #   1. go build ./...            every package compiles
+#   1b. gofmt -l .               every Go file (benchmark/ included) is
+#                                gofmt-clean; any listed file fails
 #   2. go vet ./...              stock vet suite
 #   3. go run ./cmd/coheralint   project-specific analyzers (see
 #      ./...                     internal/analysis/doc.go), with
@@ -55,6 +57,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "gofmt: run gofmt -w on the files above" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
