@@ -34,22 +34,31 @@ func E3OptimizerScale(cfg Config) (Table, error) {
 		Notes:   "expected shape: centralized grows linearly with site count (serial stat probes); agoric stays near-flat",
 	}
 	for _, n := range sizes {
-		agoric, central, err := runE3(cfg.Seed, n)
+		r, err := runE3(cfg.Seed, n)
 		if err != nil {
 			return t, err
 		}
-		ratio := float64(central) / float64(agoric)
+		ratio := float64(r.central) / float64(r.agoric)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
-			fmtDur(agoric),
-			fmtDur(central),
+			fmtDur(r.agoric),
+			fmtDur(r.central),
 			fmt.Sprintf("%.0fx", ratio),
 		})
 	}
 	return t, nil
 }
 
-func runE3(seed int64, n int) (agoricTime, centralTime time.Duration, err error) {
+// e3Run is one cold plan by each optimizer: its wall time, and the
+// work that explains it — the auctions held and bids collected in
+// parallel, the statistics sweeps and the serial per-site probes.
+type e3Run struct {
+	agoric, central   time.Duration
+	auctions, bids    int64
+	refreshes, probes int
+}
+
+func runE3(seed int64, n int) (r e3Run, err error) {
 	def := schema.MustTable("t", []schema.Column{
 		{Name: "id", Kind: value.KindInt, NotNull: true},
 	}, "id")
@@ -59,35 +68,39 @@ func runE3(seed int64, n int) (agoricTime, centralTime time.Duration, err error)
 		s := federation.NewSite(fmt.Sprintf("site-%04d", i))
 		s.SetCost(federation.CostModel{Latency: time.Duration(100+i%7*50) * time.Microsecond})
 		if err := fed.AddSite(s); err != nil {
-			return 0, 0, err
+			return r, err
 		}
 		sites[i] = s
 	}
 	// One fragment replicated everywhere: the hardest planning case.
 	frag := federation.NewFragment("f", nil, sites...)
 	if _, err := fed.DefineTable(def, frag); err != nil {
-		return 0, 0, err
+		return r, err
 	}
 	if err := fed.LoadFragment("t", frag, []storage.Row{{value.NewInt(1)}}); err != nil {
-		return 0, 0, err
+		return r, err
 	}
 	ctx := context.Background()
 
 	ag := federation.NewAgoric()
 	start := time.Now()
 	if ranked := ag.Rank(ctx, frag, 1); len(ranked) != n {
-		return 0, 0, fmt.Errorf("bench: agoric ranked %d of %d", len(ranked), n)
+		return r, fmt.Errorf("bench: agoric ranked %d of %d", len(ranked), n)
 	}
-	agoricTime = time.Since(start)
+	r.agoric = time.Since(start)
+	r.auctions, r.bids = ag.Auctions(), ag.BidsCollected()
 
 	cen := federation.NewCentralized(fed)
 	cen.ProbeLatency = 50 * time.Microsecond // modest per-site RPC
 	start = time.Now()
 	if ranked := cen.Rank(ctx, frag, 1); len(ranked) != n {
-		return 0, 0, fmt.Errorf("bench: centralized ranked %d of %d", len(ranked), n)
+		return r, fmt.Errorf("bench: centralized ranked %d of %d", len(ranked), n)
 	}
-	centralTime = time.Since(start)
-	return agoricTime, centralTime, nil
+	r.central = time.Since(start)
+	// A sweep probes every registered site, one after another.
+	r.refreshes = cen.Refreshes()
+	r.probes = r.refreshes * len(fed.Sites())
+	return r, nil
 }
 
 func fmtDur(d time.Duration) string {

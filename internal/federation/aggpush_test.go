@@ -25,10 +25,11 @@ import (
 // The aggregate differential regime: pushing a decomposable GROUP BY to
 // the sites is an optimization, so every aggregate query must answer
 // what one engine holding every row answers, whether the sites fold
-// (pushed), the pumps fold rows the sites ship (withheld), some of each
-// (mixed), over the wire to peers that group, to peers whose
-// coordinator-side sites withhold the grouping, or to peers that
-// predate grouping, whose rows the coordinator's sites fold. FLOAT
+// (pushed), the sites fold rows their sources ship (withheld), some of
+// each (mixed), the sources evaluate nothing (weak), over the wire to
+// peers that group, to peers whose sources the coordinator-side sites
+// treat as unable to group, or to peers that predate grouping, whose
+// rows the coordinator's sites fold. FLOAT
 // cells compare within 1e-9 relative error: partial sums add in a
 // different order than one scan does.
 
@@ -96,7 +97,8 @@ func aggOracle(t testing.TB) *exec.Database {
 
 // aggFed builds the in-process hotels federation fragmented by hotel
 // ranges. Fragments 1 and 3 have two replicas. caps, when non-nil,
-// picks each site's advertised capabilities by its name.
+// picks by site name the capabilities of a source each site reads its
+// stored table through; nil leaves the site a full engine.
 func aggFed(t testing.TB, caps func(site string) *plan.PushCaps) *Federation {
 	t.Helper()
 	fed := New(NewAgoric())
@@ -106,9 +108,6 @@ func aggFed(t testing.TB, caps func(site string) *plan.PushCaps) *Federation {
 		var sites []*Site
 		for r := 0; r <= f%2; r++ {
 			s := NewSite(fmt.Sprintf("a%d-%d", f, r))
-			if caps != nil {
-				s.SetPushCaps(caps(s.Name()))
-			}
 			if err := fed.AddSite(s); err != nil {
 				t.Fatal(err)
 			}
@@ -124,6 +123,11 @@ func aggFed(t testing.TB, caps func(site string) *plan.PushCaps) *Federation {
 			t.Fatal(err)
 		}
 	}
+	for _, s := range fed.Sites() {
+		if c := caps; c != nil && c(s.Name()) != nil {
+			capStored(t, s, "hotels", *c(s.Name()))
+		}
+	}
 	return fed
 }
 
@@ -136,8 +140,10 @@ func noGroupCaps() *plan.PushCaps {
 
 // aggRemoteFed builds the same layout over httptest remote.Server
 // peers, one per fragment. With disable set the peers predate pushdown:
-// they ship every row, and the coordinator's sites fold them.
-func aggRemoteFed(t testing.TB, disable bool) *Federation {
+// they ship every row, and the coordinator's sites fold them. caps,
+// when non-nil, replaces the capabilities the coordinator's sites see
+// in each peer's source.
+func aggRemoteFed(t testing.TB, disable bool, caps *plan.PushCaps) *Federation {
 	t.Helper()
 	fed := New(NewAgoric())
 	var frags []*Fragment
@@ -158,7 +164,11 @@ func aggRemoteFed(t testing.TB, disable bool) *Federation {
 			t.Fatalf("tables: %v (%d sources)", err, len(sources))
 		}
 		site := NewSite(fmt.Sprintf("peer%d", f))
-		site.AddSource(sources[0])
+		if caps != nil {
+			site.AddSource(&cappedSource{PushStreamingSource: sources[0].(wrapper.PushStreamingSource), caps: *caps})
+		} else {
+			site.AddSource(sources[0])
+		}
 		if err := fed.AddSite(site); err != nil {
 			t.Fatal(err)
 		}
@@ -253,9 +263,10 @@ func pushedTotal(tr *QueryTrace) int {
 }
 
 // TestAggregateDifferential runs the seeded aggregate corpus on every
-// regime against the oracle. Where the sites fold, a fragment ships at
-// most one partial row per group; a Withheld shape ships rows in every
-// regime, the same rows.
+// regime against the oracle. A site folds whether or not its source
+// can, so a fragment ships at most one partial row per group in the
+// pushed and withheld regimes alike; a Withheld shape ships rows in
+// every regime, the same rows.
 func TestAggregateDifferential(t *testing.T) {
 	oracle := aggOracle(t)
 	feds := map[string]*Federation{
@@ -270,14 +281,10 @@ func TestAggregateDifferential(t *testing.T) {
 			}
 			return nil
 		}),
-		"remote":          aggRemoteFed(t, false),
-		"remote-withheld": aggRemoteFed(t, false),
-		"remote-old":      aggRemoteFed(t, true),
-		"no-pushdown":     aggFed(t, nil),
-	}
-	feds["no-pushdown"].DisablePredicatePushdown = true
-	for _, s := range feds["remote-withheld"].Sites() {
-		s.SetPushCaps(noGroupCaps())
+		"weak":            aggFed(t, func(string) *plan.PushCaps { return &plan.PushCaps{} }),
+		"remote":          aggRemoteFed(t, false, nil),
+		"remote-withheld": aggRemoteFed(t, false, noGroupCaps()),
+		"remote-old":      aggRemoteFed(t, true, nil),
 	}
 	names := make([]string, 0, len(feds))
 	for n := range feds {
@@ -303,32 +310,43 @@ func TestAggregateDifferential(t *testing.T) {
 		if !strings.Contains(q.SQL, "GROUP BY") {
 			limit = 1
 		}
-		for k, n := range pushed.PushedRows {
-			if n > limit {
-				t.Fatalf("%s: %s pushed %d rows, want at most %d partials", q.SQL, k, n, limit)
+		for _, tr := range []*QueryTrace{pushed, withheld} {
+			for k, n := range tr.PushedRows {
+				if n > limit {
+					t.Fatalf("%s: %s pushed %d rows, want at most %d partials", q.SQL, k, n, limit)
+				}
 			}
 		}
 	}
 }
 
 // TestAggregatePushdownShipsPartials pins the layer evidence on one
-// query: each fragment ships one partial row per group, and the
-// withheld regime ships every row.
+// query: each fragment ships one partial row per group, and where the
+// sources cannot group they ship every row to their sites, which fold
+// them before the wire.
 func TestAggregatePushdownShipsPartials(t *testing.T) {
 	const sql = "SELECT health_club, COUNT(*), AVG(corporate_rate) FROM hotels GROUP BY health_club"
 	_, pushed, err := aggFed(t, nil).QueryTraced(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, withheld, err := aggFed(t, func(string) *plan.PushCaps { return noGroupCaps() }).QueryTraced(context.Background(), sql)
+	fed := aggFed(t, nil)
+	var srcs []*cappedSource
+	for _, s := range fed.Sites() {
+		srcs = append(srcs, capStored(t, s, "hotels", *noGroupCaps()))
+	}
+	_, withheld, err := fed.QueryTraced(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f < 4; f++ {
 		k := fmt.Sprintf("hotels/f%d", f)
-		if pushed.PushedRows[k] != 2 || withheld.PushedRows[k] != 20 {
-			t.Errorf("%s: pushed %d, withheld %d; want 2 partials and 20 rows", k, pushed.PushedRows[k], withheld.PushedRows[k])
+		if pushed.PushedRows[k] != 2 || withheld.PushedRows[k] != 2 {
+			t.Errorf("%s: pushed %d, withheld %d; want 2 partials each", k, pushed.PushedRows[k], withheld.PushedRows[k])
 		}
+	}
+	if n := shippedBy(srcs); n != 80 {
+		t.Errorf("sources that cannot group shipped %d rows, want all 80", n)
 	}
 	// health_club + COUNT + AVG's sum and count: four cells a partial.
 	if pushed.CellsShipped != 8*4 {

@@ -10,7 +10,6 @@ import (
 
 	"cohera/internal/exec"
 	"cohera/internal/obs"
-	"cohera/internal/plan"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 	"cohera/internal/value"
@@ -44,59 +43,6 @@ type ExplainReplica struct {
 	Health  float64
 	Pending int // journaled write intents awaiting replay here
 	EstRows int
-	Push    string // advertised pushdown capabilities ("full", "none", "σ(eq) π", …)
-}
-
-// pushCapsSummary renders a site's advertised pushdown capabilities
-// compactly: "full" when nothing is restricted, "none" when everything
-// stays at the coordinator, otherwise the surviving pieces
-// ("σ(eq,range) π limit").
-func pushCapsSummary(c plan.PushCaps) string {
-	var parts []string
-	if len(c.Classes) > 0 {
-		cls := make([]string, len(c.Classes))
-		for i, fc := range c.Classes {
-			cls[i] = string(fc)
-		}
-		parts = append(parts, "σ("+strings.Join(cls, ",")+")")
-	}
-	if c.Project {
-		parts = append(parts, "π")
-	}
-	if c.Limit {
-		parts = append(parts, "limit")
-	}
-	if c.Group {
-		parts = append(parts, "γ")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	s := strings.Join(parts, " ")
-	if full := pushCapsParts(plan.FullPushCaps()); len(c.Columns) == 0 && s == full {
-		return "full"
-	}
-	return s
-}
-
-// pushCapsParts is pushCapsSummary without the "full" fold, for the
-// comparison itself.
-func pushCapsParts(c plan.PushCaps) string {
-	cls := make([]string, len(c.Classes))
-	for i, fc := range c.Classes {
-		cls[i] = string(fc)
-	}
-	parts := []string{"σ(" + strings.Join(cls, ",") + ")"}
-	if c.Project {
-		parts = append(parts, "π")
-	}
-	if c.Limit {
-		parts = append(parts, "limit")
-	}
-	if c.Group {
-		parts = append(parts, "γ")
-	}
-	return strings.Join(parts, " ")
 }
 
 // ExplainTable is one referenced table's decomposition.
@@ -248,10 +194,6 @@ func (f *Federation) explainSelect(ctx context.Context, sel sqlparse.SelectStmt)
 			replicas := frag.Replicas()
 			ers := make([]ExplainReplica, 0, len(replicas))
 			for _, s := range replicas {
-				push := pushCapsSummary(s.PushCaps())
-				if f.DisablePredicatePushdown {
-					push = "none (predicate pushdown disabled)"
-				}
 				ers = append(ers, ExplainReplica{
 					Site:    s.Name(),
 					Rank:    rank[s],
@@ -259,7 +201,6 @@ func (f *Federation) explainSelect(ctx context.Context, sel sqlparse.SelectStmt)
 					Health:  s.HealthScore(),
 					Pending: frag.PendingAt(s),
 					EstRows: est,
-					Push:    push,
 				})
 			}
 			// Optimizer preference first, unranked (down/omitted) last, by
@@ -332,9 +273,6 @@ func (r *ExplainReport) Render() *exec.Result {
 					rl = fmt.Sprintf("    replica %s  rank=%d breaker=%s health=%.1f est_rows=%d",
 						rep.Site, rep.Rank, rep.Breaker, rep.Health, rep.EstRows)
 				}
-				if rep.Push != "" {
-					rl += " push=" + rep.Push
-				}
 				if rep.Pending > 0 {
 					rl += fmt.Sprintf(" [stale: %d intents pending]", rep.Pending)
 				}
@@ -367,8 +305,7 @@ func (r *ExplainReport) Render() *exec.Result {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				add(fmt.Sprintf("fragment %s: pushed=%d residual_dropped=%d",
-					k, tr.PushedRows[k], tr.ResidualDropped[k]))
+				add(fmt.Sprintf("fragment %s: pushed=%d", k, tr.PushedRows[k]))
 			}
 		}
 		if tr.Failovers > 0 {

@@ -210,20 +210,6 @@ type Optimizer interface {
 // Federation is the coordinator: global schema, site registry, optimizer
 // and the shared synonym table for federated text search.
 type Federation struct {
-	// DisableProjectionPushdown turns off column pruning of shipped
-	// subquery results — kept as an ablation switch; leave false.
-	DisableProjectionPushdown bool
-
-	// DisablePredicatePushdown keeps every WHERE predicate (and with it
-	// any LIMIT, which is only sound below a complete filter) at the
-	// coordinator: sites ship unfiltered fragments and the residual
-	// stage re-evaluates the full predicate. The differential harness
-	// compares runs with this on and off; leave false. Set before
-	// serving queries. Fragment pruning still uses the predicate —
-	// skipping a provably disjoint fragment is a planning decision, not
-	// an evaluation site.
-	DisablePredicatePushdown bool
-
 	// PartialResults opts federated SELECTs into graceful degradation:
 	// when every replica of a fragment is unavailable, the query returns
 	// the live fragments' rows instead of failing, marking the trace
@@ -564,27 +550,22 @@ type QueryTrace struct {
 	// was the only (or overwhelmingly cheapest) one available.
 	StaleServed []string
 	// PushedRows maps "table/fragment" to the rows the serving site
-	// shipped after applying whatever σ/π/limit its capabilities let the
-	// planner push; ResidualDropped is how many of those the
-	// coordinator's residual filter then discarded. pushed − dropped is
-	// the fragment's contribution to the merge, so on failover-free runs
-	// the differences sum to the pre-offset/limit result cardinality.
-	PushedRows      map[string]int
+	// shipped: the site completes the pushed σ/π/limit/γ, so these are
+	// the fragment's contribution to the merge, and on failover-free
+	// runs they sum to the pre-offset/limit result cardinality.
+	PushedRows map[string]int
+	// ResidualDropped is always empty: the coordinator evaluates no
+	// residual, since every site completes what it is sent. It stays for
+	// readers of the trace that still sum it.
 	ResidualDropped map[string]int
 }
 
-// notePushed records one fragment's pushed-vs-residual row accounting.
-func (t *QueryTrace) notePushed(key string, pushed, dropped int) {
+// notePushed records the rows one fragment's site shipped.
+func (t *QueryTrace) notePushed(key string, rows int) {
 	if t.PushedRows == nil {
 		t.PushedRows = make(map[string]int)
 	}
-	t.PushedRows[key] += pushed
-	if dropped > 0 {
-		if t.ResidualDropped == nil {
-			t.ResidualDropped = make(map[string]int)
-		}
-		t.ResidualDropped[key] += dropped
-	}
+	t.PushedRows[key] += rows
 }
 
 // merge folds one UNION branch's trace into t: counts add up, per
@@ -604,7 +585,7 @@ func (t *QueryTrace) merge(b *QueryTrace) {
 	t.PeakBufferedRows = max(t.PeakBufferedRows, b.PeakBufferedRows)
 	t.StaleServed = append(t.StaleServed, b.StaleServed...)
 	for k, n := range b.PushedRows {
-		t.notePushed(k, n, b.ResidualDropped[k])
+		t.notePushed(k, n)
 	}
 }
 
@@ -923,11 +904,9 @@ func (f *Federation) planSelect(sel sqlparse.SelectStmt) (*selectPlan, error) {
 			continue
 		}
 		sc := tableScan{alias: r.alias, gt: r.gt, frags: f.FragmentsOf(r.gt), push: r.push, def: r.gt.Def}
-		if !f.DisableProjectionPushdown {
-			if want, ok := needed[lower(sc.def.Name)]; ok {
-				if projected, pc := projectDef(sc.def, want); projected != nil {
-					sc.def, sc.cols = projected, pc
-				}
+		if want, ok := needed[lower(sc.def.Name)]; ok {
+			if projected, pc := projectDef(sc.def, want); projected != nil {
+				sc.def, sc.cols = projected, pc
 			}
 		}
 		if single {

@@ -2,9 +2,14 @@ package federation
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
+	"testing"
 
+	"cohera/internal/plan"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
+	"cohera/internal/wrapper"
 )
 
 // fragPred aliases the fragment predicate expression type for tests.
@@ -24,4 +29,75 @@ func subQuery(ctx context.Context, s *Site, table string, where sqlparse.Expr, c
 		return nil, err
 	}
 	return storage.CollectRows(st)
+}
+
+// cappedSource fronts a push-capable source with a weaker capability
+// record: a capability-limited member. wrapper.OpenPushStream sends it
+// only what the record advertises, so the source applies exactly that
+// and the site in front of it evaluates the rest. shipped counts the
+// rows the source delivered, before the site's evaluation.
+type cappedSource struct {
+	wrapper.PushStreamingSource
+	mu      sync.Mutex
+	caps    plan.PushCaps
+	shipped atomic.Int64
+}
+
+func (s *cappedSource) Capabilities() wrapper.Capabilities {
+	c := s.PushStreamingSource.Capabilities()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c.Push = s.caps
+	return c
+}
+
+func (s *cappedSource) setCaps(c plan.PushCaps) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.caps = c
+}
+
+func (s *cappedSource) FetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
+	st, applied, err := s.PushStreamingSource.FetchPushStream(ctx, filters, push)
+	if err != nil {
+		return nil, applied, err
+	}
+	return &shippedStream{RowStream: st, n: &s.shipped}, applied, nil
+}
+
+// shippedStream counts the rows it delivers into n.
+type shippedStream struct {
+	storage.RowStream
+	n *atomic.Int64
+}
+
+func (s *shippedStream) Next() (storage.Row, error) {
+	r, err := s.RowStream.Next()
+	if err == nil {
+		s.n.Add(1)
+	}
+	return r, err
+}
+
+// capStored makes site s read its stored table through a gateway over
+// that same table advertising caps; LoadFragment and DML still write
+// the table.
+func capStored(t testing.TB, s *Site, table string, caps plan.PushCaps) *cappedSource {
+	t.Helper()
+	tbl, err := s.DB().Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &cappedSource{PushStreamingSource: wrapper.NewERPSource(table, tbl), caps: caps}
+	s.AddSource(src)
+	return src
+}
+
+// shippedBy sums the rows the sources delivered.
+func shippedBy(srcs []*cappedSource) int64 {
+	var n int64
+	for _, s := range srcs {
+		n += s.shipped.Load()
+	}
+	return n
 }

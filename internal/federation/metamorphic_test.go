@@ -8,19 +8,24 @@ import (
 	"strings"
 	"testing"
 
+	"cohera/internal/exec"
+	"cohera/internal/plan"
 	"cohera/internal/schema"
 	"cohera/internal/storage"
 	"cohera/internal/value"
 )
 
-// Metamorphic properties: the optimizer in use and the projection-
-// pushdown setting are performance knobs — they must never change query
-// results. We generate random multi-fragment data and random queries and
-// compare result multisets across configurations.
+// Metamorphic properties: the optimizer in use and how much of a
+// pushed request the sources evaluate are performance choices — they
+// must never change query results. We generate random multi-fragment
+// data and random queries and compare result multisets across
+// configurations and with one engine holding every row.
 
 // buildRandomFed creates a federation over a 2-table schema with random
-// fragmentation and replication.
-func buildRandomFed(t *testing.T, seed int64, pushdown bool, agoric bool) *Federation {
+// fragmentation and replication, and the reference engine holding every
+// row. With weak set every site reads its tables through a source that
+// can evaluate nothing, so the sites evaluate every pushed request.
+func buildRandomFed(t *testing.T, seed int64, weak bool, agoric bool) (*Federation, *exec.Database) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	partsDef := schema.MustTable("parts", []schema.Column{
@@ -36,7 +41,7 @@ func buildRandomFed(t *testing.T, seed int64, pushdown bool, agoric bool) *Feder
 	}, "id")
 
 	fed := New(nil)
-	fed.DisableProjectionPushdown = !pushdown
+	ref := exec.NewDatabase()
 	nSites := 3 + rng.Intn(3)
 	var sites []*Site
 	for i := 0; i < nSites; i++ {
@@ -91,6 +96,9 @@ func buildRandomFed(t *testing.T, seed int64, pushdown bool, agoric bool) *Feder
 		if err := fed.LoadFragment("parts", frag, rows); err != nil {
 			t.Fatal(err)
 		}
+		if err := ref.LoadRows(partsDef, rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	supFrag := NewFragment("all", nil, sites[0])
 	if _, err := fed.DefineTable(supDef, supFrag); err != nil {
@@ -105,7 +113,17 @@ func buildRandomFed(t *testing.T, seed int64, pushdown bool, agoric bool) *Feder
 	if err := fed.LoadFragment("sups", supFrag, supRows); err != nil {
 		t.Fatal(err)
 	}
-	return fed
+	if err := ref.LoadRows(supDef, supRows); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sites {
+		for _, table := range []string{"parts", "sups"} {
+			if _, err := s.DB().Table(table); weak && err == nil {
+				capStored(t, s, table, plan.PushCaps{})
+			}
+		}
+	}
+	return fed, ref
 }
 
 func predRange(col string, lo, hi int) (fragPred, error) {
@@ -147,8 +165,8 @@ var metamorphicQueries = []string{
 func TestResultsInvariantUnderOptimizer(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 5; seed++ {
-		fa := buildRandomFed(t, seed, true, true)
-		fc := buildRandomFed(t, seed, true, false)
+		fa, _ := buildRandomFed(t, seed, false, true)
+		fc, _ := buildRandomFed(t, seed, false, false)
 		for _, q := range metamorphicQueries {
 			ra, err := fa.Query(ctx, q)
 			if err != nil {
@@ -166,24 +184,28 @@ func TestResultsInvariantUnderOptimizer(t *testing.T) {
 	}
 }
 
-// TestResultsInvariantUnderPushdown checks projection pushdown parity.
+// TestResultsInvariantUnderPushdown checks that full-engine sites and
+// sites over sources that evaluate nothing both answer what one engine
+// holding every row answers.
 func TestResultsInvariantUnderPushdown(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 5; seed++ {
-		fOn := buildRandomFed(t, seed, true, true)
-		fOff := buildRandomFed(t, seed, false, true)
+		fOn, ref := buildRandomFed(t, seed, false, true)
+		fWeak, _ := buildRandomFed(t, seed, true, true)
 		for _, q := range metamorphicQueries {
-			rOn, err := fOn.Query(ctx, q)
+			want, err := ref.Exec(q)
 			if err != nil {
-				t.Fatalf("seed %d pushdown %q: %v", seed, q, err)
+				t.Fatalf("seed %d reference %q: %v", seed, q, err)
 			}
-			rOff, err := fOff.Query(ctx, q)
-			if err != nil {
-				t.Fatalf("seed %d no-pushdown %q: %v", seed, q, err)
-			}
-			if canonical(rOn.Rows) != canonical(rOff.Rows) {
-				t.Errorf("seed %d query %q: pushdown changed results (%d vs %d rows)",
-					seed, q, len(rOn.Rows), len(rOff.Rows))
+			for name, fed := range map[string]*Federation{"pushdown": fOn, "weak sources": fWeak} {
+				got, err := fed.Query(ctx, q)
+				if err != nil {
+					t.Fatalf("seed %d %s %q: %v", seed, name, q, err)
+				}
+				if canonical(got.Rows) != canonical(want.Rows) {
+					t.Errorf("seed %d query %q: %s returned %d rows, reference %d",
+						seed, q, name, len(got.Rows), len(want.Rows))
+				}
 			}
 		}
 	}
@@ -194,7 +216,7 @@ func TestResultsInvariantUnderPushdown(t *testing.T) {
 func TestResultsInvariantUnderReplicaFailure(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
-		fed := buildRandomFed(t, seed, true, true)
+		fed, _ := buildRandomFed(t, seed, false, true)
 		baseline := make(map[string]string)
 		for _, q := range metamorphicQueries {
 			r, err := fed.Query(ctx, q)

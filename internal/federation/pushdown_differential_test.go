@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,27 +21,24 @@ import (
 
 // The pushdown differential harness: capability-aware σ/π/limit
 // pushdown is an optimization, so a query must return the identical
-// row multiset whether predicates run at the site scan, at the
-// coordinator residual stage, or anywhere in between. We pin that by
-// running a seeded corpus across three regimes of the same federation
-// — pushdown forced on (every site full-capability), forced off
-// (DisablePredicatePushdown), and capability-mixed (per-site PushCaps
-// overrides from eq-only to nothing) — on both entry points, each
+// row multiset whether predicates run at the source's scan, at the
+// site in front of it, or anywhere in between. We pin that by running
+// a seeded corpus across three regimes of the same federation —
+// pushdown on (every site a full engine), weak (every site reads
+// through a source that can evaluate nothing), and mixed (per-site
+// sources from eq-only to nothing) — on both entry points, each
 // checked against one engine holding every row (hotelsReference),
 // including under fault-injected failover and degraded PartialResults.
 
 // pushdownRegimes builds one hotels federation per pushdown regime.
-// The "mixed" regime overrides site capabilities so the planner's
-// per-replica split exercises every residual shape: eq-only sites,
-// σ-incapable sites, π-incapable sites, limit-incapable sites.
 func pushdownRegimes(t *testing.T) map[string]*Federation {
 	t.Helper()
 	feds := map[string]*Federation{}
-	for _, name := range []string{"on", "off", "mixed"} {
+	for _, name := range []string{"on", "weak", "mixed"} {
 		fed, _ := hotelsFed(t)
 		switch name {
-		case "off":
-			fed.DisablePredicatePushdown = true
+		case "weak":
+			capAll(t, fed, plan.PushCaps{})
 		case "mixed":
 			applyMixedCaps(t, fed)
 		}
@@ -49,24 +47,43 @@ func pushdownRegimes(t *testing.T) map[string]*Federation {
 	return feds
 }
 
-// applyMixedCaps installs per-site capability overrides on a hotelsFed
-// federation (sites h{frag}-{replica}; fragments 1 and 3 replicated).
+// hotelsSites names every site of hotelsFed.
+var hotelsSites = []string{"h0-0", "h1-0", "h1-1", "h2-0", "h3-0", "h3-1"}
+
+// capAll makes every site of a hotelsFed federation read through a
+// source advertising caps, and returns the sources.
+func capAll(t *testing.T, fed *Federation, caps plan.PushCaps) []*cappedSource {
+	t.Helper()
+	var srcs []*cappedSource
+	for _, name := range hotelsSites {
+		s, err := fed.Site(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, capStored(t, s, "hotels", caps))
+	}
+	return srcs
+}
+
+// applyMixedCaps fronts the sites of a hotelsFed federation (sites
+// h{frag}-{replica}; fragments 1 and 3 replicated) with sources of
+// every capability shape: eq-only, σ-incapable, π-incapable,
+// limit-incapable. h1-1 stays a full engine.
 func applyMixedCaps(t *testing.T, fed *Federation) {
 	t.Helper()
-	overrides := map[string]*plan.PushCaps{
+	caps := map[string]plan.PushCaps{
 		"h0-0": {Classes: []plan.FilterClass{plan.ClassEq}}, // eq-only, no π, no limit
 		"h1-0": {},                                          // nothing pushable
-		"h1-1": nil,                                         // full (default)
 		"h2-0": {Classes: []plan.FilterClass{plan.ClassRange, plan.ClassLike, plan.ClassNull}, Project: true},
 		"h3-0": {Project: true, Limit: true},                        // π and limit but no σ
 		"h3-1": {Classes: plan.FullPushCaps().Classes, Limit: true}, // σ and limit but no π
 	}
-	for name, caps := range overrides {
+	for name, c := range caps {
 		s, err := fed.Site(name)
 		if err != nil {
 			t.Fatalf("mixed caps: %v", err)
 		}
-		s.SetPushCaps(caps)
+		capStored(t, s, "hotels", c)
 	}
 }
 
@@ -103,7 +120,7 @@ func runBothPaths(t *testing.T, fed *Federation, sql string, unordered bool) []s
 // every regime, both entry points — each answer the reference's.
 func checkPushdownDifferential(t *testing.T, feds map[string]*Federation, ref *exec.Database, q workload.GenQuery) {
 	t.Helper()
-	for _, name := range []string{"off", "on", "mixed"} {
+	for _, name := range []string{"weak", "on", "mixed"} {
 		checkDifferential(t, feds[name], ref, q)
 	}
 }
@@ -120,9 +137,9 @@ func TestPushdownDifferentialModes(t *testing.T) {
 
 // TestPushdownDifferentialUnderFaultInjection re-runs a corpus slice
 // with the preferred replica of each replicated fragment refusing
-// every other open: queries fail over (sometimes mid-plan, after the
-// capability split already happened against the flaky replica) and
-// the three regimes must still agree row for row.
+// every other open: queries fail over, sometimes from a weak source's
+// site to a full engine or back, and the three regimes must still
+// agree row for row.
 func TestPushdownDifferentialUnderFaultInjection(t *testing.T) {
 	feds := pushdownRegimes(t)
 	for _, fed := range feds {
@@ -182,13 +199,13 @@ func TestPushdownDifferentialDegraded(t *testing.T) {
 }
 
 // TestPushdownLimitAccounting pins the limit-pushdown contract on the
-// trace: with full capabilities and a fully-pushable predicate, a
-// LIMIT larger than the result never ships more than the matching
-// rows, and the per-fragment pushed counts minus residual drops sum to
-// the pre-limit cardinality. (A LIMIT that actually cuts the stream
-// cancels producers before their completion records fold into the
-// trace, so the accounting claim is made on the uncut run; the cut
-// behavior itself is covered by the corpus' Unordered queries.)
+// trace: with a fully-pushable predicate, a LIMIT larger than the
+// result never ships more than the matching rows, so the per-fragment
+// pushed counts sum to the pre-limit cardinality. (A LIMIT that
+// actually cuts the stream cancels producers before their completion
+// records fold into the trace, so the accounting claim is made on the
+// uncut run; the cut behavior itself is covered by the corpus'
+// Unordered queries.)
 func TestPushdownLimitAccounting(t *testing.T) {
 	fed, _ := hotelsFed(t)
 	st, trace, err := fed.QueryStream(context.Background(),
@@ -201,76 +218,65 @@ func TestPushdownLimitAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for key, pushed := range trace.PushedRows {
-		total += pushed - trace.ResidualDropped[key]
-		if trace.ResidualDropped[key] != 0 {
-			t.Errorf("fragment %s dropped %d rows at the coordinator despite full site capabilities",
-				key, trace.ResidualDropped[key])
-		}
+	for _, pushed := range trace.PushedRows {
+		total += pushed
 	}
-	if total != len(rows) {
-		t.Fatalf("pushed−residual = %d, result = %d rows", total, len(rows))
+	if total != len(rows) || len(trace.ResidualDropped) != 0 {
+		t.Fatalf("pushed = %d, residual dropped %v, result = %d rows", total, trace.ResidualDropped, len(rows))
 	}
 	// chain-03 lives in exactly one fragment; everything else pruned or
 	// shipped zero rows after the pushed predicate. The projection keeps
-	// the predicate column alongside the selected one (the split is
-	// per-replica, after projection planning), so each row ships 2 cells.
+	// the predicate column alongside the selected one (the sites are
+	// sent the whole predicate), so each row ships 2 cells.
 	if trace.CellsShipped != len(rows)*2 {
 		t.Fatalf("cells shipped = %d, want %d (σ pushed, π = hotel+chain)", trace.CellsShipped, 2*len(rows))
 	}
 }
 
 // TestCapabilityChangeBetweenPlanAndExecution plans (EXPLAIN) against
-// a full-capability site, weakens the site, executes, then restores
-// it: every run returns the same rows, because the split re-reads the
-// live capability record per replica at execution time.
+// full-capability sources, revokes every capability, executes, then
+// restores them: every run returns the same rows, because the split
+// re-reads the source's live capability record at each open.
 func TestCapabilityChangeBetweenPlanAndExecution(t *testing.T) {
 	fed, _ := hotelsFed(t)
+	srcs := capAll(t, fed, plan.FullPushCaps())
 	sql := "SELECT hotel, city FROM hotels WHERE available >= 5 AND city = 'Denver'"
 	stmt, err := sqlparse.Parse("EXPLAIN " + sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fed.Explain(context.Background(), stmt.(sqlparse.ExplainStmt))
-	if err != nil {
+	if _, err := fed.Explain(context.Background(), stmt.(sqlparse.ExplainStmt)); err != nil {
 		t.Fatal(err)
-	}
-	if got := rep.Tables[0].Fragments[0].Replicas[0].Push; got != "full" {
-		t.Fatalf("planned capability = %q, want full", got)
 	}
 	before := multiset(runBothPaths(t, fed, sql, false))
+	full := shippedBy(srcs)
 
-	for _, frag := range []string{"h0-0", "h1-0", "h1-1", "h2-0", "h3-0", "h3-1"} {
-		s, err := fed.Site(frag)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetPushCaps(&plan.PushCaps{}) // capability revoked after planning
-	}
-	_, trace, err := fed.QueryTraced(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
+	for _, src := range srcs {
+		src.setCaps(plan.PushCaps{}) // capability revoked after planning
 	}
 	after := multiset(runBothPaths(t, fed, sql, false))
 	if !sameMultiset(before, after) {
 		t.Fatal("capability change between plan and execution changed the result")
 	}
-	// With nothing pushable the coordinator's residual stage did the
-	// filtering: drops must show up in the trace.
-	dropped := 0
-	for _, n := range trace.ResidualDropped {
-		dropped += n
+	// With nothing pushable the sources shipped every row and the sites
+	// did the filtering.
+	if weak := shippedBy(srcs) - full; weak <= full {
+		t.Fatalf("sources shipped %d rows after revoking every capability, %d before", weak, full)
 	}
-	if dropped == 0 {
-		t.Fatal("expected residual drops after revoking all site capabilities")
+	for _, src := range srcs {
+		src.setCaps(plan.FullPushCaps())
+	}
+	if restored := multiset(runBothPaths(t, fed, sql, false)); !sameMultiset(before, restored) {
+		t.Fatal("restoring the capabilities changed the result")
 	}
 }
 
 // TestFailoverToWeakerPeerMidQuery streams from a full-capability
 // replica that dies after shipping a prefix; the fragment fails over
-// mid-query to a σ-incapable peer and the primary-key dedupe absorbs
-// the replayed prefix. The result must match the predicate exactly and
-// the trace must show the weak peer serving with residual drops.
+// mid-query to a peer whose source can evaluate nothing, and the
+// primary-key dedupe absorbs the replayed prefix. The result must
+// match the predicate exactly: the weak peer's source ships every row
+// and its site drops the one the predicate rejects before the wire.
 func TestFailoverToWeakerPeerMidQuery(t *testing.T) {
 	fed := New(NewAgoric())
 	strong := NewSite("strong-flaky")
@@ -282,7 +288,6 @@ func TestFailoverToWeakerPeerMidQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	weak.SetPushCaps(&plan.PushCaps{}) // peer can evaluate nothing remotely
 	all := []storage.Row{
 		row("P1", "ink", 3.5, "east"),
 		row("P2", "pen", 1.2, "east"),
@@ -303,7 +308,8 @@ func TestFailoverToWeakerPeerMidQuery(t *testing.T) {
 	if err := fed.LoadFragment("parts", frag, all); err != nil {
 		t.Fatal(err)
 	}
-	fed.StreamBatchRows = 1 // ship the prefix row by row before the death
+	weakSrc := capStored(t, weak, "parts", plan.PushCaps{}) // peer can evaluate nothing at its source
+	fed.StreamBatchRows = 1                                 // ship the prefix row by row before the death
 
 	st, trace, err := fed.QueryStream(context.Background(),
 		"SELECT sku FROM parts WHERE price < 100")
@@ -324,10 +330,9 @@ func TestFailoverToWeakerPeerMidQuery(t *testing.T) {
 	if got := trace.FragmentSites["parts/all"]; got != "weak-ok" {
 		t.Fatalf("fragment served by %q, want weak-ok", got)
 	}
-	// The weak peer shipped everything; the coordinator dropped P4.
-	if trace.PushedRows["parts/all"] != 4 || trace.ResidualDropped["parts/all"] != 1 {
-		t.Fatalf("pushed=%d dropped=%d, want 4/1",
-			trace.PushedRows["parts/all"], trace.ResidualDropped["parts/all"])
+	// The weak source shipped everything; its site dropped P4.
+	if n := weakSrc.shipped.Load(); n != 4 || trace.PushedRows["parts/all"] != 3 {
+		t.Fatalf("source shipped %d, site shipped %d; want 4 and 3", n, trace.PushedRows["parts/all"])
 	}
 }
 
@@ -430,14 +435,14 @@ func TestLyingProjectionAckFailsOver(t *testing.T) {
 
 // TestExplainAnalyzePushedResidualSums is the acceptance check on the
 // observability contract: on a failover-free run, EXPLAIN ANALYZE's
-// per-fragment pushed and residual counts must sum to the result
-// cardinality, in every capability regime.
+// per-fragment pushed counts must sum to the result cardinality, in
+// every capability regime, with no residual left to the coordinator.
 func TestExplainAnalyzePushedResidualSums(t *testing.T) {
-	for _, regime := range []string{"on", "off", "mixed"} {
+	for _, regime := range []string{"on", "weak", "mixed"} {
 		fed, _ := hotelsFed(t)
 		switch regime {
-		case "off":
-			fed.DisablePredicatePushdown = true
+		case "weak":
+			capAll(t, fed, plan.PushCaps{})
 		case "mixed":
 			applyMixedCaps(t, fed)
 		}
@@ -454,73 +459,99 @@ func TestExplainAnalyzePushedResidualSums(t *testing.T) {
 			t.Fatalf("regime %q: unexpected failovers", regime)
 		}
 		sum := 0
-		for key, pushed := range rep.Trace.PushedRows {
-			sum += pushed - rep.Trace.ResidualDropped[key]
+		for _, pushed := range rep.Trace.PushedRows {
+			sum += pushed
 		}
-		if sum != rep.ResultRows {
-			t.Fatalf("regime %q: Σ(pushed−residual) = %d, result = %d rows",
-				regime, sum, rep.ResultRows)
-		}
-		// The rendered plan carries the counts the operator reads.
-		if regime == "off" && len(rep.Trace.ResidualDropped) == 0 && rep.ResultRows != sum {
-			t.Fatalf("regime off: residual accounting missing")
+		if sum != rep.ResultRows || len(rep.Trace.ResidualDropped) != 0 {
+			t.Fatalf("regime %q: Σpushed = %d, residual dropped %v, result = %d rows",
+				regime, sum, rep.Trace.ResidualDropped, rep.ResultRows)
 		}
 		// Per-fragment stage rows agree with the trace's accounting.
 		for key, n := range rep.FragmentRows() {
 			var want int64
 			for tk, pushed := range rep.Trace.PushedRows {
 				if key[:len(key)-len("@"+rep.Trace.FragmentSites[tk])] == tk {
-					want = int64(pushed - rep.Trace.ResidualDropped[tk])
+					want = int64(pushed)
 				}
 			}
 			if n != want {
 				t.Fatalf("regime %q: fragment stage %s rows=%d, trace says %d", regime, key, n, want)
 			}
 		}
+		// The rendered plan carries the counts the operator reads.
+		var lines []string
+		for _, r := range rep.Render().Rows {
+			lines = append(lines, r[0].Str())
+		}
+		text := strings.Join(lines, "\n")
+		if !strings.Contains(text, "pushed=") || strings.Contains(text, "residual_dropped") {
+			t.Fatalf("regime %q: rendered accounting:\n%s", regime, text)
+		}
 	}
 }
 
+// wideReference is one engine holding wideFed's rows.
+func wideReference(t *testing.T) *exec.Database {
+	t.Helper()
+	fed, _ := wideFed(t)
+	res, err := fed.Query(context.Background(), "SELECT * FROM wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := fed.Table("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := exec.NewDatabase()
+	if err := db.LoadRows(gt.Def, res.Rows); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // TestProjectionPushdownOracle re-checks the legacy projection-pushdown
-// scenarios through the shared differential oracle: the wide-table
-// queries of pushdown_test.go must return identical multisets with
-// predicate pushdown forced on and off.
+// scenarios against one engine holding every row: the wide-table
+// queries of pushdown_test.go must return the reference's multiset
+// whether the site is a full engine or reads through a source that can
+// evaluate nothing.
 func TestProjectionPushdownOracle(t *testing.T) {
+	ref := wideReference(t)
 	for _, sql := range []string{
 		"SELECT c1 FROM wide WHERE id < 10",
 		"SELECT * FROM wide WHERE id = 3",
 		"SELECT c2, COUNT(*) FROM wide GROUP BY c2 ORDER BY c2 LIMIT 3",
 		"SELECT c1, c3 FROM wide WHERE id >= 5 AND c0 LIKE 'v0-1%'",
 	} {
-		fedOn, _ := wideFed(t)
-		fedOff, _ := wideFed(t)
-		fedOff.DisablePredicatePushdown = true
-		onRows, err := fedOn.Query(context.Background(), sql)
+		want, err := ref.Exec(sql)
 		if err != nil {
-			t.Fatalf("%s: on: %v", sql, err)
+			t.Fatalf("%s: reference: %v", sql, err)
 		}
-		offRows, err := fedOff.Query(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("%s: off: %v", sql, err)
-		}
-		if !sameMultiset(multiset(onRows.Rows), multiset(offRows.Rows)) {
-			t.Fatalf("%s: pushdown on/off disagree", sql)
+		for _, weak := range []bool{false, true} {
+			fed, frag := wideFed(t)
+			if weak {
+				capStored(t, frag.Replicas()[0], "wide", plan.PushCaps{})
+			}
+			got, err := fed.Query(context.Background(), sql)
+			if err != nil {
+				t.Fatalf("%s: weak=%v: %v", sql, weak, err)
+			}
+			if !sameMultiset(multiset(got.Rows), multiset(want.Rows)) {
+				t.Fatalf("%s: weak=%v: got %v, reference %v", sql, weak, got.Rows, want.Rows)
+			}
 		}
 	}
 }
 
 // TestMixedCapsShipMoreCellsThanFull sanity-checks that the capability
-// model actually bites: a σ-incapable site ships more rows (and cells)
-// than a full-capability one for the same selective query.
+// model actually bites: σ-incapable sources ship more rows than
+// full-capability ones for the same selective query, and their sites
+// drop the difference before the wire, so the coordinator receives the
+// same cells either way.
 func TestMixedCapsShipMoreCellsThanFull(t *testing.T) {
 	full, _ := hotelsFed(t)
 	weak, _ := hotelsFed(t)
-	for _, name := range []string{"h0-0", "h1-0", "h1-1", "h2-0", "h3-0", "h3-1"} {
-		s, err := weak.Site(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetPushCaps(&plan.PushCaps{})
-	}
+	fullSrcs := capAll(t, full, plan.FullPushCaps())
+	weakSrcs := capAll(t, weak, plan.PushCaps{})
 	sql := "SELECT hotel FROM hotels WHERE available >= 12"
 	_, ft, err := full.QueryTraced(context.Background(), sql)
 	if err != nil {
@@ -530,8 +561,10 @@ func TestMixedCapsShipMoreCellsThanFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft.CellsShipped >= wt.CellsShipped {
-		t.Fatalf("full-caps shipped %d cells, weak shipped %d — pushdown saved nothing",
-			ft.CellsShipped, wt.CellsShipped)
+	if f, w := shippedBy(fullSrcs), shippedBy(weakSrcs); f >= w {
+		t.Fatalf("full-caps sources shipped %d rows, weak ones %d — pushdown saved nothing", f, w)
+	}
+	if ft.CellsShipped != wt.CellsShipped {
+		t.Fatalf("coordinator received %d cells from full sites, %d from weak ones", ft.CellsShipped, wt.CellsShipped)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cohera/internal/plan"
 	"cohera/internal/schema"
 	"cohera/internal/storage"
 	"cohera/internal/value"
@@ -60,15 +61,23 @@ func TestProjectionPushdownShipsFewerCells(t *testing.T) {
 	}
 }
 
+// TestProjectionPushdownDisabled: a source that cannot project ships
+// full-width rows, and its site projects them before the wire, so the
+// coordinator still receives only the columns the statement reads.
 func TestProjectionPushdownDisabled(t *testing.T) {
-	fed, _ := wideFed(t)
-	fed.DisableProjectionPushdown = true
-	_, trace, err := fed.QueryTraced(context.Background(), "SELECT c1 FROM wide WHERE id < 10")
+	fed, frag := wideFed(t)
+	caps := plan.FullPushCaps()
+	caps.Project = false
+	src := capStored(t, frag.Replicas()[0], "wide", caps)
+	res, trace, err := fed.QueryTraced(context.Background(), "SELECT c1 FROM wide WHERE id < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace.CellsShipped != 10*10 {
-		t.Errorf("ablation cells = %d, want full width 100", trace.CellsShipped)
+	if len(res.Rows) != 10 || src.shipped.Load() != 10 {
+		t.Fatalf("rows = %v, source shipped %d", res.Rows, src.shipped.Load())
+	}
+	if trace.CellsShipped != 10*2 {
+		t.Errorf("cells = %d, want 20 (id and c1)", trace.CellsShipped)
 	}
 }
 
@@ -87,22 +96,22 @@ func TestProjectionPushdownStarFetchesAll(t *testing.T) {
 	}
 }
 
-// TestProjectionPushdownAggregates: a site that cannot group ships the
-// rows an aggregate needs, projected to the key and the columns the
-// statement reads; a site that can group ships partial rows instead.
+// TestProjectionPushdownAggregates: a site ships an aggregate's
+// partial rows, one per group, whether its source folds them or ships
+// its rows to the site to fold.
 func TestProjectionPushdownAggregates(t *testing.T) {
 	const sql = "SELECT c2, COUNT(*) FROM wide GROUP BY c2 ORDER BY c2 LIMIT 3"
 	t.Run("rows", func(t *testing.T) {
 		fed, frag := wideFed(t)
-		frag.Replicas()[0].SetPushCaps(noGroupCaps())
+		src := capStored(t, frag.Replicas()[0], "wide", *noGroupCaps())
 		res, trace, err := fed.QueryTraced(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 3 {
-			t.Fatalf("rows = %v", res.Rows)
+		if len(res.Rows) != 3 || src.shipped.Load() != 20 {
+			t.Fatalf("rows = %v, source shipped %d", res.Rows, src.shipped.Load())
 		}
-		// id (key) + c2.
+		// 20 distinct c2 values: 20 partials of c2 + COUNT.
 		if trace.CellsShipped != 20*2 || trace.PushedRows["wide/f"] != 20 {
 			t.Errorf("agg cells = %d over %d rows, want 40 over 20", trace.CellsShipped, trace.PushedRows["wide/f"])
 		}

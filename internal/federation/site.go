@@ -24,7 +24,6 @@ import (
 
 	"cohera/internal/exec"
 	"cohera/internal/obs"
-	"cohera/internal/plan"
 	"cohera/internal/resilience"
 	"cohera/internal/wrapper"
 )
@@ -106,11 +105,6 @@ type Site struct {
 	sources map[string]wrapper.Source
 	cost    CostModel
 	hook    FaultHook
-	// pushCaps overrides the σ/π/limit capabilities the site advertises
-	// to the federation planner; nil means the default full record (a
-	// site fronts a complete engine). Tests and benchmarks install
-	// weaker records to model capability-limited members.
-	pushCaps *plan.PushCaps
 
 	down     atomic.Bool
 	inFlight atomic.Int64
@@ -166,33 +160,6 @@ func (s *Site) AddSource(src wrapper.Source) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sources[lower(src.Schema().Name)] = wrapper.Instrument(src)
-}
-
-// PushCaps reports the σ/π/limit capabilities the site advertises to
-// the federation planner. The default is plan.FullPushCaps: a site
-// fronts a complete engine, so any split the planner computes against a
-// weaker override is honored by simply not sending the residual here.
-func (s *Site) PushCaps() plan.PushCaps {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.pushCaps == nil {
-		return plan.FullPushCaps()
-	}
-	return *s.pushCaps
-}
-
-// SetPushCaps overrides the advertised capabilities; nil restores the
-// full default. Capability-mixed tests and benchmarks use it to model
-// sites that cannot filter, project, or stop early.
-func (s *Site) SetPushCaps(caps *plan.PushCaps) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if caps == nil {
-		s.pushCaps = nil
-		return
-	}
-	c := *caps
-	s.pushCaps = &c
 }
 
 // SetDown injects or clears a failure.

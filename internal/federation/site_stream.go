@@ -23,11 +23,11 @@ import (
 // (over the wire, when the source is remote) with site-side filtering
 // and projection applied row by row. limit caps delivered rows (< 0 means
 // unlimited) and is pushed into the scan when the source can stop
-// early. The site applies everything it is given — the federation
-// planner sends only what the site's PushCaps advertise and keeps the
-// residual. The admission gate, breaker accounting and cost model's
-// round-trip latency are charged at open; the site's latency histogram
-// observes open→Close wall clock.
+// early. The site completes everything it is given: whatever a wrapper
+// source cannot evaluate, wrapper.OpenPushStream evaluates here, before
+// the rows leave the site. The admission gate, breaker accounting and
+// cost model's round-trip latency are charged at open; the site's
+// latency histogram observes open→Close wall clock.
 func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.Expr, cols []string, limit int) (storage.RowStream, error) {
 	return s.subquery(ctx, table, where, cols, limit, nil)
 }
@@ -36,9 +36,9 @@ func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.
 // rows of table that where keeps, folded into g's partial rows (see
 // plan.Grouping). Stored tables fold on the scan kernel; a wrapper
 // source that can group folds at the source (over the wire, for remote
-// sources), and any other source's rows are folded right here, so the
-// stream always carries partial rows. Accounting is as for
-// SubQueryStream.
+// sources), and any other source's rows are folded right here
+// (wrapper.OpenPushStream), so the stream always carries partial rows.
+// Accounting is as for SubQueryStream.
 func (s *Site) GroupStream(ctx context.Context, table string, where sqlparse.Expr, g *plan.Grouping) (storage.RowStream, error) {
 	return s.subquery(ctx, table, where, nil, -1, g)
 }
@@ -115,16 +115,19 @@ func (s *Site) streamStored(ctx context.Context, table string, where sqlparse.Ex
 	return s.db.SelectStream(ctx, stmt)
 }
 
-// streamSource answers a subquery from a wrapper source. The site-level
-// predicate is split again against the source's own capabilities:
-// whatever the connector can evaluate travels with the fetch (over the
-// wire, for remote sources), and the rest — plus projection and limit
-// when the connector declined them — is fused right here, one row at a
-// time, before the stream leaves the site. A grouping g goes to the
-// source only when it can group and applies the whole predicate;
-// otherwise the site folds the filtered rows itself.
+// streamSource answers a subquery from a wrapper source through
+// wrapper.OpenPushStream, which sends the connector what it can
+// evaluate (over the wire, for remote sources) and evaluates the rest
+// right here, one row at a time, before the stream leaves the site.
+// Equality conjuncts on columns the connector filters by also travel
+// as legacy filters.
 func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlparse.Expr, cols []string, limit int, g *plan.Grouping) (storage.RowStream, error) {
-	def := src.Schema()
+	if limit == 0 {
+		if cols == nil {
+			cols = src.Schema().ColumnNames()
+		}
+		return storage.NewSliceStream(cols, nil), nil
+	}
 	caps := src.Capabilities()
 	var filters []wrapper.Filter
 	for _, c := range plan.Conjuncts(where) {
@@ -136,76 +139,29 @@ func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlpa
 			filters = append(filters, wrapper.Filter{Column: r.Column, Value: r.Lo})
 		}
 	}
-	srcPush, srcResid := plan.SplitPushable(where, caps.Push)
-	push := wrapper.Pushdown{Where: srcPush}
-	if g != nil && caps.Push.Group && srcResid == nil {
-		push.Group = g
-	}
-	if cols != nil && caps.Push.Project {
-		push.Cols = cols
-	}
-	// A limit is only safe at the source when the source also applies
-	// the entire filter: the first N rows of a partially-filtered
-	// stream are not the first N of the filtered one.
-	if limit >= 0 && caps.Push.Limit && srcResid == nil {
-		push.Limit = limit
-	}
-	st, applied, err := wrapper.OpenPushStream(ctx, src, filters, push)
+	push := wrapper.Pushdown{Where: where, Cols: cols, Limit: limit, Group: g}
+	st, err := wrapper.OpenPushStream(ctx, src, filters, push)
 	if err != nil {
-		return nil, fmt.Errorf("%w: source %s: %w", ErrSiteFailure, src.Name(), err)
+		return nil, classify(src.Name(), err)
 	}
-	// Classification sits below the fuse so connector failures map to
-	// ErrSiteFailure (the fragment pump's failover signal) while residual
-	// evaluation errors stay plain query errors.
-	st = &classifyStream{inner: st, src: src.Name()}
-	spec := plan.FuseSpec{Limit: -1}
-	fuse := false
-	if applied.Where {
-		spec.Where = srcResid
-	} else {
-		spec.Where = where
-	}
-	if spec.Where != nil {
-		fuse = true
-	}
-	if cols != nil && !applied.Cols {
-		var colIdx []int
-		for _, c := range cols {
-			ci := def.ColumnIndex(c)
-			if ci < 0 {
-				//lint:ignore errdrop the open is failing; close is best-effort cleanup
-				_ = st.Close()
-				return nil, fmt.Errorf("federation: source %s has no column %q", src.Name(), c)
-			}
-			colIdx = append(colIdx, ci)
-		}
-		spec.Project = colIdx
-		fuse = true
-	}
-	if limit >= 0 && !applied.Limit {
-		spec.Limit = limit
-		fuse = true
-	}
-	if g != nil && applied.Group {
-		return st, nil
-	}
-	if fuse {
-		st = plan.FuseStream(st, spec)
-	}
-	if g != nil {
-		fold, err := plan.NewFoldStream(st, g)
-		if err != nil {
-			//lint:ignore errdrop the open is failing; close is best-effort cleanup
-			_ = st.Close()
-			return nil, err
-		}
-		return fold, nil
-	}
-	return st, nil
+	return &classifyStream{inner: st, src: src.Name()}, nil
 }
 
-// classifyStream maps a source stream's mid-transfer failures to
-// ErrSiteFailure so the fragment pump can fail over to a replica.
+// classify maps a source's failure to ErrSiteFailure, the fragment
+// pump's failover signal. An evaluation error (plan.ErrEval) is the
+// query's fault wherever it was raised — at this site, at the source,
+// or at a remote peer — so it stays a plain query error: failing over
+// would only meet it again, and it must not count against the site's
+// breaker.
+func classify(src string, err error) error {
+	if errors.Is(err, plan.ErrEval) {
+		return err
+	}
+	return fmt.Errorf("%w: source %s: %w", ErrSiteFailure, src, err)
+}
+
+// classifyStream classifies a source stream's mid-transfer failures
+// (see classify).
 type classifyStream struct {
 	inner  storage.RowStream
 	src    string
@@ -224,7 +180,7 @@ func (s *classifyStream) Next() (storage.Row, error) {
 	if err == nil || err == io.EOF || errors.Is(err, storage.ErrStreamClosed) {
 		return r, err
 	}
-	return nil, fmt.Errorf("%w: source %s: %w", ErrSiteFailure, s.src, err)
+	return nil, classify(s.src, err)
 }
 
 // Close implements storage.RowStream.

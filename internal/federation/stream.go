@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,16 +33,15 @@ import (
 // rows or the fragment's completion record (done=true), which is
 // always the producer's last message.
 type fragMsg struct {
-	frag   *Fragment
-	batch  *storage.Batch
-	done   bool
-	site   *Site // serving site (done messages of successful fragments)
-	rows   int   // rows delivered to the fan-in, post-residual (done messages)
-	pushed int   // rows the site shipped, pre-residual (done messages)
-	width  int   // columns per shipped row (done messages)
-	fail   int   // replicas tried and found down (done messages)
-	stale  bool  // serving site had journaled intents pending (done messages)
-	err    error // fragment failure (done messages)
+	frag  *Fragment
+	batch *storage.Batch
+	done  bool
+	site  *Site // serving site (done messages of successful fragments)
+	rows  int   // rows the site shipped (done messages)
+	width int   // columns per shipped row (done messages)
+	fail  int   // replicas tried and found down (done messages)
+	stale bool  // serving site had journaled intents pending (done messages)
+	err   error // fragment failure (done messages)
 
 	// held is a held fragment's rows (successful done messages): a
 	// grouped fragment's partial rows, or every row of a fragment under
@@ -103,24 +101,19 @@ func (f *Federation) scatter(ctx context.Context, sc *tableScan, limit int, canR
 
 // pumpFragment streams one fragment from its best available replica
 // into the fan-in channel, failing over across replicas, and finishes
-// with exactly one done message. Per replica, the fragment predicate is
-// split against that site's advertised capabilities: the pushable part
-// travels with the subquery, the residual (plus projection and limit
-// when the site declined them) is fused here, before the rows enter
-// the fan-in — so every fragment contributes uniformly filtered,
-// uniformly projected rows no matter how capable its serving site was.
-// limit, when ≥ 0, caps each site's scan at OFFSET+LIMIT rows; it is
-// only pushed to a site that applies the entire predicate, since the
-// first K rows of a partially filtered stream are not the first K of
-// the filtered one.
+// with exactly one done message. Every replica is sent the scan's whole
+// request — the pushed predicate, the projection, limit (when ≥ 0, the
+// OFFSET+LIMIT rows each site may have to supply) and the grouping —
+// and completes it: a site evaluates at its own boundary whatever the
+// source behind it cannot (wrapper.OpenPushStream), so every fragment
+// contributes uniformly filtered, uniformly projected rows no matter
+// which replica served it.
 //
 // A held fragment sends no batches: the pump keeps its rows and sends
 // them only in its success record, so a failover throws the dead
 // replica's rows away and asks again, and a fragment that fails sends
-// none. Grouped fragments are held — a replica that advertises grouping
-// and applies the whole predicate returns the partial rows itself, any
-// other ships its rows and the pump folds them with the same kernel —
-// and under PartialResults every fragment is, so a degraded result
+// none. Grouped fragments are held — the site returns the partial rows
+// — and under PartialResults every fragment is, so a degraded result
 // holds only whole fragments, at the cost of one fragment's rows of
 // coordinator memory per pump.
 func (f *Federation) pumpFragment(ctx context.Context, sc *tableScan, frag *Fragment, limit int, canReplay bool,
@@ -196,30 +189,12 @@ func (f *Federation) pumpFragment(ctx context.Context, sc *tableScan, frag *Frag
 	fails := 0
 	var lastErr error
 	for _, site := range ranked {
-		// Capability split, re-done per replica: a failover can land on a
-		// site with different capabilities than the one that just died.
-		sitePush, siteResid := sc.push, sqlparse.Expr(nil)
-		siteCols, siteLimit := sc.cols, -1
-		siteGroup := false
-		if f.DisablePredicatePushdown {
-			sitePush, siteResid = nil, sc.push
-		} else {
-			caps := site.PushCaps()
-			sitePush, siteResid = plan.SplitPushable(sc.push, caps)
-			if !caps.Project {
-				siteCols = nil
-			}
-			if limit >= 0 && caps.Limit && siteResid == nil {
-				siteLimit = limit
-			}
-			siteGroup = group != nil && caps.Group && siteResid == nil
-		}
 		var st storage.RowStream
 		var err error
-		if siteGroup {
-			st, err = site.GroupStream(gctx, gt.Def.Name, sitePush, group)
+		if group != nil {
+			st, err = site.GroupStream(gctx, gt.Def.Name, sc.push, group)
 		} else {
-			st, err = site.SubQueryStream(gctx, gt.Def.Name, sitePush, siteCols, siteLimit)
+			st, err = site.SubQueryStream(gctx, gt.Def.Name, sc.push, sc.cols, limit)
 		}
 		if err != nil {
 			if cutByConsumer(gctx) {
@@ -237,47 +212,22 @@ func (f *Federation) pumpFragment(ctx context.Context, sc *tableScan, frag *Frag
 			finish(fragMsg{err: err})
 			return
 		}
-		// The residual stage sits between the site stream and the fan-in,
-		// so fstage (and with it EXPLAIN ANALYZE's per-fragment rows)
-		// counts what the fragment contributes to the merge, while the
-		// fuse's RowsIn keeps what the site shipped for the trace's
-		// pushed-vs-residual accounting.
 		siteWidth := len(st.Columns())
-		var fuse *plan.FusedStream
-		if !siteGroup && (siteResid != nil || (sc.cols != nil && siteCols == nil)) {
-			spec := plan.FuseSpec{Where: siteResid, Limit: -1}
-			if sc.cols != nil && siteCols == nil {
-				idx, perr := projectIdx(st.Columns(), sc.cols)
-				if perr != nil {
-					//lint:ignore errdrop the open already failed; close is best-effort cleanup
-					_ = st.Close()
-					finish(fragMsg{err: perr})
-					return
-				}
-				spec.Project = idx
-			}
-			//lint:ignore streamclose fuse aliases st, which pumpStream and the failover cleanup close
-			fuse = plan.FuseStream(st, spec)
-			st = fuse
-		}
-		var shipped, pushedRows int
+		var shipped int
 		var pumpErr error
 		held = nil
 		if group != nil {
-			held, pushedRows, shipped, pumpErr = foldFragment(st, fuse, group, siteGroup, fstage)
+			held, pumpErr = storage.CollectRows(storage.InstrumentStream(st, fstage, storage.TimingSample))
+			shipped = len(held)
 		} else {
 			emit := send
 			if hold {
 				emit = keep
 			}
 			shipped, pumpErr = pumpStream(gctx, st, fstage, clampFedBatch(f.StreamBatchRows), emit, turn)
-			pushedRows = shipped
-			if fuse != nil {
-				pushedRows = int(fuse.RowsIn())
-			}
 		}
 		if pumpErr == nil {
-			finish(fragMsg{site: site, rows: shipped, pushed: pushedRows, width: siteWidth,
+			finish(fragMsg{site: site, rows: shipped, width: siteWidth,
 				fail: fails, stale: frag.PendingAt(site) > 0, held: held})
 			return
 		}
@@ -308,54 +258,6 @@ func (f *Federation) pumpFragment(ctx context.Context, sc *tableScan, frag *Frag
 	} else {
 		finish(fragMsg{err: fmt.Errorf("%w: fragment %s of %s", ErrNoReplica, frag.ID, gt.Def.Name)})
 	}
-}
-
-// foldFragment drains one replica's grouped subquery: the partial rows
-// the site folded (folded set), or the rows it shipped, folded here. It
-// returns the partials, the rows that crossed the site boundary, and
-// how many of those passed the pump's residual (fuse, when set); the
-// stage counts the partial rows, the fragment's contribution to the
-// combine.
-func foldFragment(st storage.RowStream, fuse *plan.FusedStream, g *plan.Grouping, folded bool,
-	stage *obs.StageStats) (partials []storage.Row, pushed, kept int, err error) {
-	var fold *plan.FoldStream
-	if !folded {
-		if fold, err = plan.NewFoldStream(st, g); err != nil {
-			//lint:ignore errdrop the fold failed to open; close is best-effort cleanup
-			_ = st.Close()
-			return nil, 0, 0, err
-		}
-		st = fold
-	}
-	partials, err = storage.CollectRows(storage.InstrumentStream(st, stage, storage.TimingSample))
-	switch {
-	case err != nil:
-		return nil, 0, 0, err
-	case folded:
-		return partials, len(partials), len(partials), nil
-	case fuse != nil:
-		return partials, int(fuse.RowsIn()), int(fuse.RowsOut()), nil
-	}
-	return partials, int(fold.RowsIn()), int(fold.RowsIn()), nil
-}
-
-// projectIdx resolves the projected column names against a shipped
-// stream's column list, case-insensitively.
-func projectIdx(have, want []string) ([]int, error) {
-	idx := make([]int, len(want))
-	for i, w := range want {
-		idx[i] = -1
-		for j, h := range have {
-			if strings.EqualFold(h, w) {
-				idx[i] = j
-				break
-			}
-		}
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("federation: shipped stream has no column %q", w)
-		}
-	}
-	return idx, nil
 }
 
 // cutByConsumer reports whether ctx ended because the stream's own
@@ -556,8 +458,8 @@ func (f *Federation) openSelect(ctx context.Context, sel sqlparse.SelectStmt, sp
 
 // compileMerge binds a streamable SELECT to the shipped row layout def,
 // whose columns the statement names as alias.col or bare. Every shipped
-// row already passed its fragment's pushed predicate or its pump's
-// fused residual, so the merge checks no WHERE: binding it only makes a
+// row already passed its fragment's pushed predicate, which its site
+// completes, so the merge checks no WHERE: binding it only makes a
 // bad reference fail here, row or no row. (SplitByTable keeps back
 // only conjuncts that name another qualifier, and no such conjunct
 // binds in a single-table scope.) The select items become the merge's
@@ -683,12 +585,12 @@ func fedItemNames(items []sqlparse.SelectItem) []string {
 // fedStream is the coordinator side of the streaming scatter-gather:
 // the single consumer of a scan's fan-in channel, for a streamable
 // SELECT and for each table Select loads into its scratch database
-// alike. It trusts the pushdown split — every row arriving passed its
-// fragment's pushed predicate or its pump's fused residual, so no WHERE
-// is checked here — dedupes by primary key (first copy wins), projects
-// the select items through the projection compiled at open (the
-// identity for a scratch load), applies OFFSET/LIMIT, and folds
-// producers' completion records into the query trace.
+// alike. It trusts the sites — every row arriving passed its
+// fragment's pushed predicate, so no WHERE is checked here — dedupes
+// by primary key (first copy wins), projects the select items through
+// the projection compiled at open (the identity for a scratch load),
+// applies OFFSET/LIMIT, and folds producers' completion records into
+// the query trace.
 //
 // The dedupe set and held fragments (see pumpFragment) are the
 // deliberate exceptions to the O(batch × fragments) memory bound. Keyed
@@ -877,15 +779,15 @@ func (s *fedStream) noteDone(m fragMsg) bool {
 		obs.MarkStale(s.ctx)
 	}
 	// Shipping cost is what crossed the site boundary: the rows the
-	// site actually served (pre-residual) at the width it served them.
-	// Partial rows can be wider than the table; they save no cells.
+	// site served at the width it served them. Partial rows can be
+	// wider than the table; they save no cells.
 	full := max(s.fullWidth, m.width)
-	metSiteRows(m.site.Name()).Add(int64(m.pushed))
-	s.trace.CellsShipped += m.pushed * m.width
-	s.trace.CellsWithoutPushdown += m.pushed * full
-	metCellsShipped.Add(int64(m.pushed * m.width))
-	metCellsSaved.Add(int64(m.pushed * (full - m.width)))
-	s.trace.notePushed(s.table+"/"+m.frag.ID, m.pushed, m.pushed-m.rows)
+	metSiteRows(m.site.Name()).Add(int64(m.rows))
+	s.trace.CellsShipped += m.rows * m.width
+	s.trace.CellsWithoutPushdown += m.rows * full
+	metCellsShipped.Add(int64(m.rows * m.width))
+	metCellsSaved.Add(int64(m.rows * (full - m.width)))
+	s.trace.notePushed(s.table+"/"+m.frag.ID, m.rows)
 	return true
 }
 

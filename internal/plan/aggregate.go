@@ -321,7 +321,6 @@ type GroupFold struct {
 	index  map[string]int
 	groups []foldGroup
 	buf    []byte
-	rowsIn int64
 }
 
 type foldGroup struct {
@@ -363,7 +362,6 @@ func NewGroupFold(g *Grouping, sc Scope) (*GroupFold, error) {
 
 // Add folds one row.
 func (f *GroupFold) Add(row []value.Value) error {
-	f.rowsIn++
 	f.buf = f.buf[:0]
 	for _, k := range f.keys {
 		f.buf = value.AppendKey(f.buf, row[k])
@@ -394,9 +392,6 @@ func (f *GroupFold) Add(row []value.Value) error {
 	}
 	return nil
 }
-
-// RowsIn reports how many rows were folded.
-func (f *GroupFold) RowsIn() int64 { return f.rowsIn }
 
 // Rows emits the partial rows, one per group. A global aggregate with
 // no input still emits one row: every count zero, everything else NULL.
@@ -457,9 +452,6 @@ func NewFoldStream(inner storage.RowStream, g *Grouping) (*FoldStream, error) {
 // Columns implements storage.RowStream.
 func (s *FoldStream) Columns() []string { return s.cols }
 
-// RowsIn reports how many rows of inner were folded so far.
-func (s *FoldStream) RowsIn() int64 { return s.fold.RowsIn() }
-
 // Next implements storage.RowStream.
 func (s *FoldStream) Next() (storage.Row, error) {
 	if s.closed {
@@ -473,7 +465,7 @@ func (s *FoldStream) Next() (storage.Row, error) {
 				break
 			}
 			if err == nil {
-				err = s.fold.Add(row)
+				err = MarkEval(s.fold.Add(row))
 			}
 			if err != nil {
 				s.err = err
@@ -481,6 +473,7 @@ func (s *FoldStream) Next() (storage.Row, error) {
 			}
 		}
 		if s.out, s.err = s.fold.Rows(); s.err != nil {
+			s.err = MarkEval(s.err)
 			return nil, s.err
 		}
 	}

@@ -4,6 +4,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -52,6 +53,28 @@ var ErrUnknownColumn = fmt.Errorf("plan: unknown column")
 // ErrAmbiguousColumn is returned when a bare reference matches several
 // bindings.
 var ErrAmbiguousColumn = fmt.Errorf("plan: ambiguous column")
+
+// ErrEval marks an error met while evaluating a predicate, projection or
+// grouped fold over rows (division by zero, a type mismatch, a column the
+// rows lack): a fault of the query, not of whoever produced the rows.
+// The scan kernel, FuseStream and FoldStream wrap their evaluation
+// errors with it, and callers that fail over on a source's failures
+// must not fail over on it.
+var ErrEval = errors.New("plan: evaluation error")
+
+// MarkEval wraps err so errors.Is(err, ErrEval) holds; the message stays
+// err's own. nil stays nil.
+func MarkEval(err error) error {
+	if err == nil || errors.Is(err, ErrEval) {
+		return err
+	}
+	return evalError{err}
+}
+
+type evalError struct{ err error }
+
+func (e evalError) Error() string   { return e.err.Error() }
+func (e evalError) Unwrap() []error { return []error{e.err, ErrEval} }
 
 // Resolve implements Env.
 func (e *RowEnv) Resolve(ref sqlparse.ColumnRef) (value.Value, error) {

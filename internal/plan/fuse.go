@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync/atomic"
 
 	"cohera/internal/obs"
 	"cohera/internal/sqlparse"
@@ -14,13 +13,12 @@ import (
 // FuseStream fuses filter, projection, offset, and limit into one
 // RowStream decorator: each upstream row is tested, projected, and
 // emitted (or dropped) in a single pass with no intermediate batch
-// materialization. It is the coordinator-side residual stage of the
-// pushdown split and the scan-side evaluation stage on servers — the
-// same operator either way, so pushed and unpushed plans share one
-// filtering semantics.
+// materialization. It evaluates whatever part of a pushed request a
+// source declined (wrapper.OpenPushStream), so pushed and unpushed
+// plans share one filtering semantics.
 
 // FuseSpec configures a fused stage. The zero value passes rows through
-// unchanged (but still counts them).
+// unchanged.
 type FuseSpec struct {
 	// Where filters rows: only truthy evaluations pass (NULL drops the
 	// row, per SQL three-valued logic). nil keeps every row. Column
@@ -46,9 +44,8 @@ type FuseSpec struct {
 	Stage *obs.StageStats
 }
 
-// FusedStream is the decorator FuseStream returns. RowsIn/RowsOut
-// expose pushed-vs-residual accounting to the planner: RowsIn is what
-// the site shipped, RowsOut what survived the residual filter.
+// FusedStream is the decorator FuseStream returns. Its evaluation
+// errors, a WHERE that does not bind included, wrap ErrEval.
 type FusedStream struct {
 	inner   storage.RowStream
 	where   Pred
@@ -59,9 +56,7 @@ type FusedStream struct {
 	remain  int // rows still allowed out; -1 unlimited
 	stage   *obs.StageStats
 	unrows  int64 // stage rows not yet flushed
-	rowsIn  atomic.Int64
-	rowsOut atomic.Int64
-	done    bool // terminal Next already returned (EOF from limit)
+	done    bool  // terminal Next already returned (EOF from limit)
 	closed  bool
 }
 
@@ -94,18 +89,13 @@ func FuseStream(inner storage.RowStream, spec FuseSpec) *FusedStream {
 		}
 		// Upstream rows carry no identity, so the scope names no RowID.
 		f.where, f.bindErr = ev.BindPred(spec.Where, Scope{Names: lowerNames(cols)})
+		f.bindErr = MarkEval(f.bindErr)
 	}
 	return f
 }
 
 // Columns implements storage.RowStream.
 func (f *FusedStream) Columns() []string { return f.cols }
-
-// RowsIn reports rows read from the inner stream so far.
-func (f *FusedStream) RowsIn() int64 { return f.rowsIn.Load() }
-
-// RowsOut reports rows emitted downstream so far.
-func (f *FusedStream) RowsOut() int64 { return f.rowsOut.Load() }
 
 // Next implements storage.RowStream.
 func (f *FusedStream) Next() (storage.Row, error) {
@@ -134,10 +124,10 @@ func (f *FusedStream) Next() (storage.Row, error) {
 			f.settle(err)
 			return nil, err
 		}
-		f.rowsIn.Add(1)
 		if f.where != nil {
 			ok, everr := f.where(r, 0)
 			if everr != nil {
+				everr = MarkEval(everr)
 				f.done = true
 				f.settle(everr)
 				return nil, everr
@@ -160,7 +150,6 @@ func (f *FusedStream) Next() (storage.Row, error) {
 		if f.remain > 0 {
 			f.remain--
 		}
-		f.rowsOut.Add(1)
 		if f.stage != nil {
 			f.unrows++
 			if f.unrows >= storage.TimingSample {

@@ -65,7 +65,7 @@ type TableScan struct {
 	out    []storage.Row
 	pos    int
 	more   bool  // the cursor may hold further rows
-	err    error // evaluation error met in the current batch, after out
+	err    error // evaluation error (ErrEval) met in the current batch, after out
 	fold   *GroupFold
 	closed bool
 }
@@ -180,7 +180,7 @@ func (s *TableScan) fill() {
 		if s.where != nil {
 			ok, err := s.where(row, id)
 			if err != nil {
-				s.err = err
+				s.err = MarkEval(err)
 				return false
 			}
 			if !ok {
@@ -201,7 +201,7 @@ func (s *TableScan) fill() {
 			default:
 				v, err := s.exprs[i](row, id)
 				if err != nil {
-					s.err = err
+					s.err = MarkEval(err)
 					return false
 				}
 				out[i] = v
@@ -225,7 +225,7 @@ func (s *TableScan) fillGrouped() {
 		if s.where != nil {
 			ok, err := s.where(row, id)
 			if err != nil {
-				s.err = err
+				s.err = MarkEval(err)
 				return false
 			}
 			if !ok {
@@ -233,7 +233,7 @@ func (s *TableScan) fillGrouped() {
 			}
 		}
 		if err := s.fold.Add(row); err != nil {
-			s.err = err
+			s.err = MarkEval(err)
 			return false
 		}
 		return true
@@ -244,6 +244,7 @@ func (s *TableScan) fillGrouped() {
 	}
 	if !s.more {
 		s.out, s.err = s.fold.Rows()
+		s.err = MarkEval(s.err)
 	}
 }
 

@@ -24,25 +24,6 @@ import (
 	"cohera/internal/wrapper"
 )
 
-// streamProjection maps requested column names onto a stream's column
-// order, case-insensitively.
-func streamProjection(have, want []string) ([]int, error) {
-	idx := make([]int, len(want))
-	for i, w := range want {
-		idx[i] = -1
-		for j, h := range have {
-			if strings.EqualFold(h, w) {
-				idx[i] = j
-				break
-			}
-		}
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("remote: pushed projection column %q not in stream", w)
-		}
-	}
-	return idx, nil
-}
-
 // POST /fetchstream answers with frames (frame.go): row chunks, then
 // the {"eof":true} terminator. The terminator is load-bearing: a
 // connection that dies mid-transfer ends the body without it, and the
@@ -83,7 +64,11 @@ type streamRequest struct {
 type streamChunk struct {
 	Pushed *wirePushedAck `json:"pushed,omitempty"`
 	Error  string         `json:"error,omitempty"`
-	EOF    bool           `json:"eof,omitempty"`
+	// Eval marks Error as a fault of the query's evaluation
+	// (plan.ErrEval), not of the serving source: the client reports it
+	// as such, and the coordinator does not fail over on it.
+	Eval bool `json:"eval,omitempty"`
+	EOF  bool `json:"eof,omitempty"`
 }
 
 // metStreamBatches counts row chunks by side ("server" encodes,
@@ -175,11 +160,12 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		}
 		filters = append(filters, wrapper.Filter{Column: wf.Column, Value: v})
 	}
-	// Capability-aware pushdown: parse the request's σ/π/limit, hand it
-	// to the source, and fuse whatever the source could not apply right
-	// here — rows failing the pushed WHERE are never encoded. With
-	// DisablePushdown set the fields are ignored and no ack is sent,
-	// reproducing an old server for fallback tests.
+	// Capability-aware pushdown: parse the request's σ/π/limit/γ and
+	// open the source through wrapper.OpenPushStream, which evaluates
+	// whatever the source cannot right here — rows failing the pushed
+	// WHERE are never encoded. With DisablePushdown set the fields are
+	// ignored and no ack is sent, reproducing an old server for fallback
+	// tests.
 	var push wrapper.Pushdown
 	if !s.DisablePushdown {
 		if req.Where != "" {
@@ -210,54 +196,21 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		}
 		push.Group = g
 	}
-	st, applied, err := wrapper.OpenPushStream(r.Context(), src, filters, push)
+	st, err := wrapper.OpenPushStream(r.Context(), src, filters, push)
 	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
+		// A projection or grouping the rows cannot answer is the
+		// request's fault; anything else is the source's.
+		code := http.StatusInternalServerError
+		if errors.Is(err, plan.ErrEval) {
+			code = http.StatusBadRequest
+		}
+		w.WriteHeader(code)
 		//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
 		_ = writeJSON(w, errorResponse{Error: err.Error()})
 		return
 	}
 	var ack *wirePushedAck
 	if !push.Empty() {
-		spec := plan.FuseSpec{Limit: -1}
-		fuse := false
-		if push.Where != nil && !applied.Where {
-			spec.Where = push.Where
-			fuse = true
-		}
-		if push.Cols != nil && !applied.Cols {
-			idx, ierr := streamProjection(st.Columns(), push.Cols)
-			if ierr != nil {
-				//lint:ignore errdrop the request is being rejected; close is best-effort cleanup
-				_ = st.Close()
-				w.WriteHeader(http.StatusBadRequest)
-				//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
-				_ = writeJSON(w, errorResponse{Error: ierr.Error()})
-				return
-			}
-			spec.Project = idx
-			fuse = true
-		}
-		if push.Limit > 0 && !applied.Limit {
-			spec.Limit = push.Limit
-			fuse = true
-		}
-		if fuse {
-			st = plan.FuseStream(st, spec)
-		}
-		if push.Group != nil && !applied.Group {
-			//lint:ignore streamclose fold aliases st, which the deferred scan close releases
-			fold, ferr := plan.NewFoldStream(st, push.Group)
-			if ferr != nil {
-				//lint:ignore errdrop the request is being rejected; close is best-effort cleanup
-				_ = st.Close()
-				w.WriteHeader(http.StatusBadRequest)
-				//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
-				_ = writeJSON(w, errorResponse{Error: ferr.Error()})
-				return
-			}
-			st = fold
-		}
 		ack = &wirePushedAck{Where: push.Where != nil, Cols: push.Cols, Limit: push.Limit > 0,
 			Group: encodeGrouping(push.Group)}
 	}
@@ -346,7 +299,7 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 			// the result is broken, so a partial flush would only move
 			// rows it must discard.
 			//lint:ignore errdrop the stream is already committed as 200; the error frame is best-effort
-			_ = writeMeta(streamChunk{Error: err.Error()})
+			_ = writeMeta(streamChunk{Error: err.Error(), Eval: errors.Is(err, plan.ErrEval)})
 			return
 		}
 		buf = value.AppendRow(buf, row)
@@ -673,6 +626,9 @@ func (c *clientStream) Next() (storage.Row, error) {
 		}
 		if ch.meta.Error != "" {
 			c.err = fmt.Errorf("remote: stream failed at server: %s", ch.meta.Error)
+			if ch.meta.Eval {
+				c.err = plan.MarkEval(c.err)
+			}
 			return nil, c.err
 		}
 		if ch.meta.EOF {

@@ -3,6 +3,8 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"cohera/internal/obs"
@@ -11,11 +13,11 @@ import (
 	"cohera/internal/storage"
 )
 
-// Pushdown is the capability-negotiated σ/π/limit/γ request a caller hands
-// a push-capable source alongside the legacy equality filters. The
-// caller must only push what the source's Capabilities().Push
-// advertises; the Applied receipt reports what the source actually did,
-// and the caller evaluates whatever was not applied.
+// Pushdown is the σ/π/limit/γ request a caller hands OpenPushStream
+// alongside the legacy equality filters. OpenPushStream sends a source
+// only what its Capabilities().Push advertises and evaluates the rest
+// itself; a push-capable source's Applied receipt reports what it
+// actually did.
 type Pushdown struct {
 	// Where is the pushed predicate, with bare (unqualified) column
 	// refs resolving against the source schema. nil pushes no filter.
@@ -38,8 +40,9 @@ func (p Pushdown) Empty() bool {
 
 // Applied is a source's receipt for a Pushdown: which parts of the
 // request the delivered stream already reflects. The zero value means
-// "nothing applied" — the caller re-filters, re-projects, and re-limits,
-// which is exactly the old-server / non-push-capable fallback.
+// "nothing applied" — OpenPushStream re-filters, re-projects, and
+// re-limits, which is exactly the old-server / non-push-capable
+// fallback.
 type Applied struct {
 	// Where: rows are pre-filtered by the pushed predicate.
 	Where bool
@@ -63,20 +66,98 @@ type PushStreamingSource interface {
 	FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error)
 }
 
-// OpenPushStream opens a stream from src with push applied when the
-// source supports it. Any other source is fetched whole and its rows
-// wrapped as a stream, with an all-false receipt. The caller owns the
-// returned stream and the residual evaluation of anything the receipt
-// disclaims.
-func OpenPushStream(ctx context.Context, src Source, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
+// OpenPushStream opens a stream from src that reflects all of push: the
+// rows the filters and push.Where keep, projected to push.Cols and cut
+// at push.Limit, or folded into push.Group's partial rows. It is the one
+// place that decides what a source evaluates and who evaluates the
+// rest. The source is sent the conjuncts of push.Where its
+// Capabilities().Push can filter and, only when that is the whole
+// predicate, the projection, limit and grouping it advertises; whatever
+// its receipt disclaims is fused (plan.FuseStream) or folded
+// (plan.NewFoldStream) over its rows here. Errors of that evaluation,
+// and a projection or grouping the rows cannot answer, wrap
+// plan.ErrEval; anything else is the source's own failure. The caller
+// owns the returned stream.
+func OpenPushStream(ctx context.Context, src Source, filters []Filter, push Pushdown) (storage.RowStream, error) {
+	caps := src.Capabilities().Push
+	where, resid := plan.SplitPushable(push.Where, caps)
+	// A projection, limit or grouping is only safe at the source when it
+	// applies the entire filter: the first N rows of a partially filtered
+	// stream are not the first N of the filtered one, and the residual
+	// may read columns a projection drops.
+	req := Pushdown{Where: where}
+	if resid == nil {
+		if caps.Project {
+			req.Cols = push.Cols
+		}
+		if caps.Limit {
+			req.Limit = push.Limit
+		}
+		if caps.Group {
+			req.Group = push.Group
+		}
+	}
+	st, applied, err := openSource(ctx, src, filters, req)
+	if err != nil {
+		return nil, err
+	}
+	if push.Group != nil && applied.Group {
+		return st, nil
+	}
+	spec := plan.FuseSpec{Where: push.Where, Limit: -1}
+	if applied.Where {
+		spec.Where = resid
+	}
+	if push.Cols != nil && !applied.Cols {
+		if spec.Project, err = columnIndexes(st.Columns(), push.Cols); err != nil {
+			//lint:ignore errdrop the open is failing; close is best-effort cleanup
+			_ = st.Close()
+			return nil, plan.MarkEval(fmt.Errorf("wrapper: %s: %w", src.Name(), err))
+		}
+	}
+	if push.Limit > 0 && !applied.Limit {
+		spec.Limit = push.Limit
+	}
+	if spec.Where != nil || spec.Project != nil || spec.Limit >= 0 {
+		st = plan.FuseStream(st, spec)
+	}
+	if push.Group == nil {
+		return st, nil
+	}
+	fold, err := plan.NewFoldStream(st, push.Group)
+	if err != nil {
+		//lint:ignore errdrop the open is failing; close is best-effort cleanup
+		_ = st.Close()
+		return nil, plan.MarkEval(fmt.Errorf("wrapper: %s: %w", src.Name(), err))
+	}
+	return fold, nil
+}
+
+// openSource opens src with exactly req: natively when the source is
+// push-capable, else fetched whole and wrapped as a stream with an
+// all-false receipt.
+func openSource(ctx context.Context, src Source, filters []Filter, req Pushdown) (storage.RowStream, Applied, error) {
 	if ps, ok := src.(PushStreamingSource); ok {
-		return ps.FetchPushStream(ctx, filters, push)
+		return ps.FetchPushStream(ctx, filters, req)
 	}
 	rows, err := src.Fetch(ctx, filters)
 	if err != nil {
 		return nil, Applied{}, err
 	}
 	return storage.NewSliceStream(src.Schema().ColumnNames(), rows), Applied{}, nil
+}
+
+// columnIndexes resolves the projected column names against a
+// stream's columns, case-insensitively.
+func columnIndexes(have, want []string) ([]int, error) {
+	idx := make([]int, len(want))
+	for i, w := range want {
+		idx[i] = slices.IndexFunc(have, func(h string) bool { return strings.EqualFold(h, w) })
+		if idx[i] < 0 {
+			return nil, fmt.Errorf("projection column %q not in the delivered rows", w)
+		}
+	}
+	return idx, nil
 }
 
 // FetchPushStream implements PushStreamingSource: the gateway stands in
@@ -143,14 +224,15 @@ func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push 
 // decorator: the underlying source's push support (or lack of it) shows
 // through, so Instrument never silently downgrades a push-capable
 // source. It opens the underlying stream (native or adapted) and counts
-// rows as they flow.
+// the rows the source delivers, before OpenPushStream evaluates
+// anything the receipt disclaims.
 func (s *instrumented) FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
 	ctx, sp := obs.StartSpan(ctx, "wrapper.fetchstream")
 	sp.Set("source", s.Source.Name())
 	table := s.Source.Schema().Name
 	ctx, stage := obs.StartStage(ctx, "wrapper.fetch", table)
 	start := time.Now()
-	st, applied, err := OpenPushStream(ctx, s.Source, filters, push)
+	st, applied, err := openSource(ctx, s.Source, filters, push)
 	if err != nil {
 		metFetchSeconds.Observe(time.Since(start))
 		metFetches(table, "error").Inc()

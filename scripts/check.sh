@@ -45,7 +45,11 @@
 #                                the binary disk codec (WAL records,
 #                                snapshots, journal intents) against
 #                                its JSON reference, the pushdown split
-#                                oracle, the bound-vs-Eval oracle, the
+#                                oracle, the one completing open
+#                                (wrapper.OpenPushStream over any
+#                                capability record against the whole
+#                                request fused over the raw rows), the
+#                                bound-vs-Eval oracle, the
 #                                grouped fold over random partitions
 #                                against one GROUP BY, the
 #                                storage.Table-vs-model op sequences and
@@ -101,6 +105,7 @@ go test -fuzz FuzzRowCodec -fuzztime 10s ./internal/remote/
 go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
 go test -fuzz FuzzDiskCodec -fuzztime 10s ./internal/exec/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
+go test -fuzz FuzzOpenPushStream -fuzztime 10s ./internal/wrapper/
 go test -fuzz FuzzBoundEval -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzGroupFold -fuzztime 10s ./internal/plan/
 go test -fuzz FuzzTableOps -fuzztime 10s ./internal/storage/
