@@ -9,9 +9,9 @@
 // end: an EXPLAIN ANALYZE whose per-fragment row counts sum to the
 // result cardinality, an open stream visible in /debug/queries, and an
 // operator cancel that kills it with the typed cause. Last, a GROUP BY
-// over two peers must fold at the peers — their ack echoes the
-// grouping — and answer what the same query answers over peers that
-// predate pushdown. Exit status 0
+// over two peers must fold at the peers — one partial row per group
+// and peer — and answer what the same query answers on one engine
+// holding both peers' rows. Exit status 0
 // means the daemon surface is healthy; any defect prints a diagnostic
 // and exits 1. scripts/check.sh runs it as a gate.
 package main
@@ -28,6 +28,7 @@ import (
 	"os"
 	"strings"
 
+	"cohera/internal/exec"
 	"cohera/internal/federation"
 	"cohera/internal/obs"
 	"cohera/internal/plan"
@@ -96,16 +97,16 @@ func run() error {
 }
 
 // groupPeers starts two peers serving disjoint halves of a keyed
-// "orders" table through the handler stack coherad serves, and a
-// federation over them. old makes the peers predate pushdown.
-func groupPeers(ctx context.Context, old bool) (*federation.Federation, []*remote.Source, func(), error) {
+// "orders" table through the handler stack coherad serves, and returns
+// a federation over them and one engine holding both halves.
+func groupPeers(ctx context.Context) (*federation.Federation, []*remote.Source, *exec.Database, func(), error) {
 	def, err := schema.NewTable("orders", []schema.Column{
 		{Name: "id", Kind: value.KindString, NotNull: true},
 		{Name: "region", Kind: value.KindString},
 		{Name: "amount", Kind: value.KindFloat},
 	}, "id")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	fed := federation.New(federation.NewAgoric())
 	var servers []*httptest.Server
@@ -115,27 +116,29 @@ func groupPeers(ctx context.Context, old bool) (*federation.Federation, []*remot
 		}
 	}
 	var sources []*remote.Source
+	var all []storage.Row
 	for p, prefix := range []string{"a", "b"} {
 		tbl := storage.NewTable(def.Clone("orders"))
 		for i := 0; i < 30; i++ {
-			if _, err := tbl.Insert(storage.Row{
+			row := storage.Row{
 				value.NewString(fmt.Sprintf("%s%02d", prefix, i)),
 				value.NewString([]string{"east", "west", "north"}[i%3]),
 				value.NewFloat(float64(i*7%23) + 0.25),
-			}); err != nil {
-				stop()
-				return nil, nil, nil, err
 			}
+			if _, err := tbl.Insert(row); err != nil {
+				stop()
+				return nil, nil, nil, nil, err
+			}
+			all = append(all, row)
 		}
 		srv := remote.NewServer()
-		srv.DisablePushdown = old
 		srv.PublishTable(tbl)
 		ts := httptest.NewServer(obs.NewHandler(srv))
 		servers = append(servers, ts)
 		found, err := remote.Dial(ts.URL, "").Tables(ctx)
 		if err != nil || len(found) != 1 {
 			stop()
-			return nil, nil, nil, fmt.Errorf("peer %d /tables: %v (%d tables)", p, err, len(found))
+			return nil, nil, nil, nil, fmt.Errorf("peer %d /tables: %v (%d tables)", p, err, len(found))
 		}
 		src := found[0].(*remote.Source)
 		sources = append(sources, src)
@@ -143,12 +146,12 @@ func groupPeers(ctx context.Context, old bool) (*federation.Federation, []*remot
 		site.AddSource(src)
 		if err := fed.AddSite(site); err != nil {
 			stop()
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		pred, err := sqlparse.ParseExpr(fmt.Sprintf("id BETWEEN '%s' AND '%s~'", prefix, prefix))
 		if err != nil {
 			stop()
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		if p == 0 {
 			_, err = fed.DefineTable(def, federation.NewFragment("f"+prefix, pred, site))
@@ -157,27 +160,26 @@ func groupPeers(ctx context.Context, old bool) (*federation.Federation, []*remot
 		}
 		if err != nil {
 			stop()
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
-	return fed, sources, stop, nil
+	ref := exec.NewDatabase()
+	if err := ref.LoadRows(def, all); err != nil {
+		stop()
+		return nil, nil, nil, nil, err
+	}
+	return fed, sources, ref, stop, nil
 }
 
-// checkGroupPushdown asserts that a peer folds a pushed grouping and
-// acks it, and that a federated GROUP BY over such peers answers what
-// it answers over peers that predate pushdown, from one partial row
-// per group and peer.
+// checkGroupPushdown asserts that a peer folds a pushed grouping, and
+// that a federated GROUP BY over such peers answers what one engine
+// holding every row answers, from one partial row per group and peer.
 func checkGroupPushdown(ctx context.Context) error {
-	fed, sources, stop, err := groupPeers(ctx, false)
+	fed, sources, ref, stop, err := groupPeers(ctx)
 	if err != nil {
 		return err
 	}
 	defer stop()
-	oldFed, _, oldStop, err := groupPeers(ctx, true)
-	if err != nil {
-		return err
-	}
-	defer oldStop()
 
 	g := &plan.Grouping{Keys: []string{"region"}, Aggs: []plan.AggCall{{Func: "COUNT"}, {Func: "AVG", Col: "amount"}}}
 	st, applied, err := sources[0].FetchPushStream(ctx, nil, wrapper.Pushdown{Group: g})
@@ -189,7 +191,7 @@ func checkGroupPushdown(ctx context.Context) error {
 		return fmt.Errorf("grouped fetch: %w", err)
 	}
 	if !applied.Group || len(partials) != 3 || len(partials[0]) != 4 {
-		return fmt.Errorf("grouped fetch: ack group=%v, %d partial rows %v; want the group acked and 3 rows of 4 cells",
+		return fmt.Errorf("grouped fetch: receipt group=%v, %d partial rows %v; want the group applied and 3 rows of 4 cells",
 			applied.Group, len(partials), partials)
 	}
 
@@ -198,12 +200,12 @@ func checkGroupPushdown(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("group pushdown: %w", err)
 	}
-	want, _, err := oldFed.QueryTraced(ctx, sql)
+	want, err := ref.Exec(sql)
 	if err != nil {
-		return fmt.Errorf("group pushdown (old peers): %w", err)
+		return fmt.Errorf("group pushdown (one engine): %w", err)
 	}
 	if fmt.Sprint(res.Columns, res.Rows) != fmt.Sprint(want.Columns, want.Rows) {
-		return fmt.Errorf("group pushdown: %v %v, old peers answer %v %v", res.Columns, res.Rows, want.Columns, want.Rows)
+		return fmt.Errorf("group pushdown: %v %v, one engine answers %v %v", res.Columns, res.Rows, want.Columns, want.Rows)
 	}
 	for frag, n := range trace.PushedRows {
 		if n != 3 {

@@ -188,7 +188,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 }
 
 // preparse parses the sources of every directory concurrently across
-// GOMAXPROCS workers and stashes the results for load to pick up.
+// GOMAXPROCS workers and keeps the results for load to pick up.
 // token.FileSet is safe for concurrent use, so the parse phase — which
 // touches every byte of every file — fans out freely; type-checking
 // stays sequential because the checker, its Info maps, and this

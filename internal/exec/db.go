@@ -368,23 +368,11 @@ func (db *Database) matchingIDs(t *storage.Table, alias string, where sqlparse.E
 // context (Select, UPDATE, DELETE). project nil keeps the stored columns.
 func (db *Database) scanAll(t *storage.Table, alias string, where sqlparse.Expr, ev *plan.Evaluator, project []sqlparse.Expr) ([]storage.Row, error) {
 	//lint:ignore ctxleak Exec/Select keep their context-free signatures; their scans were never cancellable
-	scan, err := db.openScan(context.TODO(), t, where, plan.ScanSpec{Alias: alias, Project: project, Eval: ev, Limit: -1})
+	scan, err := plan.ScanStored(context.TODO(), t, where, plan.ScanSpec{Alias: alias, Project: project, Eval: ev, Limit: -1})
 	if err != nil {
 		return nil, err
 	}
 	return storage.CollectRows(scan)
-}
-
-// openScan opens the scan kernel for a single-table predicate, over the
-// index access path when one applies and the whole heap otherwise. It
-// fills in spec.Where with what the access path left to check.
-func (db *Database) openScan(ctx context.Context, t *storage.Table, where sqlparse.Expr, spec plan.ScanSpec) (*plan.TableScan, error) {
-	ids, usedIndex, residual := db.accessPath(t, where)
-	spec.Where = residual
-	if usedIndex {
-		return plan.ScanTable(ctx, t.CursorOver(ids), spec)
-	}
-	return plan.ScanTable(ctx, t.Cursor(), spec)
 }
 
 // rowEnv builds an evaluation environment exposing both qualified
@@ -455,81 +443,4 @@ func searchOptions(mode sqlparse.TextMatchMode, syn *ir.Synonyms) ir.SearchOptio
 	default:
 		return ir.SearchOptions{}
 	}
-}
-
-// accessPath chooses an index access path for a single-table predicate.
-// It returns (candidateIDs, usedIndex, residualPredicate); usedIndex
-// false means full scan. The distinction matters because an index range
-// can legitimately match zero rows — a nil candidate list alone would be
-// ambiguous.
-//
-// Every sargable conjunct on the chosen column is intersected into the
-// one range the index is asked for, so `a >= x AND a < y` reads the rows
-// between x and y rather than everything from x up. A point range is
-// preferred to a wider one. The residual keeps every conjunct the index
-// lookup does not already guarantee: the ones on other columns, and
-// those with an exclusive bound, which the inclusive LookupRange cannot
-// honor.
-func (db *Database) accessPath(t *storage.Table, where sqlparse.Expr) ([]int64, bool, sqlparse.Expr) {
-	conjuncts := plan.Conjuncts(where)
-	// The conjuncts an index can serve: sargable, on an indexed column,
-	// with bounds of a kind the column's keys can be ordered against.
-	def := t.Def()
-	ranges := make([]plan.Range, len(conjuncts))
-	served := make([]bool, len(conjuncts))
-	for i, c := range conjuncts {
-		r, ok := plan.Sargable(c)
-		if !ok || !t.HasIndex(r.Column) {
-			continue
-		}
-		kind := def.Columns[def.ColumnIndex(r.Column)].Kind
-		if (r.Lo.IsNull() || value.Comparable(kind, r.Lo.Kind())) && (r.Hi.IsNull() || value.Comparable(kind, r.Hi.Kind())) {
-			ranges[i], served[i] = r, true
-		}
-	}
-	// merged folds every served conjunct on col into one range.
-	merged := func(col string) (m plan.Range) {
-		for i, r := range ranges {
-			switch {
-			case !served[i] || r.Column != col:
-			case m.Column == "":
-				m = r
-			default:
-				m, _ = m.Intersect(r)
-			}
-		}
-		return m
-	}
-	best := ""
-	for i, r := range ranges {
-		if !served[i] {
-			continue
-		}
-		if best == "" {
-			best = r.Column
-		}
-		if merged(r.Column).Point() {
-			best = r.Column
-			break
-		}
-	}
-	if best == "" {
-		return nil, false, where
-	}
-	rng := merged(best)
-	var ids []int64
-	if !rng.Empty() {
-		var err error
-		if ids, err = t.LookupRange(best, rng.Lo, rng.Hi); err != nil {
-			return nil, false, where // index vanished; fall back to scan
-		}
-	}
-	residual := make([]sqlparse.Expr, 0, len(conjuncts))
-	for i, c := range conjuncts {
-		if r := ranges[i]; served[i] && r.Column == best && !r.LoExclusive && !r.HiExclusive && r.Contains(rng) {
-			continue
-		}
-		residual = append(residual, c)
-	}
-	return ids, true, plan.AndExprs(residual)
 }

@@ -10,90 +10,9 @@ import (
 
 	"cohera/internal/plan"
 	"cohera/internal/schema"
-	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 	"cohera/internal/value"
 )
-
-// TestAccessPathIntersectsRanges: every sargable conjunct on the indexed
-// column narrows the one index lookup, so the candidates are the rows in
-// the range — not everything above its lower bound, with the upper bound
-// left to the residual.
-func TestAccessPathIntersectsRanges(t *testing.T) {
-	db := NewDatabase()
-	mustExec(t, db, "CREATE TABLE items (sku TEXT NOT NULL, qty INTEGER, PRIMARY KEY (sku))")
-	for i := 0; i < 100; i++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO items (sku, qty) VALUES ('S%03d', %d)", i, i%10))
-	}
-	if err := db.CreateTableIndex("items", "sku", false); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := db.Table("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		where      string
-		candidates int    // ids the index hands the scan
-		residual   string // what the scan must still check
-		rows       int    // rows the statement returns
-	}{
-		{"sku >= 'S010' AND sku <= 'S019'", 10, "", 10},
-		// Exclusive bounds: the inclusive lookup may hand over the bound
-		// row itself; the residual keeps the conjunct to drop it.
-		{"sku >= 'S010' AND sku < 'S020'", 11, "(sku < 'S020')", 10},
-		{"sku > 'S010' AND sku < 'S020' AND qty = 5", 11, "(((sku > 'S010') AND (sku < 'S020')) AND (qty = 5))", 1},
-		{"sku BETWEEN 'S000' AND 'S050' AND sku >= 'S040' AND 'S045' >= sku", 6, "", 6},
-		{"sku >= 'S050' AND sku = 'S060'", 1, "", 1},
-		{"sku = 'S060' AND sku = 'S061'", 0, "", 0},
-		{"sku > 'S020' AND sku < 'S010'", 0, "((sku > 'S020') AND (sku < 'S010'))", 0},
-		// A bound that cannot be ordered against the others stays out of
-		// the lookup and in the residual.
-		{"sku >= 'S090' AND sku <= 99", 10, "(sku <= 99)", -1},
-	} {
-		where, err := sqlparse.ParseExpr(tc.where)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, used, residual := db.accessPath(tbl, where)
-		if !used {
-			t.Errorf("%s: index not used", tc.where)
-			continue
-		}
-		if len(ids) != tc.candidates {
-			t.Errorf("%s: %d candidate ids, want %d", tc.where, len(ids), tc.candidates)
-		}
-		got := ""
-		if residual != nil {
-			got = residual.String()
-		}
-		if got != tc.residual {
-			t.Errorf("%s: residual %q, want %q", tc.where, got, tc.residual)
-		}
-		if tc.rows < 0 {
-			continue // the statement is a type error either way
-		}
-		for _, run := range []func(string) (*Result, error){db.Exec, func(sql string) (*Result, error) {
-			st, err := db.QueryStream(context.Background(), sql)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := storage.CollectRows(st)
-			return &Result{Rows: rows}, err
-		}} {
-			res, err := run("SELECT sku FROM items WHERE " + tc.where)
-			if err != nil || len(res.Rows) != tc.rows {
-				t.Errorf("%s: %d rows, %v; want %d", tc.where, len(res.Rows), err, tc.rows)
-			}
-		}
-	}
-	// A NULL bound is true of no row; it must not read as "unbounded".
-	for _, where := range []string{"sku >= NULL", "sku = NULL", "sku BETWEEN 'S000' AND NULL"} {
-		if res, err := db.Exec("SELECT sku FROM items WHERE " + where); err != nil || len(res.Rows) != 0 {
-			t.Errorf("%s: %d rows, %v; want none", where, len(res.Rows), err)
-		}
-	}
-}
 
 // TestSelectStreamBindsAtOpen: the streaming executor reports a column
 // the table lacks when the stream is opened — even over an empty table,

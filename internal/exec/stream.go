@@ -55,7 +55,7 @@ func (db *Database) SelectStream(ctx context.Context, s sqlparse.SelectStmt) (st
 	for i, it := range items {
 		project[i] = it.Expr
 	}
-	scan, err := db.openScan(ctx, t, s.Where, plan.ScanSpec{
+	scan, err := plan.ScanStored(ctx, t, s.Where, plan.ScanSpec{
 		Alias:   alias,
 		Project: project,
 		Columns: itemNames(items),
@@ -83,7 +83,7 @@ func (db *Database) GroupStream(ctx context.Context, table string, where sqlpars
 		return nil, err
 	}
 	alias := strings.ToLower(table)
-	scan, err := db.openScan(ctx, t, where, plan.ScanSpec{
+	scan, err := plan.ScanStored(ctx, t, where, plan.ScanSpec{
 		Alias: alias,
 		Group: g,
 		Eval:  db.evaluator(map[string]*storage.Table{alias: t}),

@@ -27,9 +27,8 @@ import (
 // what one engine holding every row answers, whether the sites fold
 // (pushed), the sites fold rows their sources ship (withheld), some of
 // each (mixed), the sources evaluate nothing (weak), over the wire to
-// peers that group, to peers whose sources the coordinator-side sites
-// treat as unable to group, or to peers that predate grouping, whose
-// rows the coordinator's sites fold. FLOAT
+// peers that group, or to peers whose sources the coordinator-side
+// sites treat as unable to group, whose rows those sites fold. FLOAT
 // cells compare within 1e-9 relative error: partial sums add in a
 // different order than one scan does.
 
@@ -139,11 +138,9 @@ func noGroupCaps() *plan.PushCaps {
 }
 
 // aggRemoteFed builds the same layout over httptest remote.Server
-// peers, one per fragment. With disable set the peers predate pushdown:
-// they ship every row, and the coordinator's sites fold them. caps,
-// when non-nil, replaces the capabilities the coordinator's sites see
-// in each peer's source.
-func aggRemoteFed(t testing.TB, disable bool, caps *plan.PushCaps) *Federation {
+// peers, one per fragment. caps, when non-nil, replaces the
+// capabilities the coordinator's sites see in each peer's source.
+func aggRemoteFed(t testing.TB, caps *plan.PushCaps) *Federation {
 	t.Helper()
 	fed := New(NewAgoric())
 	var frags []*Fragment
@@ -155,7 +152,6 @@ func aggRemoteFed(t testing.TB, disable bool, caps *plan.PushCaps) *Federation {
 			}
 		}
 		srv := remote.NewServer()
-		srv.DisablePushdown = disable
 		srv.PublishTable(tbl)
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
@@ -282,9 +278,8 @@ func TestAggregateDifferential(t *testing.T) {
 			return nil
 		}),
 		"weak":            aggFed(t, func(string) *plan.PushCaps { return &plan.PushCaps{} }),
-		"remote":          aggRemoteFed(t, false, nil),
-		"remote-withheld": aggRemoteFed(t, false, noGroupCaps()),
-		"remote-old":      aggRemoteFed(t, true, nil),
+		"remote":          aggRemoteFed(t, nil),
+		"remote-withheld": aggRemoteFed(t, noGroupCaps()),
 	}
 	names := make([]string, 0, len(feds))
 	for n := range feds {

@@ -21,7 +21,7 @@ func TestEvalErrorIsNotASiteFailure(t *testing.T) {
 	const bad = "SELECT hotel FROM hotels WHERE available / 0 > 1"
 	ctx := context.Background()
 	for name, build := range map[string]func(t *testing.T) *Federation{
-		"remote peers": func(t *testing.T) *Federation { return aggRemoteFed(t, false, nil) },
+		"remote peers": func(t *testing.T) *Federation { return aggRemoteFed(t, nil) },
 		"in-process sources": func(t *testing.T) *Federation {
 			return aggFed(t, func(string) *plan.PushCaps { c := plan.FullPushCaps(); return &c })
 		},

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,8 +15,10 @@ import (
 	"cohera/internal/exec"
 	"cohera/internal/plan"
 	"cohera/internal/remote"
+	"cohera/internal/schema"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
+	"cohera/internal/value"
 	"cohera/internal/workload"
 )
 
@@ -336,12 +339,17 @@ func TestFailoverToWeakerPeerMidQuery(t *testing.T) {
 	}
 }
 
+// wireFrame is one /fetchstream frame: the kind byte, the uvarint
+// payload length, the payload.
+func wireFrame(kind byte, payload []byte) []byte {
+	return append(binary.AppendUvarint([]byte{kind}, uint64(len(payload))), payload...)
+}
+
 // TestOldServerPushdownFallback covers the wire-compatibility path: a
-// remote server is discovered while push-capable, then starts ignoring
-// the pushdown request fields and sending no ack (an old server, or a
-// capability lost between discovery and execution). The client detects
-// the missing ack and the site re-applies everything locally — same
-// rows, no error.
+// peer of an earlier release leads every /fetchstream body with a
+// pushdown ack M frame. The client skips it — same rows, no error —
+// and a query pushed to such a peer answers what it answers without
+// the ack.
 func TestOldServerPushdownFallback(t *testing.T) {
 	def := workload.HotelsDef()
 	tbl := storage.NewTable(def.Clone("hotels"))
@@ -354,7 +362,14 @@ func TestOldServerPushdownFallback(t *testing.T) {
 	}
 	srv := remote.NewServer()
 	srv.PublishTable(tbl)
-	ts := httptest.NewServer(srv)
+	var ackFirst atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fetchstream" && ackFirst.Load() {
+			w.Header().Set("Content-Type", "application/x-cohera-frames")
+			w.Write(wireFrame('M', []byte(`{"pushed":{"where":true,"limit":true}}`)))
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	client := remote.Dial(ts.URL, "")
@@ -373,49 +388,76 @@ func TestOldServerPushdownFallback(t *testing.T) {
 	}
 
 	sql := "SELECT hotel FROM hotels WHERE city = 'Denver' AND available >= 3 LIMIT 500"
-	withPush := runBothPaths(t, fed, sql, false)
-
-	// The server forgets how to push between queries: requests still
-	// carry the fields, but no ack comes back, so the site must fall
-	// back to fetch-and-fuse.
-	srv.DisablePushdown = true
 	withoutAck := runBothPaths(t, fed, sql, false)
-	if !sameMultiset(multiset(withPush), multiset(withoutAck)) {
-		t.Fatal("old-server fallback changed the result")
+	ackFirst.Store(true)
+	withAck := runBothPaths(t, fed, sql, false)
+	if len(withAck) == 0 || !sameMultiset(multiset(withoutAck), multiset(withAck)) {
+		t.Fatalf("a leading ack changed the result: %d rows, %d without it", len(withAck), len(withoutAck))
 	}
 }
 
-// TestLyingProjectionAckFailsOver: a peer that acks a projection other
-// than the one asked for fails the fragment's open as a site failure.
-// Trusting the ack would hand the coordinator 1-wide rows as 2-wide
-// ones: SELECT sku, price would return a short row, and SELECT price,
-// sku would index past the row in the merge's projection.
+// TestLyingProjectionAckFailsOver: a peer whose rows are narrower than
+// the projection asked of it (here it ships the sku alone, after an
+// earlier release's ack naming that column) fails the fragment as a
+// site failure. Reading its rows would hand the coordinator 1-wide
+// rows as 2-wide ones: SELECT sku, price would return a short row, and
+// SELECT price, sku would index past the row in the merge's
+// projection. With a healthy replica behind it, the fragment fails
+// over and the query answers in full.
 func TestLyingProjectionAckFailsOver(t *testing.T) {
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/tables" {
-			fmt.Fprint(w, `[{"name":"parts","columns":[{"name":"sku","kind":"string","not_null":true},`+
-				`{"name":"price","kind":"float"},{"name":"qty","kind":"int"}],"key":["sku"],`+
-				`"push":{"project":true,"limit":true}}]`)
+	tbl := storage.NewTable(schema.MustTable("parts", []schema.Column{
+		{Name: "sku", Kind: value.KindString, NotNull: true},
+		{Name: "price", Kind: value.KindFloat},
+		{Name: "qty", Kind: value.KindInt},
+	}, "sku"))
+	for i := 0; i < 3; i++ {
+		if _, err := tbl.Insert(storage.Row{value.NewString(fmt.Sprintf("P%d", i)), value.NewFloat(1.5), value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := remote.NewServer()
+	good.PublishTable(tbl)
+	goodPeer := httptest.NewServer(good)
+	defer goodPeer.Close()
+	var lies atomic.Int64
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/fetchstream" {
+			good.ServeHTTP(w, r)
 			return
 		}
-		fmt.Fprint(w, `{"pushed":{"cols":["sku"]}}`+"\n"+`{"rows":[[{"k":"string","s":"P1"}]]}`+"\n"+`{"eof":true}`+"\n")
+		lies.Add(1)
+		w.Header().Set("Content-Type", "application/x-cohera-frames")
+		w.Write(wireFrame('M', []byte(`{"pushed":{"cols":["sku"]}}`)))
+		w.Write(wireFrame('R', value.AppendRow(nil, storage.Row{value.NewString("P1")})))
+		w.Write(wireFrame('M', []byte(`{"eof":true}`)))
 	}))
-	defer peer.Close()
-	sources, err := remote.Dial(peer.URL, "").Tables(context.Background())
-	if err != nil || len(sources) != 1 {
-		t.Fatalf("tables: %v (%d sources)", err, len(sources))
-	}
-	fed := New(NewAgoric())
-	site := NewSite("liar")
-	if err := fed.AddSite(site); err != nil {
-		t.Fatal(err)
-	}
-	site.AddSource(sources[0])
-	if _, err := fed.DefineTable(sources[0].Schema(), NewFragment("all", nil, site)); err != nil {
-		t.Fatal(err)
+	defer liar.Close()
+	// federate puts the fragment on one replica per URL, the first the
+	// cheapest bid.
+	federate := func(urls ...string) *Federation {
+		fed := New(NewAgoric())
+		var sites []*Site
+		for i, url := range urls {
+			sources, err := remote.Dial(url, "").Tables(context.Background())
+			if err != nil || len(sources) != 1 {
+				t.Fatalf("tables: %v (%d sources)", err, len(sources))
+			}
+			site := NewSite(fmt.Sprintf("replica-%d", i))
+			site.SetCost(CostModel{Latency: time.Duration(i) * time.Millisecond})
+			if err := fed.AddSite(site); err != nil {
+				t.Fatal(err)
+			}
+			site.AddSource(sources[0])
+			sites = append(sites, site)
+		}
+		if _, err := fed.DefineTable(tbl.Def(), NewFragment("all", nil, sites...)); err != nil {
+			t.Fatal(err)
+		}
+		return fed
 	}
 	ctx := context.Background()
 	for _, sql := range []string{"SELECT sku, price FROM parts", "SELECT price, sku FROM parts"} {
+		fed := federate(liar.URL)
 		if res, err := fed.Query(ctx, sql); !errors.Is(err, ErrSiteFailure) {
 			t.Errorf("%s: Query = %v, %v; want ErrSiteFailure and no rows", sql, res, err)
 		}
@@ -429,6 +471,22 @@ func TestLyingProjectionAckFailsOver(t *testing.T) {
 		}
 		if !errors.Is(err, ErrSiteFailure) {
 			t.Errorf("%s: QueryStream error = %v, want ErrSiteFailure", sql, err)
+		}
+
+		before := lies.Load()
+		fed = federate(liar.URL, goodPeer.URL)
+		if res, err := fed.Query(ctx, sql); err != nil || len(res.Rows) != tbl.Len() || len(res.Rows[0]) != 2 {
+			t.Errorf("%s: Query over the liar then a good replica = %v, %v; want %d rows of 2 cells", sql, res, err, tbl.Len())
+		}
+		st, _, err = fed.QueryStream(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := storage.CollectRows(st); err != nil || len(rows) != tbl.Len() {
+			t.Errorf("%s: QueryStream over the liar then a good replica = %d rows, %v; want %d", sql, len(rows), err, tbl.Len())
+		}
+		if lies.Load() < before+2 {
+			t.Errorf("%s: the liar served %d requests, want it tried first by both entry points", sql, lies.Load()-before)
 		}
 	}
 }

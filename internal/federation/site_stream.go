@@ -119,8 +119,6 @@ func (s *Site) streamStored(ctx context.Context, table string, where sqlparse.Ex
 // wrapper.OpenPushStream, which sends the connector what it can
 // evaluate (over the wire, for remote sources) and evaluates the rest
 // right here, one row at a time, before the stream leaves the site.
-// Equality conjuncts on columns the connector filters by also travel
-// as legacy filters.
 func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlparse.Expr, cols []string, limit int, g *plan.Grouping) (storage.RowStream, error) {
 	if limit == 0 {
 		if cols == nil {
@@ -128,19 +126,7 @@ func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlpa
 		}
 		return storage.NewSliceStream(cols, nil), nil
 	}
-	caps := src.Capabilities()
-	var filters []wrapper.Filter
-	for _, c := range plan.Conjuncts(where) {
-		r, ok := plan.Sargable(c)
-		if !ok || r.Lo.IsNull() || !r.Lo.Equal(r.Hi) || r.LoExclusive || r.HiExclusive {
-			continue
-		}
-		if caps.CanPush(r.Column) {
-			filters = append(filters, wrapper.Filter{Column: r.Column, Value: r.Lo})
-		}
-	}
-	push := wrapper.Pushdown{Where: where, Cols: cols, Limit: limit, Group: g}
-	st, err := wrapper.OpenPushStream(ctx, src, filters, push)
+	st, err := wrapper.OpenPushStream(ctx, src, wrapper.Pushdown{Where: where, Cols: cols, Limit: limit, Group: g})
 	if err != nil {
 		return nil, classify(src.Name(), err)
 	}

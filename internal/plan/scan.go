@@ -19,10 +19,6 @@ type ScanSpec struct {
 	// Where keeps only rows it evaluates truthy for (NULL drops the row,
 	// per SQL three-valued logic). nil keeps every row.
 	Where sqlparse.Expr
-	// Keep, when non-nil, is a further row test applied before Where. It
-	// runs under the scan latch on the stored row: the latch rule of
-	// storage.Cursor.Next binds it.
-	Keep func(storage.Row) bool
 	// Project lists the output expressions; nil emits the stored columns.
 	Project []sqlparse.Expr
 	// Columns names the output columns. nil with a nil Project names the
@@ -56,7 +52,6 @@ type TableScan struct {
 	cur    *storage.Cursor
 	cols   []string
 	where  Pred
-	keep   func(storage.Row) bool
 	slots  []int   // per output column: the stored column to copy, or -1
 	exprs  []Bound // per output column with slots[i] < 0: the expression
 	nstore int     // stored columns per row; slots[i] == nstore is the row id
@@ -83,7 +78,7 @@ func ScanTable(ctx context.Context, cur *storage.Cursor, spec ScanSpec) (*TableS
 		ev = &Evaluator{}
 	}
 	s := &TableScan{
-		ctx: ctx, done: ctx.Done(), cur: cur, cols: spec.Columns, keep: spec.Keep,
+		ctx: ctx, done: ctx.Done(), cur: cur, cols: spec.Columns,
 		nstore: len(def.Columns), skip: spec.Offset, remain: spec.Limit,
 		more: spec.Limit != 0,
 	}
@@ -132,6 +127,98 @@ func ScanTable(ctx context.Context, cur *storage.Cursor, spec ScanSpec) (*TableS
 	return s, nil
 }
 
+// ScanStored opens the kernel over a stored table for a single-table
+// predicate: over the index access path accessPath chooses when one
+// applies, over the whole heap otherwise. spec.Where is replaced by
+// what the access path leaves to check. The local engine and a
+// published table (wrapper.ERPSource) both read through it, so a
+// predicate reaches an index the same way on either.
+func ScanStored(ctx context.Context, t *storage.Table, where sqlparse.Expr, spec ScanSpec) (*TableScan, error) {
+	ids, usedIndex, residual := accessPath(t, where)
+	spec.Where = residual
+	if usedIndex {
+		return ScanTable(ctx, t.CursorOver(ids), spec)
+	}
+	return ScanTable(ctx, t.Cursor(), spec)
+}
+
+// accessPath chooses an index access path for a single-table predicate.
+// It returns (candidateIDs, usedIndex, residualPredicate); usedIndex
+// false means full scan. The distinction matters because an index range
+// can legitimately match zero rows — a nil candidate list alone would be
+// ambiguous.
+//
+// Every sargable conjunct on the chosen column is intersected into the
+// one range the index is asked for, so `a >= x AND a < y` reads the rows
+// between x and y rather than everything from x up. A point range is
+// preferred to a wider one. The residual keeps every conjunct the index
+// lookup does not already guarantee: the ones on other columns, and
+// those with an exclusive bound, which the inclusive LookupRange cannot
+// honor.
+func accessPath(t *storage.Table, where sqlparse.Expr) ([]int64, bool, sqlparse.Expr) {
+	conjuncts := Conjuncts(where)
+	// The conjuncts an index can serve: sargable, on an indexed column,
+	// with bounds of a kind the column's keys can be ordered against.
+	def := t.Def()
+	ranges := make([]Range, len(conjuncts))
+	served := make([]bool, len(conjuncts))
+	for i, c := range conjuncts {
+		r, ok := Sargable(c)
+		if !ok || !t.HasIndex(r.Column) {
+			continue
+		}
+		kind := def.Columns[def.ColumnIndex(r.Column)].Kind
+		if (r.Lo.IsNull() || value.Comparable(kind, r.Lo.Kind())) && (r.Hi.IsNull() || value.Comparable(kind, r.Hi.Kind())) {
+			ranges[i], served[i] = r, true
+		}
+	}
+	// merged folds every served conjunct on col into one range.
+	merged := func(col string) (m Range) {
+		for i, r := range ranges {
+			switch {
+			case !served[i] || r.Column != col:
+			case m.Column == "":
+				m = r
+			default:
+				m, _ = m.Intersect(r)
+			}
+		}
+		return m
+	}
+	best := ""
+	for i, r := range ranges {
+		if !served[i] {
+			continue
+		}
+		if best == "" {
+			best = r.Column
+		}
+		if merged(r.Column).Point() {
+			best = r.Column
+			break
+		}
+	}
+	if best == "" {
+		return nil, false, where
+	}
+	rng := merged(best)
+	var ids []int64
+	if !rng.Empty() {
+		var err error
+		if ids, err = t.LookupRange(best, rng.Lo, rng.Hi); err != nil {
+			return nil, false, where // index vanished; fall back to scan
+		}
+	}
+	residual := make([]sqlparse.Expr, 0, len(conjuncts))
+	for i, c := range conjuncts {
+		if r := ranges[i]; served[i] && r.Column == best && !r.LoExclusive && !r.HiExclusive && r.Contains(rng) {
+			continue
+		}
+		residual = append(residual, c)
+	}
+	return ids, true, AndExprs(residual)
+}
+
 // Columns implements storage.RowStream.
 func (s *TableScan) Columns() []string { return s.cols }
 
@@ -174,9 +261,6 @@ func (s *TableScan) fill() {
 		return
 	}
 	s.more = s.cur.Next(storage.DefaultBatchRows, func(id int64, row storage.Row) bool {
-		if s.keep != nil && !s.keep(row) {
-			return true
-		}
 		if s.where != nil {
 			ok, err := s.where(row, id)
 			if err != nil {
@@ -219,9 +303,6 @@ func (s *TableScan) fill() {
 // it emits the partial rows.
 func (s *TableScan) fillGrouped() {
 	s.more = s.cur.Next(storage.DefaultBatchRows, func(id int64, row storage.Row) bool {
-		if s.keep != nil && !s.keep(row) {
-			return true
-		}
 		if s.where != nil {
 			ok, err := s.where(row, id)
 			if err != nil {

@@ -89,6 +89,81 @@ func TestTableScanFilterProjectLimit(t *testing.T) {
 	}
 }
 
+// TestAccessPathIntersectsRanges: every sargable conjunct on the indexed
+// column narrows the one index lookup, so the candidates are the rows in
+// the range — not everything above its lower bound, with the upper bound
+// left to the residual — and ScanStored over that path keeps exactly the
+// rows the predicate does.
+func TestAccessPathIntersectsRanges(t *testing.T) {
+	tbl := storage.NewTable(schema.MustTable("items", []schema.Column{
+		{Name: "sku", Kind: value.KindString, NotNull: true},
+		{Name: "qty", Kind: value.KindInt},
+	}, "sku"))
+	for i := 0; i < 100; i++ {
+		if _, err := tbl.Insert(storage.Row{value.NewString(fmt.Sprintf("S%03d", i)), value.NewInt(int64(i % 10))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.CreateIndex("sku"); err != nil {
+		t.Fatal(err)
+	}
+	scanStored := func(where sqlparse.Expr) ([]storage.Row, error) {
+		st, err := ScanStored(context.Background(), tbl, where, ScanSpec{Limit: -1})
+		if err != nil {
+			return nil, err
+		}
+		return storage.CollectRows(st)
+	}
+	for _, tc := range []struct {
+		where      string
+		candidates int    // ids the index hands the scan
+		residual   string // what the scan must still check
+		rows       int    // rows the scan keeps
+	}{
+		{"sku >= 'S010' AND sku <= 'S019'", 10, "", 10},
+		// Exclusive bounds: the inclusive lookup may hand over the bound
+		// row itself; the residual keeps the conjunct to drop it.
+		{"sku >= 'S010' AND sku < 'S020'", 11, "(sku < 'S020')", 10},
+		{"sku > 'S010' AND sku < 'S020' AND qty = 5", 11, "(((sku > 'S010') AND (sku < 'S020')) AND (qty = 5))", 1},
+		{"sku BETWEEN 'S000' AND 'S050' AND sku >= 'S040' AND 'S045' >= sku", 6, "", 6},
+		{"sku >= 'S050' AND sku = 'S060'", 1, "", 1},
+		{"sku = 'S060' AND sku = 'S061'", 0, "", 0},
+		{"sku > 'S020' AND sku < 'S010'", 0, "((sku > 'S020') AND (sku < 'S010'))", 0},
+		// A bound that cannot be ordered against the others stays out of
+		// the lookup and in the residual.
+		{"sku >= 'S090' AND sku <= 99", 10, "(sku <= 99)", -1},
+	} {
+		where := mustExpr(t, tc.where)
+		ids, used, residual := accessPath(tbl, where)
+		if !used {
+			t.Errorf("%s: index not used", tc.where)
+			continue
+		}
+		if len(ids) != tc.candidates {
+			t.Errorf("%s: %d candidate ids, want %d", tc.where, len(ids), tc.candidates)
+		}
+		got := ""
+		if residual != nil {
+			got = residual.String()
+		}
+		if got != tc.residual {
+			t.Errorf("%s: residual %q, want %q", tc.where, got, tc.residual)
+		}
+		if tc.rows < 0 {
+			continue // the predicate is a type error either way
+		}
+		if rows, err := scanStored(where); err != nil || len(rows) != tc.rows {
+			t.Errorf("%s: %d rows, %v; want %d", tc.where, len(rows), err, tc.rows)
+		}
+	}
+	// A NULL bound is true of no row; it must not read as "unbounded".
+	for _, where := range []string{"sku >= NULL", "sku = NULL", "sku BETWEEN 'S000' AND NULL"} {
+		if rows, err := scanStored(mustExpr(t, where)); err != nil || len(rows) != 0 {
+			t.Errorf("%s: %d rows, %v; want none", where, len(rows), err)
+		}
+	}
+}
+
 // TestTableScanBindsAtOpen: a reference that cannot be resolved fails
 // ScanTable, typed, whether or not any row would have reached it.
 func TestTableScanBindsAtOpen(t *testing.T) {
@@ -141,11 +216,15 @@ func TestTableScanRowErrors(t *testing.T) {
 	}
 }
 
-// TestTableScanStopsAtLimit counts the rows the kernel looks at.
+// TestTableScanStopsAtLimit counts the rows the kernel looks at,
+// through a scalar function in the WHERE that is true of every row.
 func TestTableScanStopsAtLimit(t *testing.T) {
 	tbl := scanTable(t)
 	visited := 0
-	spec := ScanSpec{Keep: func(storage.Row) bool { visited++; return true }, Limit: 2}
+	ev := &Evaluator{Funcs: map[string]func([]value.Value) (value.Value, error){
+		"VISIT": func([]value.Value) (value.Value, error) { visited++; return value.NewBool(true), nil },
+	}}
+	spec := ScanSpec{Where: mustExpr(t, "VISIT(qty)"), Eval: ev, Limit: 2}
 	if rows := scanRows(t, tbl, spec); len(rows) != 2 || visited != 2 {
 		t.Fatalf("LIMIT 2 emitted %d rows after visiting %d", len(rows), visited)
 	}

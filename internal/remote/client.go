@@ -13,6 +13,7 @@ import (
 
 	"cohera/internal/admission"
 	"cohera/internal/obs"
+	"cohera/internal/plan"
 	"cohera/internal/resilience"
 	"cohera/internal/schema"
 	"cohera/internal/storage"
@@ -288,7 +289,7 @@ func (c *Client) Tables(ctx context.Context) ([]wrapper.Source, error) {
 			client: c, def: def,
 			caps: wrapper.Capabilities{
 				PushdownEq: ws.PushdownEq,
-				Push:       decodePushCaps(ws.Push),
+				Push:       plan.FullPushCaps(),
 				Volatile:   ws.Volatile,
 			},
 		})
@@ -352,8 +353,8 @@ const maxFetchBytes = 64 << 20
 var errFetchTooLarge = errors.New("remote: fetch body too large")
 
 // Fetch implements wrapper.Source: the /fetchstream push stream with
-// nothing pushed, drained. Pushable filters travel to the server and
-// every filter is re-checked as rows arrive. The drain runs under the
+// nothing pushed but the filters, which the server applies, drained.
+// The drain runs under the
 // client's retry policy and whole-call timeout, and fails once it has
 // read maxFetchBytes.
 func (s *Source) Fetch(ctx context.Context, filters []wrapper.Filter) ([]storage.Row, error) {

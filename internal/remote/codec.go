@@ -99,59 +99,8 @@ type wireSchema struct {
 	Key     []string     `json:"key,omitempty"`
 	// PushdownEq advertises the columns the server filters remotely.
 	PushdownEq []string `json:"pushdown_eq,omitempty"`
-	// Push advertises capability-aware σ/π/limit support. Old servers
-	// omit it; old clients ignore it — either way the pushdown
-	// negotiation degrades to the legacy equality-only protocol.
-	Push *wirePushCaps `json:"push,omitempty"`
 	// Volatile marks live tables.
 	Volatile bool `json:"volatile,omitempty"`
-}
-
-// wirePushCaps is the JSON form of plan.PushCaps.
-type wirePushCaps struct {
-	Classes []string `json:"classes,omitempty"`
-	Columns []string `json:"columns,omitempty"`
-	Project bool     `json:"project,omitempty"`
-	Limit   bool     `json:"limit,omitempty"`
-	Group   bool     `json:"group,omitempty"`
-}
-
-func encodePushCaps(c plan.PushCaps) *wirePushCaps {
-	out := &wirePushCaps{Columns: c.Columns, Project: c.Project, Limit: c.Limit, Group: c.Group}
-	for _, fc := range c.Classes {
-		out.Classes = append(out.Classes, string(fc))
-	}
-	return out
-}
-
-// decodePushCaps maps the wire record back; unknown class names from a
-// newer server are kept verbatim — they simply never match a conjunct's
-// required classes, so the client stays conservative.
-func decodePushCaps(w *wirePushCaps) plan.PushCaps {
-	if w == nil {
-		return plan.PushCaps{}
-	}
-	out := plan.PushCaps{Columns: w.Columns, Project: w.Project, Limit: w.Limit, Group: w.Group}
-	for _, s := range w.Classes {
-		out.Classes = append(out.Classes, plan.FilterClass(s))
-	}
-	return out
-}
-
-// wirePushedAck is the server's receipt for pushed σ/π/limit, sent as
-// the first frame of a /fetchstream response when the request
-// carried push fields. Its absence is the old-server signal: the client
-// then assumes nothing was applied and re-evaluates locally.
-type wirePushedAck struct {
-	// Where confirms rows are pre-filtered by the pushed predicate.
-	Where bool `json:"where,omitempty"`
-	// Cols, when non-empty, is the exact column set rows now carry.
-	Cols []string `json:"cols,omitempty"`
-	// Limit confirms the row cap is enforced server-side.
-	Limit bool `json:"limit,omitempty"`
-	// Group, when present, is the exact grouping the rows are partial
-	// rows of.
-	Group *wireGrouping `json:"group,omitempty"`
 }
 
 // wireGrouping is the JSON form of plan.Grouping: the group columns and

@@ -13,20 +13,20 @@ import (
 	"time"
 
 	"cohera/internal/resilience"
+	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 	"cohera/internal/value"
 	"cohera/internal/wrapper"
 )
 
-// fakePeer serves a one-table /tables (parts: sku, price, qty, with
-// projection pushdown advertised) and hands /fetchstream to fetch.
+// fakePeer serves a one-table /tables (parts: sku, price, qty) and
+// hands /fetchstream to fetch.
 func fakePeer(t *testing.T, fetch http.HandlerFunc, opts ...DialOption) *Source {
 	t.Helper()
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/tables" {
 			fmt.Fprint(w, `[{"name":"parts","columns":[{"name":"sku","kind":"string","not_null":true},`+
-				`{"name":"price","kind":"float"},{"name":"qty","kind":"int"}],"key":["sku"],`+
-				`"push":{"project":true,"limit":true}}]`)
+				`{"name":"price","kind":"float"},{"name":"qty","kind":"int"}],"key":["sku"]}]`)
 			return
 		}
 		fetch(w, r)
@@ -52,38 +52,96 @@ func skus(rows []storage.Row) []string {
 	return out
 }
 
-// TestLyingProjectionAckFailsOpen: the ack must name the requested
-// columns, case-insensitively and in order. A shorter or reordered list
-// fails the open instead of reshaping the stream to the peer's word.
+// layoutCase is one body a peer answers a pushed request with: an
+// optional leading M frame (the ack an earlier release sent, naming
+// what the peer applied) and one row in the layout the peer chose.
+type layoutCase struct {
+	name string
+	push wrapper.Pushdown
+	ack  string
+	row  storage.Row
+	ok   bool
+}
+
+// checkRowLayout serves each case from a fake parts peer. Rows are
+// decoded as wide as the request asks — the projection, the grouping's
+// partial layout, or the whole schema — whatever an ack claims, so a
+// row of any other width fails the stream instead of handing rows of an
+// unknown layout on. The receipt is always the request.
+func checkRowLayout(t *testing.T, tc layoutCase) {
+	t.Helper()
+	src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		var lead []byte
+		if tc.ack != "" {
+			lead = jsonFrame(`{"pushed":` + tc.ack + `}`)
+		}
+		serveFrames(w, lead, rowsFrame(tc.row), eofFrame)
+	})
+	st, applied, err := src.FetchPushStream(context.Background(), nil, tc.push)
+	if err != nil {
+		t.Fatalf("%s: open: %v", tc.name, err)
+	}
+	if want := (wrapper.Applied{Cols: tc.push.Cols != nil, Group: tc.push.Group != nil}); applied != want {
+		t.Errorf("%s: receipt %+v, want %+v", tc.name, applied, want)
+	}
+	rows, err := storage.CollectRows(st)
+	switch {
+	case tc.ok && (err != nil || len(rows) != 1 || len(rows[0]) != len(tc.row)):
+		t.Errorf("%s: rows %v, %v; want the one row", tc.name, rows, err)
+	case !tc.ok && (err == nil || !strings.Contains(err.Error(), "cells, want")):
+		t.Errorf("%s: rows %v, %v; want the stream failed on the row's width", tc.name, rows, err)
+	}
+}
+
+// TestLyingProjectionAckFailsOpen: a peer whose rows are narrower or
+// wider than the requested projection fails the stream, whatever
+// columns its ack names; an ack naming the requested columns in another
+// case reads as usual.
 func TestLyingProjectionAckFailsOpen(t *testing.T) {
-	sku, price := value.NewString("P1"), value.NewFloat(1.5)
-	for _, tc := range []struct {
-		ack string
-		row storage.Row
-		ok  bool
-	}{
-		{`["sku"]`, storage.Row{sku}, false},
-		{`["price","sku"]`, storage.Row{price, sku}, false},
-		{`["SKU","Price"]`, storage.Row{sku, price}, true},
+	sku, price, qty := value.NewString("P1"), value.NewFloat(1.5), value.NewInt(2)
+	cols := wrapper.Pushdown{Cols: []string{"sku", "price"}}
+	for _, tc := range []layoutCase{
+		{"narrower", cols, `{"cols":["sku"]}`, storage.Row{sku}, false},
+		{"ignored", cols, `{"cols":["sku","price","qty"]}`, storage.Row{sku, price, qty}, false},
+		{"ignored without ack", cols, "", storage.Row{sku, price, qty}, false},
+		{"case-insensitive ack", cols, `{"cols":["SKU","Price"]}`, storage.Row{sku, price}, true},
+		{"no ack", cols, "", storage.Row{sku, price}, true},
+	} {
+		checkRowLayout(t, tc)
+	}
+}
+
+// TestEarlierAckStillReads: a server of an earlier release leads its
+// body with a pushdown ack M frame. The client skips it, reads the same
+// rows as from a body without it, and its receipt is the request.
+func TestEarlierAckStillReads(t *testing.T) {
+	where, err := sqlparse.ParseExpr("qty >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := wrapper.Pushdown{Where: where, Cols: []string{"sku", "price"}, Limit: 2}
+	rows := []storage.Row{{value.NewString("P1"), value.NewFloat(1.5)}, {value.NewString("P2"), value.NewFloat(2.5)}}
+	var got [2][]storage.Row
+	for i, lead := range [][]byte{
+		jsonFrame(`{"pushed":{"where":true,"cols":["sku","price"],"limit":true}}`),
+		nil,
 	} {
 		src := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
-			serveFrames(w, jsonFrame(`{"pushed":{"cols":`+tc.ack+`}}`), rowsFrame(tc.row), eofFrame)
+			serveFrames(w, lead, rowsFrame(rows...), eofFrame)
 		})
-		st, applied, err := src.FetchPushStream(context.Background(), nil, wrapper.Pushdown{Cols: []string{"sku", "price"}})
-		if !tc.ok {
-			if err == nil {
-				st.Close()
-				t.Errorf("ack %s for [sku price]: open succeeded, want an error", tc.ack)
-			}
-			continue
+		st, applied, err := src.FetchPushStream(context.Background(), nil, push)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err != nil || !applied.Cols {
-			t.Fatalf("ack %s: open = %v, applied %+v", tc.ack, err, applied)
+		if want := (wrapper.Applied{Where: true, Cols: true, Limit: true}); applied != want {
+			t.Fatalf("receipt %+v, want %+v", applied, want)
 		}
-		rows, err := storage.CollectRows(st)
-		if err != nil || len(rows) != 1 || len(rows[0]) != 2 {
-			t.Fatalf("ack %s: rows %v, %v", tc.ack, rows, err)
+		if got[i], err = storage.CollectRows(st); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !sameRows(got[0], rows) || !sameRows(got[1], rows) {
+		t.Fatalf("rows after an ack %v, without %v; want %v", got[0], got[1], rows)
 	}
 }
 

@@ -20,12 +20,13 @@ import (
 //
 //	'R'  a row chunk: its rows back to back, each written by
 //	     value.AppendRow — the disk encoding of DESIGN §12
-//	'M'  a JSON streamChunk: the pushdown ack, a mid-stream error, or
-//	     the {"eof":true} terminator
+//	'M'  a JSON streamChunk: a mid-stream error, or the {"eof":true}
+//	     terminator
 //
-// The ack, when there is one, is the first frame, and the terminator is
-// the last: a body that ends without it was cut. There is one format
-// and no negotiation; a client refuses any other content type.
+// The terminator is the last frame: a body that ends without it was
+// cut. An M frame that is neither is skipped, so the leading pushdown
+// ack earlier releases wrote still reads. There is one format and no
+// negotiation; a client refuses any other content type.
 
 // framesContentType is the Content-Type of a /fetchstream body.
 const framesContentType = "application/x-cohera-frames"
@@ -125,9 +126,10 @@ func (r *rowDecoder) decode(payload []byte, width int) ([]storage.Row, error) {
 	d := value.NewDecoderIn(payload, string(payload))
 	cells, nrows := r.cells[:0], 0
 	for len(d.Rest()) > 0 {
-		// A row of the wrong width is wire corruption; letting it
-		// through would index-panic in the filter re-check or feed the
-		// evaluator garbage.
+		// A row of the wrong width is wire corruption, or a peer that
+		// did not answer the projection or grouping asked of it;
+		// letting it through would index past the row downstream or
+		// feed the evaluator garbage.
 		if n := d.Count(1); n != width {
 			if d.Err() != nil {
 				break

@@ -37,7 +37,7 @@ func FuzzDecodeStream(f *testing.F) {
 	long := storage.Row{value.NewInt(4), value.NewString(strings.Repeat("x", 200))}
 	eof := meta(streamChunk{EOF: true})
 	f.Add(body(rowsFrame(r1, r2), rowsFrame(r3), rowsFrame(r1), eof))                                     // multi-chunk
-	f.Add(body(meta(streamChunk{Pushed: &wirePushedAck{Where: true, Limit: true}}), rowsFrame(r2), eof))  // ack first
+	f.Add(body(jsonFrame(`{"pushed":{"where":true,"limit":true}}`), rowsFrame(r2), eof))                  // an earlier release's ack first
 	f.Add(body(rowsFrame(r1), meta(streamChunk{Error: "disk on fire"})))                                  // error frame
 	f.Add(body(rowsFrame(r3), jsonFrame(`{"eof":true,"trailer":{"stages":[{"name":"scan","rows":1}]}}`))) // eof with an unknown member
 	f.Add(body(rowsFrame(r1, r2)))                                                                        // missing terminator

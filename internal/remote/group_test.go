@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -45,10 +44,10 @@ func checkPartials(t *testing.T, rows []storage.Row, want map[int64][2]int64) {
 	}
 }
 
-// TestFetchStreamGrouped: a grouped request comes back as the acked
-// partial rows, folded over the rows the pushed WHERE keeps — by the
-// scan kernel for a stored table, by the server for a source that
-// cannot group. A peer that predates pushdown ships rows, unacked.
+// TestFetchStreamGrouped: a grouped request comes back as the
+// grouping's partial rows, folded over the rows the pushed WHERE keeps
+// — by the scan kernel for a stored table, by the server for a source
+// that cannot group.
 func TestFetchStreamGrouped(t *testing.T) {
 	where, err := sqlparse.ParseExpr("id < 37")
 	if err != nil {
@@ -66,22 +65,19 @@ func TestFetchStreamGrouped(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		publish func(*Server)
-		old     bool
 	}{
-		{"kernel", func(s *Server) { s.PublishTable(tbl) }, false},
-		{"server fold", func(s *Server) { s.Publish(static) }, false},
-		{"old peer", func(s *Server) { s.PublishTable(tbl) }, true},
+		{"kernel", func(s *Server) { s.PublishTable(tbl) }},
+		{"server fold", func(s *Server) { s.Publish(static) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := NewServer()
-			srv.DisablePushdown = tc.old
 			srv.StreamBatchRows = 2
 			tc.publish(srv)
 			hs := httptest.NewServer(srv)
 			defer hs.Close()
 			src := streamSource(t, hs)
-			if src.Capabilities().Push.Group == tc.old {
-				t.Fatalf("advertised group = %v", src.Capabilities().Push.Group)
+			if !src.Capabilities().Push.Group {
+				t.Fatal("a peer does not advertise grouping")
 			}
 			st, applied, err := src.FetchPushStream(context.Background(), nil, wrapper.Pushdown{Where: where, Group: bucketGrouping})
 			if err != nil {
@@ -91,12 +87,6 @@ func TestFetchStreamGrouped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.old {
-				if applied.Group || len(got) != 100 {
-					t.Fatalf("old peer: group acked %v, %d rows; want rows, unacked", applied.Group, len(got))
-				}
-				return
-			}
 			if !applied.Group || !applied.Where {
 				t.Fatalf("receipt %+v, want where and group", applied)
 			}
@@ -105,39 +95,24 @@ func TestFetchStreamGrouped(t *testing.T) {
 	}
 }
 
-// TestGroupAckMustEcho: an ack naming another grouping, or a grouping
-// nobody asked for, fails the open rather than hand back rows of an
-// unknown layout.
+// TestGroupAckMustEcho: a peer that grouped by other keys or other
+// aggregates than asked, or grouped unasked, sends partial rows of
+// another width, and the stream fails whatever its ack names. Rows in
+// the requested grouping's layout read.
 func TestGroupAckMustEcho(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		ack   string
-		group *plan.Grouping
-	}{
-		{"other keys", `{"keys":["id"],"aggs":[{"fn":"COUNT"},{"fn":"SUM","col":"id"}]}`, bucketGrouping},
-		{"other aggregates", `{"keys":["bucket"],"aggs":[{"fn":"COUNT"}]}`, bucketGrouping},
-		{"unasked", `{"keys":["bucket"],"aggs":[{"fn":"COUNT"}]}`, nil},
+	sku, price, qty := value.NewString("P1"), value.NewFloat(1.5), value.NewInt(2)
+	n := value.NewInt(3)
+	group := &plan.Grouping{Keys: []string{"sku"}, Aggs: []plan.AggCall{{Func: "COUNT"}}}
+	grouped := wrapper.Pushdown{Group: group}
+	for _, tc := range []layoutCase{
+		{"other keys", grouped, `{"group":{"keys":["sku","price"],"aggs":[{"fn":"COUNT"}]}}`, storage.Row{sku, price, n}, false},
+		{"other aggregates", grouped, `{"group":{"keys":["sku"],"aggs":[{"fn":"COUNT"},{"fn":"SUM","col":"qty"}]}}`, storage.Row{sku, n, qty}, false},
+		{"unasked", wrapper.Pushdown{}, `{"group":{"keys":["sku"],"aggs":[{"fn":"COUNT"}]}}`, storage.Row{sku, n}, false},
+		{"ignored", grouped, "", storage.Row{sku, price, qty}, false},
+		{"narrower", grouped, "", storage.Row{n}, false},
+		{"echoed", grouped, `{"group":{"keys":["sku"],"aggs":[{"fn":"COUNT"}]}}`, storage.Row{sku, n}, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/tables" {
-					fmt.Fprint(w, `[{"name":"numbers","columns":[{"name":"id","kind":"int","not_null":true},`+
-						`{"name":"bucket","kind":"int"}],"key":["id"],"push":{"classes":["range"],"group":true}}]`)
-					return
-				}
-				serveFrames(w, jsonFrame(`{"pushed":{"where":true,"group":`+tc.ack+`}}`),
-					rowsFrame(storage.Row{value.NewInt(1), value.NewInt(2)}), eofFrame)
-			}))
-			defer hs.Close()
-			where, err := sqlparse.ParseExpr("id < 5")
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _, err = streamSource(t, hs).FetchPushStream(context.Background(), nil, wrapper.Pushdown{Where: where, Group: tc.group})
-			if err == nil || !strings.Contains(err.Error(), "acked grouping") {
-				t.Fatalf("open = %v, want the grouping ack refused", err)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkRowLayout(t, tc) })
 	}
 }
 

@@ -132,14 +132,14 @@ func TestRemotePushdown(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].Str() != "P2" {
 		t.Fatalf("pushed fetch = %v", rows)
 	}
-	// Non-pushable filters still apply client-side.
+	// A filter on a column the peer does not advertise applies there too.
 	rows, err = sources[0].Fetch(context.Background(),
 		[]wrapper.Filter{{Column: "note", Value: value.NewString("backorder")}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 || rows[0][0].Str() != "P2" {
-		t.Fatalf("client-side filter = %v", rows)
+		t.Fatalf("unadvertised-column filter = %v", rows)
 	}
 }
 
@@ -342,5 +342,73 @@ func TestNDJSONPeerFailsOver(t *testing.T) {
 	}
 	if !errors.Is(err, errNotFrames) {
 		t.Fatalf("QueryStream over one NDJSON replica = %v; want errNotFrames in the chain", err)
+	}
+}
+
+// TestFilterMeansSQLEquality pins what a wrapper.Filter means (see its
+// doc comment): over the wire and on the gateway itself, the same
+// filter keeps the same rows, for a value of every stored kind, a NULL
+// value, a column the table lacks and a value of another kind. Values
+// travel exactly, so a TIME with nanoseconds still matches.
+func TestFilterMeansSQLEquality(t *testing.T) {
+	def := schema.MustTable("kinds", []schema.Column{
+		{Name: "id", Kind: value.KindInt, NotNull: true},
+		{Name: "f", Kind: value.KindFloat},
+		{Name: "s", Kind: value.KindString},
+		{Name: "b", Kind: value.KindBool},
+		{Name: "m", Kind: value.KindMoney},
+		{Name: "tm", Kind: value.KindTime},
+		{Name: "note", Kind: value.KindString},
+	}, "id")
+	at := time.Date(2001, 2, 3, 4, 5, 6, 789, time.UTC)
+	tbl := storage.NewTable(def)
+	for i := int64(0); i < 4; i++ {
+		note := value.Null
+		if i%2 == 0 {
+			note = value.NewString("even")
+		}
+		row := storage.Row{value.NewInt(i), value.NewFloat(float64(i) + 0.5), value.NewString(fmt.Sprintf("O'Brien %d", i)),
+			value.NewBool(i == 1), value.NewMoney(100*i, "USD"), value.NewTime(at.Add(time.Duration(i))), note}
+		if _, err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	erp := wrapper.NewERPSource("kinds", tbl)
+	srv := NewServer()
+	srv.Publish(erp)
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	src := streamSource(t, hs)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		f    wrapper.Filter
+		rows int // -1: an evaluation error
+	}{
+		{"int", wrapper.Filter{Column: "id", Value: value.NewInt(2)}, 1},
+		{"float", wrapper.Filter{Column: "f", Value: value.NewFloat(1.5)}, 1},
+		{"string with a quote", wrapper.Filter{Column: "s", Value: value.NewString("O'Brien 3")}, 1},
+		{"bool", wrapper.Filter{Column: "b", Value: value.NewBool(false)}, 3},
+		{"money", wrapper.Filter{Column: "m", Value: value.NewMoney(200, "USD")}, 1},
+		{"time", wrapper.Filter{Column: "tm", Value: value.NewTime(at.Add(3))}, 1},
+		{"null is IS NULL", wrapper.Filter{Column: "note", Value: value.Null}, 2},
+		{"unknown column dropped", wrapper.Filter{Column: "nosuch", Value: value.NewInt(1)}, 4},
+		{"int against text", wrapper.Filter{Column: "id", Value: value.NewString("3")}, 1},
+		{"float against int", wrapper.Filter{Column: "f", Value: value.NewInt(2)}, 0},
+		{"money against int", wrapper.Filter{Column: "m", Value: value.NewInt(100)}, -1},
+		{"other currency", wrapper.Filter{Column: "m", Value: value.NewMoney(100, "EUR")}, -1},
+	} {
+		filters := []wrapper.Filter{tc.f}
+		want, werr := erp.Fetch(ctx, filters)
+		got, err := src.Fetch(ctx, filters)
+		if tc.rows < 0 {
+			if werr == nil || err == nil {
+				t.Errorf("%s: gateway %d rows, %v; remote %d rows, %v; want both to fail", tc.name, len(want), werr, len(got), err)
+			}
+			continue
+		}
+		if werr != nil || err != nil || len(want) != tc.rows || !sameRows(got, want) {
+			t.Errorf("%s: gateway %v, %v; remote %v, %v; want the same %d rows", tc.name, want, werr, got, err, tc.rows)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"cohera/internal/admission"
 	"cohera/internal/obs"
-	"cohera/internal/plan"
 	"cohera/internal/storage"
 	"cohera/internal/wrapper"
 )
@@ -45,6 +44,12 @@ var metServerSeconds = obs.Default().Histogram("cohera_remote_server_seconds",
 //	GET  /debug/replication  → per-table digests for operator comparison
 //	GET  /healthz            → 200 ok
 //
+// /fetchstream completes whatever it is asked, with no acknowledgement:
+// the filters join the pushed WHERE, and wrapper.OpenPushStream
+// evaluates here anything the published source cannot, so every table
+// takes the full σ/π/limit/γ request and /tables advertises nothing
+// beyond each table's schema, equality columns and volatility.
+//
 // An optional bearer token gates every endpoint; cross-enterprise feeds
 // are not anonymous.
 type Server struct {
@@ -56,12 +61,6 @@ type Server struct {
 	// storage.DefaultBatchRows, and sizes above 8192 are capped.
 	// Like Token it must be set before serving.
 	StreamBatchRows int
-	// DisablePushdown makes the server behave like one that predates
-	// capability-aware pushdown: /tables advertises no push capabilities
-	// and /fetchstream ignores the where/cols/limit/group request fields
-	// and sends no ack. Compatibility-fallback tests flip it; like Token it
-	// must be set before serving.
-	DisablePushdown bool
 	// Admission, when set, gates the data-plane endpoint (/fetchstream):
 	// requests past the site's capacity are refused with HTTP 429 plus a
 	// Retry-After header instead of queueing without bound. The tenant
@@ -210,14 +209,7 @@ func (s *Server) handleTables(w http.ResponseWriter) {
 	for _, n := range names {
 		src := s.sources[n]
 		caps := src.Capabilities()
-		ws := encodeSchema(src.Schema(), caps.PushdownEq, caps.Volatile)
-		// The server fuses (and folds) anything its source cannot apply,
-		// so every published table supports full σ/π/limit/γ pushdown
-		// regardless of the underlying connector's own capabilities.
-		if !s.DisablePushdown {
-			ws.Push = encodePushCaps(plan.FullPushCaps())
-		}
-		out = append(out, ws)
+		out = append(out, encodeSchema(src.Schema(), caps.PushdownEq, caps.Volatile))
 	}
 	s.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/json")

@@ -39,12 +39,15 @@ var ErrTruncated = errors.New("remote: stream truncated before eof terminator")
 // chunk never buffers unbounded rows.
 const maxStreamBatchRows = 8192
 
-// streamRequest is the body of POST /fetchstream. The pushdown fields
-// (where/cols/limit) are ignored by servers that predate them — JSON
-// decoding drops unknown fields — and the missing first-chunk ack tells
-// the client nothing was applied.
+// streamRequest is the body of POST /fetchstream: one pushed request,
+// which the server always completes. The rows it answers with are the
+// rows Filters and Where keep, Cols wide (the whole schema when Cols is
+// empty), or Group's partial rows.
 type streamRequest struct {
-	Table   string       `json:"table"`
+	Table string `json:"table"`
+	// Filters are further conjuncts of Where (wrapper.Filter), carried
+	// as exact values: a literal's SQL text does not round-trip every
+	// kind.
 	Filters []wireFilter `json:"filters,omitempty"`
 	// Where is a pushed predicate in SQL text form (bare column refs);
 	// the server parses and applies it before encoding rows.
@@ -58,12 +61,12 @@ type streamRequest struct {
 	Group *wireGrouping `json:"group,omitempty"`
 }
 
-// streamChunk is the JSON of a /fetchstream M frame: a pushdown ack, a
-// mid-stream error, or the terminator. Members a newer peer adds are
-// skipped.
+// streamChunk is the JSON of a /fetchstream M frame: a mid-stream
+// error or the terminator. Members it does not name are skipped, so an
+// M frame that is neither (the leading pushdown ack of earlier
+// releases) carries nothing and is passed over.
 type streamChunk struct {
-	Pushed *wirePushedAck `json:"pushed,omitempty"`
-	Error  string         `json:"error,omitempty"`
+	Error string `json:"error,omitempty"`
 	// Eval marks Error as a fault of the query's evaluation
 	// (plan.ErrEval), not of the serving source: the client reports it
 	// as such, and the coordinator does not fail over on it.
@@ -160,43 +163,40 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		}
 		filters = append(filters, wrapper.Filter{Column: wf.Column, Value: v})
 	}
-	// Capability-aware pushdown: parse the request's σ/π/limit/γ and
-	// open the source through wrapper.OpenPushStream, which evaluates
-	// whatever the source cannot right here — rows failing the pushed
-	// WHERE are never encoded. With DisablePushdown set the fields are
-	// ignored and no ack is sent, reproducing an old server for fallback
-	// tests.
+	// The filters join the pushed WHERE as conjuncts, and
+	// wrapper.OpenPushStream completes the whole request, evaluating
+	// whatever the source cannot right here: rows failing the pushed
+	// WHERE are never encoded.
 	var push wrapper.Pushdown
-	if !s.DisablePushdown {
-		if req.Where != "" {
-			expr, perr := sqlparse.ParseExpr(req.Where)
-			if perr != nil {
-				w.WriteHeader(http.StatusBadRequest)
-				//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
-				_ = writeJSON(w, errorResponse{Error: fmt.Sprintf("bad pushdown where: %v", perr)})
-				return
-			}
-			push.Where = expr
-		}
-		if len(req.Cols) > 0 {
-			push.Cols = req.Cols
-		}
-		if req.Limit > 0 {
-			push.Limit = req.Limit
-		}
-		g, gerr := decodeGrouping(req.Group)
-		if gerr == nil && g != nil && (push.Cols != nil || push.Limit > 0) {
-			gerr = fmt.Errorf("a grouped request carries no cols or limit")
-		}
-		if gerr != nil {
+	if req.Where != "" {
+		expr, perr := sqlparse.ParseExpr(req.Where)
+		if perr != nil {
 			w.WriteHeader(http.StatusBadRequest)
 			//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
-			_ = writeJSON(w, errorResponse{Error: fmt.Sprintf("bad pushdown group: %v", gerr)})
+			_ = writeJSON(w, errorResponse{Error: fmt.Sprintf("bad pushdown where: %v", perr)})
 			return
 		}
-		push.Group = g
+		push.Where = expr
 	}
-	st, err := wrapper.OpenPushStream(r.Context(), src, filters, push)
+	push.Where = wrapper.AndFilters(src.Schema(), push.Where, filters)
+	if len(req.Cols) > 0 {
+		push.Cols = req.Cols
+	}
+	if req.Limit > 0 {
+		push.Limit = req.Limit
+	}
+	g, gerr := decodeGrouping(req.Group)
+	if gerr == nil && g != nil && (push.Cols != nil || push.Limit > 0) {
+		gerr = fmt.Errorf("a grouped request carries no cols or limit")
+	}
+	if gerr != nil {
+		w.WriteHeader(http.StatusBadRequest)
+		//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
+		_ = writeJSON(w, errorResponse{Error: fmt.Sprintf("bad pushdown group: %v", gerr)})
+		return
+	}
+	push.Group = g
+	st, err := wrapper.OpenPushStream(r.Context(), src, push)
 	if err != nil {
 		// A projection or grouping the rows cannot answer is the
 		// request's fault; anything else is the source's.
@@ -208,11 +208,6 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
 		_ = writeJSON(w, errorResponse{Error: err.Error()})
 		return
-	}
-	var ack *wirePushedAck
-	if !push.Empty() {
-		ack = &wirePushedAck{Where: push.Where != nil, Cols: push.Cols, Limit: push.Limit > 0,
-			Group: encodeGrouping(push.Group)}
 	}
 	batchRows := clampBatchRows(s.StreamBatchRows)
 	metStreamInflight("server").Add(1)
@@ -242,13 +237,6 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		return err
-	}
-	// The ack must be the first frame: the client reads it synchronously
-	// to learn what was applied before it sees any rows.
-	if ack != nil {
-		if err := writeMeta(streamChunk{Pushed: ack}); err != nil {
-			return
-		}
 	}
 	peak := 0
 	defer func() {
@@ -311,15 +299,16 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // FetchPushStream implements wrapper.PushStreamingSource over POST
-// /fetchstream: the pushed σ/π/limit travel as request fields. The
-// returned stream holds the response body open and decodes chunks on
-// demand, so client-side memory is one chunk regardless of result size.
-// The first response chunk is the server's ack; a server too old to
-// know the fields sends none, the receipt comes back all-false, and the
-// caller re-evaluates locally — full-width unfiltered rows, exactly the
-// pre-push behavior. Streams are never retried — a replayed stream
-// could double rows already consumed; failover belongs to the
-// federation layer, which can dedupe by primary key.
+// /fetchstream: the filters and the pushed σ/π/limit/γ travel as
+// request fields, and the server completes all of them, so the receipt
+// is exactly the request. The returned stream holds the response body
+// open and decodes chunks on demand, so client-side memory is one chunk
+// regardless of result size. Rows are decoded as wide as the request
+// asks (the projection, the grouping's partial layout, or the schema);
+// a peer whose rows are any other width fails the stream. Streams are
+// never retried — a replayed stream could double rows already consumed;
+// failover belongs to the federation layer, which can dedupe by primary
+// key.
 func (s *Source) FetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
 	return s.fetchPushStream(ctx, filters, push, 0)
 }
@@ -329,29 +318,15 @@ func (s *Source) FetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown, maxBytes int64) (storage.RowStream, wrapper.Applied, error) {
 	ctx, sp := obs.StartSpan(ctx, "remote.fetchstream")
 	sp.Set("table", s.def.Name)
-	req := streamRequest{Table: s.def.Name}
+	req := streamRequest{Table: s.def.Name, Cols: push.Cols, Group: encodeGrouping(push.Group)}
+	for _, f := range filters {
+		req.Filters = append(req.Filters, wireFilter{Column: f.Column, Value: encodeValue(f.Value)})
+	}
 	if push.Where != nil {
 		req.Where = push.Where.String()
 	}
-	req.Cols = push.Cols
 	if push.Limit > 0 {
 		req.Limit = push.Limit
-	}
-	var local []wrapper.Filter
-	allPushed := true
-	for _, f := range filters {
-		if s.caps.CanPush(f.Column) {
-			req.Filters = append(req.Filters, wireFilter{Column: f.Column, Value: encodeValue(f.Value)})
-		} else {
-			allPushed = false
-		}
-		local = append(local, f)
-	}
-	// Partial rows cannot be re-filtered here, so a grouping travels
-	// only with every filter; otherwise rows come back whole and the
-	// caller folds them.
-	if push.Group != nil && allPushed {
-		req.Group = encodeGrouping(push.Group)
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -415,69 +390,27 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 		sp.End()
 		return nil, wrapper.Applied{}, err
 	}
+	cols := s.def.ColumnNames()
+	switch {
+	case push.Group != nil:
+		cols = push.Group.Columns()
+	case len(push.Cols) > 0:
+		cols = slices.Clone(push.Cols)
+	}
 	metStreamInflight("client").Add(1)
 	// The decode stage is a leaf under the wrapper.fetch stage: rows and
-	// bytes are counted per chunk as they come off the wire, before the
-	// local filter re-check drops anything.
+	// bytes are counted per chunk as they come off the wire.
 	_, stage := obs.StartStage(ctx, "remote.decode", s.def.Name)
 	cs := &clientStream{
 		def:      s.def,
-		cols:     s.def.ColumnNames(),
-		filters:  local,
+		cols:     cols,
 		body:     resp.Body,
 		br:       bufio.NewReaderSize(resp.Body, 64<<10),
 		sp:       sp,
 		stage:    stage,
 		maxBytes: maxBytes,
 	}
-	cs.rebindFilters()
-	var applied wrapper.Applied
-	if !push.Empty() {
-		// Read the first frame now: a push-aware server leads with its
-		// ack, an old server leads with rows (stashed for Next). Either
-		// way the receipt is known before the caller sees the stream.
-		if ack := cs.awaitAck(); ack != nil {
-			// A projection ack must name exactly the columns asked for,
-			// in order: rows shaped by any other list would be read
-			// against the wrong layout downstream.
-			var err error
-			if len(ack.Cols) > 0 && !slices.EqualFunc(ack.Cols, push.Cols, strings.EqualFold) {
-				err = fmt.Errorf("remote: %s acked projection %v, asked for %v", s.def.Name, ack.Cols, push.Cols)
-			}
-			// A grouping ack must echo the grouping sent, exactly: the
-			// partial layout follows from it.
-			var acked *plan.Grouping
-			if err == nil && ack.Group != nil {
-				if acked, err = decodeGrouping(ack.Group); err == nil && (req.Group == nil || !acked.Equal(push.Group)) {
-					err = fmt.Errorf("remote: %s acked grouping %+v, asked for %+v", s.def.Name, ack.Group, req.Group)
-				}
-			}
-			if err != nil {
-				cs.err = err
-				//lint:ignore errdrop the open is failing; close is best-effort cleanup
-				_ = cs.Close()
-				return nil, wrapper.Applied{}, err
-			}
-			applied = wrapper.Applied{
-				Where: ack.Where && push.Where != nil,
-				Cols:  len(ack.Cols) > 0,
-				Limit: ack.Limit && push.Limit > 0,
-				Group: acked != nil,
-			}
-			switch {
-			case applied.Group:
-				// Rows arrive as partial rows; the filter re-check sees
-				// only the group columns.
-				cs.cols = push.Group.Columns()
-				cs.rebindFilters()
-			case applied.Cols:
-				// Rows arrive projected: narrow the stream's column set
-				// and re-resolve the filter re-check against it.
-				cs.cols = append([]string(nil), ack.Cols...)
-				cs.rebindFilters()
-			}
-		}
-	}
+	applied := wrapper.Applied{Where: push.Where != nil, Cols: len(push.Cols) > 0, Limit: push.Limit > 0, Group: push.Group != nil}
 	return cs, applied, nil
 }
 
@@ -486,24 +419,16 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 type clientStream struct {
 	def     *schema.Table
 	cols    []string
-	filters []wrapper.Filter
-	// filterIdx maps filters onto the (possibly projected) row layout;
-	// -1 skips a filter whose column the rows no longer carry.
-	filterIdx []int
-	body      io.ReadCloser
-	br        *bufio.Reader
-	sp        *obs.Span
-	stage     *obs.StageStats
-	payload   []byte     // the current frame's payload, reused
-	dec       rowDecoder // rows are decoded len(cols) wide
+	body    io.ReadCloser
+	br      *bufio.Reader
+	sp      *obs.Span
+	stage   *obs.StageStats
+	payload []byte     // the current frame's payload, reused
+	dec     rowDecoder // rows are decoded len(cols) wide
 
 	// read counts body bytes so far; past maxBytes (when > 0) the
 	// stream fails with errFetchTooLarge.
 	read, maxBytes int64
-
-	// stash holds a chunk read ahead of its turn (the ack probe hit
-	// rows on an old server).
-	stash *chunk
 
 	pending []storage.Row
 	pos     int
@@ -514,21 +439,6 @@ type clientStream struct {
 
 // Columns implements storage.RowStream.
 func (c *clientStream) Columns() []string { return c.cols }
-
-// rebindFilters resolves the equality-filter columns against the
-// current row layout. Called again when an ack narrows the columns.
-func (c *clientStream) rebindFilters() {
-	c.filterIdx = make([]int, len(c.filters))
-	for i, f := range c.filters {
-		c.filterIdx[i] = -1
-		for j, col := range c.cols {
-			if strings.EqualFold(col, f.Column) {
-				c.filterIdx[i] = j
-				break
-			}
-		}
-	}
-}
 
 // chunk is one decoded frame: rows of an R frame, or an M frame's meta.
 type chunk struct {
@@ -586,21 +496,6 @@ func (c *clientStream) readChunk() (ch chunk, ok bool) {
 	return ch, true
 }
 
-// awaitAck reads the first chunk looking for a pushdown ack. A non-ack
-// chunk (old server) is stashed for Next; a read failure stays sticky
-// in c.err and surfaces on the first Next.
-func (c *clientStream) awaitAck() *wirePushedAck {
-	ch, ok := c.readChunk()
-	if !ok {
-		return nil
-	}
-	if ch.meta.Pushed != nil {
-		return ch.meta.Pushed
-	}
-	c.stash = &ch
-	return nil
-}
-
 // Next implements storage.RowStream.
 func (c *clientStream) Next() (storage.Row, error) {
 	if c.closed {
@@ -615,14 +510,9 @@ func (c *clientStream) Next() (storage.Row, error) {
 		if c.err != nil {
 			return nil, c.err
 		}
-		var ch chunk
-		if c.stash != nil {
-			ch, c.stash = *c.stash, nil
-		} else {
-			var ok bool
-			if ch, ok = c.readChunk(); !ok {
-				return nil, c.err
-			}
+		ch, ok := c.readChunk()
+		if !ok {
+			return nil, c.err
 		}
 		if ch.meta.Error != "" {
 			c.err = fmt.Errorf("remote: stream failed at server: %s", ch.meta.Error)
@@ -636,8 +526,9 @@ func (c *clientStream) Next() (storage.Row, error) {
 			return nil, c.err
 		}
 		if ch.rows == nil {
-			// A stray ack mid-stream, or an empty chunk, carries no
-			// rows; skip it.
+			// An M frame that is neither an error nor the terminator
+			// (an earlier release's leading pushdown ack), or an empty
+			// chunk, carries no rows; skip it.
 			continue
 		}
 		rows := ch.rows
@@ -647,34 +538,8 @@ func (c *clientStream) Next() (storage.Row, error) {
 		if len(rows) > c.peak {
 			c.peak = len(rows)
 		}
-		// Re-check every filter locally: the server only applied the
-		// pushable subset. Filters on columns a pushed projection
-		// dropped are skipped — the caller holds the receipt and keeps
-		// responsibility for anything it did not push.
-		c.pending = c.pending[:0]
-		c.pos = 0
-		for _, r := range rows {
-			if c.rowPassesFilters(r) {
-				c.pending = append(c.pending, r)
-			}
-		}
+		c.pending, c.pos = rows, 0
 	}
-}
-
-// rowPassesFilters re-applies equality filters to one decoded row using
-// the prebound layout indexes.
-func (c *clientStream) rowPassesFilters(r storage.Row) bool {
-	for i, f := range c.filters {
-		ci := c.filterIdx[i]
-		if ci < 0 {
-			continue
-		}
-		cmp, err := r[ci].Compare(f.Value)
-		if err != nil || cmp != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Close implements storage.RowStream. Idempotent; settles the stream's

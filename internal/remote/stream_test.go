@@ -86,8 +86,9 @@ func TestFetchStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFetchStreamPushdownAndRecheck asserts pushed and unpushed filters
-// both apply.
+// TestFetchStreamPushdownAndRecheck asserts filters apply whether or
+// not the peer advertises their column: the server ANDs every filter
+// into the pushed WHERE.
 func TestFetchStreamPushdownAndRecheck(t *testing.T) {
 	srv := NewServer()
 	srv.PublishTable(numbersTable(t, 50), "id")
@@ -95,7 +96,7 @@ func TestFetchStreamPushdownAndRecheck(t *testing.T) {
 	defer hs.Close()
 	src := streamSource(t, hs)
 
-	// "bucket" is not pushable: the client must re-check it locally.
+	// "bucket" is not advertised.
 	st, err := plainStream(context.Background(), src, []wrapper.Filter{
 		{Column: "bucket", Value: value.NewInt(3)},
 	})
@@ -109,7 +110,7 @@ func TestFetchStreamPushdownAndRecheck(t *testing.T) {
 	if len(rows) != 10 {
 		t.Fatalf("bucket filter: got %d rows, want 10", len(rows))
 	}
-	// "id" is pushable.
+	// "id" is advertised.
 	st, err = plainStream(context.Background(), src, []wrapper.Filter{
 		{Column: "id", Value: value.NewInt(7)},
 	})
@@ -123,6 +124,60 @@ func TestFetchStreamPushdownAndRecheck(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].Int() != 7 {
 		t.Fatalf("id filter: got %v", rows)
 	}
+}
+
+// TestFilterOnUnadvertisedColumn: a filter on a column the peer does
+// not advertise still holds for every row, whatever else is pushed
+// with it — a projection that drops the column, or a limit the peer
+// applies. bucket = 3 keeps 20 of the 100 rows.
+func TestFilterOnUnadvertisedColumn(t *testing.T) {
+	srv := NewServer()
+	srv.PublishTable(numbersTable(t, 100), "id")
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	src := streamSource(t, hs)
+	ctx := context.Background()
+	filters := []wrapper.Filter{{Column: "bucket", Value: value.NewInt(3)}}
+	inBucket3 := func(name string, rows []storage.Row, want int) {
+		t.Helper()
+		if len(rows) != want {
+			t.Errorf("%s: %d rows, want %d", name, len(rows), want)
+		}
+		for _, r := range rows {
+			if r[0].Int()%5 != 3 {
+				t.Errorf("%s: row %v is not in bucket 3", name, r)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		push wrapper.Pushdown
+		want int
+	}{
+		{"projection", wrapper.Pushdown{Cols: []string{"id"}}, 20},
+		{"limit", wrapper.Pushdown{Limit: 10}, 10},
+	} {
+		st, _, err := src.FetchPushStream(ctx, filters, tc.push)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := storage.CollectRows(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inBucket3(tc.name, rows, tc.want)
+	}
+	// Through the site-side open, the filter is a conjunct of the WHERE.
+	where := wrapper.AndFilters(src.Schema(), nil, filters)
+	st, err := wrapper.OpenPushStream(ctx, src, wrapper.Pushdown{Where: where, Cols: []string{"id"}, Limit: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := storage.CollectRows(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inBucket3("OpenPushStream", rows, 10)
 }
 
 // TestFetchStreamReuseAfterClose pins the reuse-after-Close contract on

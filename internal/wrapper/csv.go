@@ -113,5 +113,5 @@ func (s *CSVSource) Fetch(ctx context.Context, filters []Filter) ([]storage.Row,
 		}
 		rows = append(rows, row)
 	}
-	return applyFilters(s.def, rows, filters), nil
+	return applyFilters(s.def, rows, filters)
 }

@@ -116,7 +116,7 @@ func (s *StaticSource) Fetch(ctx context.Context, filters []Filter) ([]storage.R
 	for i, r := range s.rows {
 		out[i] = r.Clone()
 	}
-	return applyFilters(s.def, out, filters), nil
+	return applyFilters(s.def, out, filters)
 }
 
 // FuncSource generates rows on every fetch from a function — used to
@@ -156,5 +156,5 @@ func (s *FuncSource) Fetch(ctx context.Context, filters []Filter) ([]storage.Row
 			return nil, fmt.Errorf("wrapper: func %s row %d: %w", s.name, i, err)
 		}
 	}
-	return applyFilters(s.def, rows, filters), nil
+	return applyFilters(s.def, rows, filters)
 }

@@ -317,5 +317,5 @@ func (s *HTMLSource) Fetch(ctx context.Context, filters []Filter) ([]storage.Row
 		}
 		rows = append(rows, row)
 	}
-	return applyFilters(s.def, rows, filters), nil
+	return applyFilters(s.def, rows, filters)
 }

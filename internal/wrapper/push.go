@@ -13,11 +13,10 @@ import (
 	"cohera/internal/storage"
 )
 
-// Pushdown is the σ/π/limit/γ request a caller hands OpenPushStream
-// alongside the legacy equality filters. OpenPushStream sends a source
-// only what its Capabilities().Push advertises and evaluates the rest
-// itself; a push-capable source's Applied receipt reports what it
-// actually did.
+// Pushdown is the σ/π/limit/γ request a caller hands OpenPushStream.
+// OpenPushStream sends a source only what its Capabilities().Push
+// advertises and evaluates the rest itself; a push-capable source's
+// Applied receipt reports what it actually did.
 type Pushdown struct {
 	// Where is the pushed predicate, with bare (unqualified) column
 	// refs resolving against the source schema. nil pushes no filter.
@@ -33,16 +32,10 @@ type Pushdown struct {
 	Group *plan.Grouping
 }
 
-// Empty reports whether the request asks for nothing.
-func (p Pushdown) Empty() bool {
-	return p.Where == nil && p.Cols == nil && p.Limit <= 0 && p.Group == nil
-}
-
 // Applied is a source's receipt for a Pushdown: which parts of the
 // request the delivered stream already reflects. The zero value means
 // "nothing applied" — OpenPushStream re-filters, re-projects, and
-// re-limits, which is exactly the old-server / non-push-capable
-// fallback.
+// re-limits, as it does for a source that is not push-capable.
 type Applied struct {
 	// Where: rows are pre-filtered by the pushed predicate.
 	Where bool
@@ -62,42 +55,45 @@ type Applied struct {
 type PushStreamingSource interface {
 	Source
 	// FetchPushStream retrieves rows as a stream with the pushed
-	// σ/π/limit applied as far as the source is able.
+	// σ/π/limit applied as far as the source is able. filters are
+	// further conjuncts of the pushed WHERE (see Filter).
 	FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error)
 }
 
 // OpenPushStream opens a stream from src that reflects all of push: the
-// rows the filters and push.Where keep, projected to push.Cols and cut
-// at push.Limit, or folded into push.Group's partial rows. It is the one
-// place that decides what a source evaluates and who evaluates the
-// rest. The source is sent the conjuncts of push.Where its
-// Capabilities().Push can filter and, only when that is the whole
-// predicate, the projection, limit and grouping it advertises; whatever
-// its receipt disclaims is fused (plan.FuseStream) or folded
+// rows push.Where keeps, projected to push.Cols and cut at push.Limit,
+// or folded into push.Group's partial rows. It is the one place that
+// decides what a source evaluates and who evaluates the rest. The
+// source is sent the conjuncts of push.Where its Capabilities().Push
+// can filter and, only when that is the whole predicate, the
+// projection, limit and grouping it advertises; the equality conjuncts
+// left over on its PushdownEq columns travel as Filters, which cut the
+// transfer of a source that cannot take a pushed WHERE. Whatever its
+// receipt disclaims is fused (plan.FuseStream) or folded
 // (plan.NewFoldStream) over its rows here. Errors of that evaluation,
 // and a projection or grouping the rows cannot answer, wrap
 // plan.ErrEval; anything else is the source's own failure. The caller
 // owns the returned stream.
-func OpenPushStream(ctx context.Context, src Source, filters []Filter, push Pushdown) (storage.RowStream, error) {
-	caps := src.Capabilities().Push
-	where, resid := plan.SplitPushable(push.Where, caps)
+func OpenPushStream(ctx context.Context, src Source, push Pushdown) (storage.RowStream, error) {
+	caps := src.Capabilities()
+	where, resid := plan.SplitPushable(push.Where, caps.Push)
 	// A projection, limit or grouping is only safe at the source when it
 	// applies the entire filter: the first N rows of a partially filtered
 	// stream are not the first N of the filtered one, and the residual
 	// may read columns a projection drops.
 	req := Pushdown{Where: where}
 	if resid == nil {
-		if caps.Project {
+		if caps.Push.Project {
 			req.Cols = push.Cols
 		}
-		if caps.Limit {
+		if caps.Push.Limit {
 			req.Limit = push.Limit
 		}
-		if caps.Group {
+		if caps.Push.Group {
 			req.Group = push.Group
 		}
 	}
-	st, applied, err := openSource(ctx, src, filters, req)
+	st, applied, err := openSource(ctx, src, eqFilters(resid, caps), req)
 	if err != nil {
 		return nil, err
 	}
@@ -133,9 +129,22 @@ func OpenPushStream(ctx context.Context, src Source, filters []Filter, push Push
 	return fold, nil
 }
 
-// openSource opens src with exactly req: natively when the source is
-// push-capable, else fetched whole and wrapped as a stream with an
-// all-false receipt.
+// eqFilters returns the conjuncts of e that are column = literal on a
+// column caps.PushdownEq names, as Filters.
+func eqFilters(e sqlparse.Expr, caps Capabilities) []Filter {
+	var out []Filter
+	for _, c := range plan.Conjuncts(e) {
+		r, ok := plan.Sargable(c)
+		if ok && !r.Lo.IsNull() && r.Lo.Equal(r.Hi) && !r.LoExclusive && !r.HiExclusive && caps.CanPush(r.Column) {
+			out = append(out, Filter{Column: r.Column, Value: r.Lo})
+		}
+	}
+	return out
+}
+
+// openSource opens src with filters and exactly req: natively when the
+// source is push-capable, else fetched with the filters and wrapped as
+// a stream with an all-false receipt.
 func openSource(ctx context.Context, src Source, filters []Filter, req Pushdown) (storage.RowStream, Applied, error) {
 	if ps, ok := src.(PushStreamingSource); ok {
 		return ps.FetchPushStream(ctx, filters, req)
@@ -162,12 +171,12 @@ func columnIndexes(have, want []string) ([]int, error) {
 
 // FetchPushStream implements PushStreamingSource: the gateway stands in
 // for a full remote engine, so the pushed predicate, projection, limit
-// and grouping all run inside its scan (plan.TableScan) — a row failing
-// the pushed WHERE is never copied, let alone shipped, and a grouped
-// request copies no row at all. A pushed column the
-// table lacks fails the open. The first pushable equality filter picks
-// the rows through an index when its column has one; every filter is
-// then checked per row, as in Fetch.
+// and grouping all run inside its scan — a row failing the pushed WHERE
+// is never copied, let alone shipped, and a grouped request copies no
+// row at all. The filters are ANDed into the WHERE (AndFilters), and
+// the scan reads through the index access path that predicate allows
+// (plan.ScanStored), exactly as the local engine reads a stored table.
+// A pushed column the table lacks fails the open.
 func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
 	s.mu.Lock()
 	s.fetches++
@@ -180,37 +189,15 @@ func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push 
 			return nil, Applied{}, ctx.Err()
 		}
 	}
-	def := s.table.Def()
-	var cur *storage.Cursor
-	caps := s.Capabilities()
-	for _, f := range filters {
-		if !caps.CanPush(f.Column) {
-			continue
-		}
-		if s.table.HasIndex(f.Column) {
-			ids, err := s.table.LookupEqual(f.Column, f.Value)
-			if err != nil {
-				return nil, Applied{}, fmt.Errorf("wrapper: erp %s: %w", s.name, err)
-			}
-			cur = s.table.CursorOver(ids)
-		}
-		break
-	}
-	if cur == nil {
-		cur = s.table.Cursor()
-	}
-	spec := plan.ScanSpec{Where: push.Where, Columns: push.Cols, Limit: -1}
-	if len(filters) > 0 {
-		spec.Keep = func(r storage.Row) bool { return matchesFilters(def, r, filters) }
-	}
+	where := AndFilters(s.table.Def(), push.Where, filters)
+	spec := plan.ScanSpec{Columns: push.Cols, Limit: -1, Group: push.Group}
 	for _, c := range push.Cols {
 		spec.Project = append(spec.Project, sqlparse.ColumnRef{Column: c})
 	}
 	if push.Limit > 0 {
 		spec.Limit = push.Limit
 	}
-	spec.Group = push.Group
-	scan, err := plan.ScanTable(ctx, cur, spec)
+	scan, err := plan.ScanStored(ctx, s.table, where, spec)
 	if err != nil {
 		return nil, Applied{}, fmt.Errorf("wrapper: erp %s: %w", s.name, err)
 	}

@@ -184,7 +184,7 @@ func FuzzOpenPushStream(f *testing.F) {
 		if capBits&(1<<8) != 0 {
 			src = fetchOnly{src}
 		}
-		st, err := OpenPushStream(context.Background(), src, nil, push)
+		st, err := OpenPushStream(context.Background(), src, push)
 		if err != nil {
 			t.Fatalf("%q caps %+v request %+v: open: %v", where, caps, push, err)
 		}

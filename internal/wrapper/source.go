@@ -21,12 +21,21 @@ import (
 
 	"cohera/internal/plan"
 	"cohera/internal/schema"
+	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 	"cohera/internal/value"
 )
 
-// Filter is one remote predicate: column = value. Sources that can apply
-// filters remotely advertise it in their capabilities.
+// Filter is one remote predicate, the conjunct column = value under
+// SQL's rules for =: an INT and a TEXT that parses as the same number
+// are equal, and kinds that cannot be compared (MONEY against INT, or
+// two currencies) fail the fetch with an evaluation error. A NULL
+// value means column IS NULL. A filter on a column the schema lacks is
+// dropped. Every source gives a filter this meaning: AndFilters turns
+// filters into the conjuncts a push-capable source evaluates, and
+// plain connectors evaluate the same conjuncts over the rows they
+// fetch. Sources that can apply filters remotely advertise their
+// columns in PushdownEq.
 type Filter struct {
 	Column string
 	Value  value.Value
@@ -56,9 +65,11 @@ func (c Capabilities) CanPush(col string) bool {
 	return false
 }
 
-// Source is a remote content provider. Fetch pulls rows matching the
-// given filters; a source ignores filters it did not advertise (the
-// caller re-checks), but should apply the ones it can to cut transfer.
+// Source is a remote content provider. Fetch pulls the rows matching
+// the given filters (see Filter). OpenPushStream evaluates the whole
+// request over the rows a source that is not push-capable returns, so
+// such a source may ignore a filter, but should apply the ones it can
+// to cut transfer.
 type Source interface {
 	// Name identifies the source (unique within an integrator).
 	Name() string
@@ -95,33 +106,37 @@ func parseInto(def *schema.Table, column, raw string) (value.Value, error) {
 	return v, nil
 }
 
-// applyFilters post-filters rows by the equality filters — used by
-// sources without remote filtering.
-func applyFilters(def *schema.Table, rows []storage.Row, filters []Filter) []storage.Row {
-	if len(filters) == 0 {
-		return rows
-	}
-	out := rows[:0]
-	for _, r := range rows {
-		if matchesFilters(def, r, filters) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// matchesFilters reports whether a row passes every equality filter;
-// filters on columns the schema lacks are ignored.
-func matchesFilters(def *schema.Table, r storage.Row, filters []Filter) bool {
+// AndFilters returns where with each filter ANDed in as a conjunct
+// (see Filter): column = literal, or column IS NULL for a NULL value,
+// on the schema's spelling of the column. Filters on columns def lacks
+// are dropped. The conjuncts are built as expressions, never as SQL
+// text, so every value keeps its exact kind and precision.
+func AndFilters(def *schema.Table, where sqlparse.Expr, filters []Filter) sqlparse.Expr {
+	conj := make([]sqlparse.Expr, 0, len(filters)+1)
 	for _, f := range filters {
 		ci := def.ColumnIndex(f.Column)
 		if ci < 0 {
 			continue
 		}
-		c, err := r[ci].Compare(f.Value)
-		if err != nil || c != 0 {
-			return false
+		col := sqlparse.ColumnRef{Column: def.Columns[ci].Name}
+		if f.Value.IsNull() {
+			conj = append(conj, sqlparse.IsNull{Inner: col})
+			continue
 		}
+		conj = append(conj, sqlparse.Binary{Op: sqlparse.OpEq, Left: col, Right: sqlparse.Literal{Value: f.Value}})
 	}
-	return true
+	if where != nil {
+		conj = append(conj, where)
+	}
+	return plan.AndExprs(conj)
+}
+
+// applyFilters keeps the rows every filter holds for — used by sources
+// without remote filtering.
+func applyFilters(def *schema.Table, rows []storage.Row, filters []Filter) ([]storage.Row, error) {
+	where := AndFilters(def, nil, filters)
+	if where == nil {
+		return rows, nil
+	}
+	return storage.CollectRows(plan.FuseStream(storage.NewSliceStream(def.ColumnNames(), rows), plan.FuseSpec{Where: where, Limit: -1}))
 }

@@ -87,5 +87,5 @@ func (s *XMLSource) Fetch(ctx context.Context, filters []Filter) ([]storage.Row,
 		}
 		rows = append(rows, row)
 	}
-	return applyFilters(s.def, rows, filters), nil
+	return applyFilters(s.def, rows, filters)
 }
